@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,14 +137,20 @@ def verify_below_radius(prob: RadiusProblem,
                         families: list[BoundedFunction] | None = None,
                         r_points: int = 256, margin: float = 0.0,
                         mode: str = ENVELOPE, seed: int = 42,
-                        blaschke_count: int = 100) -> VerificationReport:
-    """Check functional <= bound on [0, R - margin] over the population."""
+                        blaschke_count: int = 100,
+                        cert: RootCertificate | None = None) -> VerificationReport:
+    """Check functional <= bound on [0, R - margin] over the population.
+
+    ``cert`` is the problem's certificate when the caller has already
+    solved it; otherwise the problem is solved here.
+    """
     if margin < 0.0:
         raise DomainError("margin must be nonnegative")
     if r_points < 1:
         raise DomainError("need at least one radius point")
     start = time.perf_counter()
-    cert = solve_radius(prob)
+    if cert is None:
+        cert = solve_radius(prob)
     r_hi = cert.radius - margin
     if r_hi < 0.0:
         raise DomainError("margin exceeds the radius")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +89,9 @@ class WeightSequence:
                 raise DomainError("scaled_power needs a 1-d coefficient list")
             if c.size > MAX_COEFFS:
                 raise DomainError(f"coefficient list longer than {MAX_COEFFS}")
+            if not (np.all(np.isfinite(c)) and math.isfinite(self.rho)
+                    and math.isfinite(self.C)):
+                raise DomainError("weight coefficients, rho and C must be finite")
             if np.any(c < 0.0):
                 raise DomainError("weight coefficients must be nonnegative")
             if not (0.0 < self.rho <= 1.0):

@@ -83,6 +83,18 @@ class TestTable:
         assert code == 2
         assert out.strip().split("\n")[1].endswith("no-root")
 
+    def test_psi0_not_positive_rows_invalid(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"kind": "scaled_power",
+                                    "coeffs": [0.0, 0.5, 0.25],
+                                    "rho": 0.5, "C": 1.0}))
+        code, out, _ = run(capsys, "table", "--family", "psi3",
+                           "--p", "1,2", "--weights", str(path))
+        assert code == 2
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 2
+        assert all(row.endswith("invalid") for row in rows)
+
     def test_invalid_rows(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "psi5_t6",
                            "--m", "2", "--q", "2")
@@ -111,6 +123,30 @@ class TestUsageErrors:
     def test_out_of_range_parameter(self, capsys):
         code, _, _ = run(capsys, "radius", "--family", "psi1", "--p", "3")
         assert code == 1
+
+    def test_psi0_not_positive(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"kind": "scaled_power",
+                                    "coeffs": [0.0, 0.5, 0.25],
+                                    "rho": 0.5, "C": 1.0}))
+        code, out, err = run(capsys, "radius", "--family", "psi3",
+                             "--weights", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "Psi(0)" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fields", [
+        '"coeffs": [1.0, 0.5], "rho": 0.5, "C": Infinity',
+        '"coeffs": [1.0, NaN], "rho": 0.5, "C": 1.0',
+    ])
+    def test_non_finite_weights(self, capsys, tmp_path, fields):
+        path = tmp_path / "w.json"
+        path.write_text('{"kind": "scaled_power", ' + fields + '}')
+        code, out, err = run(capsys, "radius", "--family", "psi1",
+                             "--weights", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "finite" in err
+        assert err.count("\n") == 1
 
 
 class TestSuites:

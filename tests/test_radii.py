@@ -7,9 +7,14 @@ import pytest
 
 from bohrkit import (DomainError, FunctionalParams, NoRootError,
                      RadiusProblem, classical_crosscheck, power, psi_eval,
-                     scaled_power, solve_radius)
+                     radii, scaled_power, solve_radius)
+from bohrkit.weights import R_EDGE
 
 PW = power()
+# c_n = 1/(n+1): the weighted tail is r/(1-r), so the psi3 root is p/(2+p)
+HARMONIC = scaled_power(1.0 / (np.arange(4096) + 1.0), rho=1.0, C=1.0)
+# puts the psi3 p = 2 root late, near 0.9763
+LATE = scaled_power(0.3 ** np.arange(64), rho=0.3, C=1.0)
 
 GOLDEN = math.sqrt(5.0) - 2.0
 
@@ -86,6 +91,12 @@ class TestSolveRadius:
             grid = np.linspace(1e-9, cert.bracket_lo, 4096)
             assert np.all(psi_eval(pr, grid) > 0.0)
 
+    def test_psi0_not_positive_rejected(self):
+        # c_0 = 0 makes Psi3(0) = 0.5 * p * c_0 = 0
+        w = scaled_power([0.0, 0.5, 0.25], rho=0.5, C=1.0)
+        with pytest.raises(DomainError, match=r"Psi\(0\)"):
+            solve_radius(prob("psi3", w))
+
     def test_no_root_raises(self):
         # a weight whose tail is numerically zero keeps Psi1 positive on
         # the whole evaluation domain
@@ -100,6 +111,69 @@ class TestSolveRadius:
     def test_missing_weights_rejected(self):
         with pytest.raises(DomainError):
             RadiusProblem("psi1")
+
+
+def scan_grid():
+    grid = np.arange(0.0, R_EDGE, radii.SCAN_STEP)
+    return np.concatenate([grid, [R_EDGE]])
+
+
+class TestChunkedScan:
+    @pytest.mark.parametrize("pr", [
+        prob("psi1", PW, m=2, p=1.0),
+        prob("psi5_t6", m=1, q=2, lam=0.5),
+        prob("classical_alpha", m=3),
+        *(prob(fam, HARMONIC, m=2, p=1.5)
+          for fam in ("psi1", "psi2", "psi3", "psi4")),
+        prob("psi3", LATE, p=2.0),
+    ], ids=lambda pr: f"{pr.family}-{pr.weights and pr.weights.kind}")
+    def test_bracket_in_first_sign_change_cell(self, pr):
+        grid = scan_grid()
+        vals = psi_eval(pr, grid)
+        flips = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
+        i = int(flips[0])
+        cert = solve_radius(pr)
+        assert grid[i] <= cert.bracket_lo < cert.bracket_hi <= grid[i + 1]
+
+    def test_late_root_value(self):
+        assert solve_radius(prob("psi3", LATE, p=2.0)).radius == pytest.approx(0.9763, abs=1e-4)
+
+    @pytest.mark.parametrize("cell_offset", (-1, 0))
+    @pytest.mark.parametrize("chunks", (1, 2))
+    def test_root_next_to_chunk_boundary(self, cell_offset, chunks):
+        # the boundary point is shared by two chunks; a root in the cell on
+        # either side of it must be found.  The psi3 root p/(2+p) is put in
+        # that cell by p = 2r/(1-r).
+        grid = scan_grid()
+        k = chunks * radii._SCAN_CHUNK + cell_offset
+        root = 0.5 * (grid[k] + grid[k + 1])
+        cert = solve_radius(prob("psi3", HARMONIC, p=2.0 * root / (1.0 - root)))
+        assert grid[k] <= cert.bracket_lo < cert.bracket_hi <= grid[k + 1]
+        assert cert.radius == pytest.approx(root, abs=1e-12)
+
+    @staticmethod
+    def count_points(monkeypatch):
+        points = []
+
+        def counting_psi_eval(pr, r):
+            points.append(np.size(r))
+            return psi_eval(pr, r)
+
+        monkeypatch.setattr(radii, "psi_eval", counting_psi_eval)
+        return points
+
+    def test_scan_stops_after_root(self, monkeypatch):
+        points = self.count_points(monkeypatch)
+        cert = solve_radius(prob("psi3", HARMONIC, p=1.0))
+        assert cert.radius == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert sum(points) < 500
+
+    def test_closed_form_scan_is_one_call(self, monkeypatch):
+        # power weights have closed-form tails: one call over the whole grid
+        # costs less than several chunk calls
+        points = self.count_points(monkeypatch)
+        solve_radius(prob("psi1", PW, m=2, p=1.0))
+        assert [n for n in points if n > 1] == [scan_grid().size]
 
 
 class TestMonotonicity:

@@ -10,6 +10,7 @@ from bohrkit import (BoundedFunction, DomainError, FunctionalParams,
                      check_lemma_D, check_lemma_coeff, check_schwarz_pick,
                      moebius_plus, power, scaled_power, sharpness_witness,
                      solve_radius, verify_below_radius)
+from bohrkit import verify
 from bohrkit.verify import standard_families
 
 PW = power()
@@ -54,6 +55,30 @@ class TestVerifyBelowRadius:
         assert doc["r_grid_size"] == 16
         assert doc["bracket"][0] <= doc["radius"] <= doc["bracket"][1]
         assert doc["trials"] == doc["n_functions"] * 16
+
+    def test_given_certificate_same_report(self):
+        pr = prob("psi2", PW, m=2, p=1.5)
+        plain = verify_below_radius(pr, r_points=32, blaschke_count=5).to_dict()
+        reused = verify_below_radius(pr, r_points=32, blaschke_count=5,
+                                     cert=solve_radius(pr)).to_dict()
+        plain.pop("elapsed")
+        reused.pop("elapsed")
+        assert reused == plain
+
+    def test_given_certificate_not_solved_again(self, monkeypatch):
+        pr = prob("psi1", PW, m=1, p=1.0)
+        cert = solve_radius(pr)
+        calls = []
+
+        def counting_solve(*args, **kw):
+            calls.append(args)
+            return solve_radius(*args, **kw)
+
+        monkeypatch.setattr(verify, "solve_radius", counting_solve)
+        verify_below_radius(pr, r_points=8, blaschke_count=2, cert=cert)
+        assert calls == []
+        verify_below_radius(pr, r_points=8, blaschke_count=2)
+        assert len(calls) == 1
 
     def test_deterministic_population(self):
         a = standard_families("psi1", seed=7, blaschke_count=5)

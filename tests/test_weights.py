@@ -145,3 +145,19 @@ class TestJson:
     def test_missing_kind_rejected(self):
         with pytest.raises(DomainError):
             from_json({"coeffs": [1.0]})
+
+    @pytest.mark.parametrize("fields", [
+        '"coeffs": [1.0, 0.5], "rho": 0.5, "C": Infinity',
+        '"coeffs": [1.0, 0.5], "rho": 0.5, "C": -Infinity',
+        '"coeffs": [1.0, 0.5], "rho": 0.5, "C": NaN',
+        '"coeffs": [1.0, 0.5], "rho": NaN, "C": 1.0',
+        '"coeffs": [1.0, 0.5], "rho": Infinity, "C": 1.0',
+        '"coeffs": [1.0, NaN], "rho": 0.5, "C": 1.0',
+        '"coeffs": [1.0, Infinity], "rho": 0.5, "C": 1.0',
+    ])
+    def test_non_finite_rejected(self, tmp_path, fields):
+        # Python's json module reads the non-standard NaN / Infinity literals
+        path = tmp_path / "w.json"
+        path.write_text('{"kind": "scaled_power", ' + fields + '}')
+        with pytest.raises(DomainError, match="finite"):
+            from_json(path)

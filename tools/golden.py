@@ -1,0 +1,155 @@
+"""Dump certificates and CLI output for a fixed problem and command set.
+
+Run from anywhere; bohrkit is imported from the ``src/`` directory next to
+this one::
+
+    python3 tools/golden.py > golden.txt
+
+Two checkouts whose dumps are byte-identical give the same radii, brackets,
+bracket-end values and CLI output on every case listed here, so a change
+meant to keep behaviour (a faster scan, a refactor) is checked by running
+this on the parent checkout and on the change and comparing the files.
+Every float is written with ``repr``, which round-trips exactly.
+
+The problem set: the power-weight grid of criteria 3/4, the criterion-7
+grid under c_n = 1/(n+1) with 4096 coefficients, the classical families,
+further scaled weights (short lists, rho < 1), late roots near r = 1 and a
+weight whose Psi has no root.  The command set: ``radius``, ``table`` with
+power weights and with a scaled-weights JSON file (including ``psi5_t6``
+rows with m >= q, which are invalid), and ``identity-check``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from bohrkit import cli  # noqa: E402
+from bohrkit import weights as wt  # noqa: E402
+from bohrkit.errors import BohrkitError  # noqa: E402
+from bohrkit.functionals import FunctionalParams  # noqa: E402
+from bohrkit.radii import RadiusProblem, RootCertificate, solve_radius  # noqa: E402
+
+PSI = ("psi1", "psi2", "psi3", "psi4")
+P_GRID = (0.5, 1.0, 1.5, 2.0)
+CERT_FIELDS = tuple(f.name for f in dataclasses.fields(RootCertificate))
+
+
+def harmonic_weights():
+    """The criterion-7 weights c_n = 1/(n+1), 4096 of them."""
+    return wt.scaled_power(1.0 / (np.arange(4096) + 1.0), rho=1.0, C=1.0)
+
+
+def problems() -> list[tuple[str, RadiusProblem]]:
+    pw = wt.power()
+    out = []
+
+    def add(tag, family, w=None, **kw):
+        out.append((tag, RadiusProblem(family, FunctionalParams(**kw), w)))
+
+    for m in (1, 2, 3):
+        for p in P_GRID:
+            for fam in PSI:
+                add("power", fam, pw, m=m, p=p)
+            for lam in (0.5, 1.0, 2.0):
+                add("power", "psi5_t5", m=m, p=p, lam=lam)
+                add("power", "psi5_t6", m=m, p=p, lam=lam, q=m + 1)
+    harmonic = harmonic_weights()
+    for m in (1, 2, 3):
+        for p in P_GRID:
+            for fam in PSI:
+                add("harmonic", fam, harmonic, m=m, p=p)
+    for m in range(1, 9):
+        for fam in ("classical_alpha", "classical_beta", "classical_zeta",
+                    "classical_eta"):
+            add("classical", fam, m=m)
+    add("classical", "classical_c", pw)
+    add("classical", "classical_c", harmonic)
+    for lam in (0.5, 1.0, 2.0):
+        for n in (1, 2, 3):
+            add("classical", "classical_d", lam=lam, n_lacunary=n)
+    scaled = {
+        "short": wt.scaled_power([1.0, 0.5, 0.25], rho=0.5, C=1.0),
+        "halves": wt.scaled_power(0.5 ** np.arange(64), rho=0.5, C=1.0),
+        "slow": wt.scaled_power(0.9 ** np.arange(1024), rho=0.9, C=1.0),
+        "late": wt.scaled_power(0.3 ** np.arange(64), rho=0.3, C=1.0),
+    }
+    for name, w in scaled.items():
+        for m in (1, 3):
+            for p in (0.25, 1.0, 2.0):
+                for fam in PSI:
+                    add(f"scaled-{name}", fam, w, m=m, p=p)
+        add(f"scaled-{name}", "classical_c", w)
+    add("no-root", "psi1", wt.scaled_power(np.r_[1.0, np.zeros(63)], rho=0.5, C=1.0))
+    return out
+
+
+def certificate_lines() -> list[str]:
+    lines = []
+    for tag, prob in problems():
+        pm = prob.params
+        key = (f"{tag} {prob.family} m={pm.m} p={pm.p!r} lam={pm.lam!r} "
+               f"q={pm.q} n={pm.n_lacunary}")
+        try:
+            cert = solve_radius(prob)
+        except BohrkitError as exc:
+            lines.append(f"{key}: {type(exc).__name__}: {exc}")
+            continue
+        fields = " ".join(f"{f}={getattr(cert, f)!r}" for f in CERT_FIELDS)
+        lines.append(f"{key}: {fields}")
+    return lines
+
+
+def commands(weights_json: str) -> list[list[str]]:
+    radius = [["radius", "--family", fam, "--m", str(m), "--p", p]
+              for fam in PSI for m in (1, 2) for p in ("0.5", "2")]
+    radius += [["radius", "--family", fam, "--m", "2", "--p", "1",
+                "--weights", weights_json] for fam in PSI]
+    radius += [["radius", "--family", "psi5_t6", "--m", "1", "--q", "3",
+                "--lambda", "0.5"],
+               ["radius", "--family", "classical_d", "--n", "2"]]
+    tables = [
+        ["table", "--family", "psi1", "--m", "1..3", "--p", "0.25..2:0.25"],
+        ["table", "--family", "psi5_t5", "--p", "0.5,1,2", "--lambda", "0.5..2:0.5"],
+        ["table", "--family", "psi5_t6", "--weights", weights_json,
+         "--m", "1..4", "--q", "2..4", "--lambda", "0.5,1"],
+    ]
+    tables += [["table", "--family", fam, "--weights", weights_json,
+                "--m", "1..3", "--p", "0.5..2:0.5"] for fam in PSI]
+    return radius + tables + [["identity-check"]]
+
+
+def command_lines(weights_json: str) -> list[str]:
+    lines = []
+    for argv in commands(weights_json):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        shown = " ".join("WEIGHTS.json" if a == weights_json else a for a in argv)
+        lines.append(f"$ bohrkit {shown}  # exit {code}")
+        lines.extend(buf.getvalue().splitlines())
+    return lines
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        weights_json = str(Path(tmp) / "weights.json")
+        Path(weights_json).write_text(json.dumps(
+            {"kind": wt.SCALED_POWER, "coeffs": harmonic_weights().coeffs.tolist(),
+             "rho": 1.0, "C": 1.0}))
+        lines = certificate_lines() + command_lines(weights_json)
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
