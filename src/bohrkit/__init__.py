@@ -14,9 +14,9 @@ from .functionals import (FunctionalParams, a_refinement, bohr_sum,
                           functional_T5, functional_T6)
 from .radii import (RadiusProblem, RootCertificate, classical_crosscheck,
                     psi_eval, solve_radius)
-from .series import (BoundedFunction, InnerMap, blaschke, compose_inner,
-                     eval_derivative, evaluate, moebius_minus, moebius_plus,
-                     multiply_by_z, random_blaschke, schwarz_moebius)
+from .series import (BoundedFunction, blaschke, eval_derivative, evaluate,
+                     moebius_minus, moebius_plus, multiply_by_z,
+                     random_blaschke, schwarz_moebius)
 from .verify import (VerificationReport, Witness, check_lemma_coeff,
                      check_lemma_D, check_schwarz_pick, sharpness_witness,
                      standard_families, verify_below_radius)
@@ -26,12 +26,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "BohrkitError", "BoundedFunction", "DomainError",
-    "FunctionalParams", "InnerMap", "NoRootError", "NoWitnessError",
+    "FunctionalParams", "NoRootError", "NoWitnessError",
     "NotFalsifiableError", "RadiusProblem", "RootCertificate", "UsageError",
     "VerificationReport", "WeightSequence", "Witness", "a_refinement",
     "blaschke", "bohr_sum", "bound_for", "check_lemma_D",
     "check_lemma_coeff", "check_schwarz_pick", "classical_crosscheck",
-    "compose_inner", "eval_derivative", "evaluate", "evaluate_family",
+    "eval_derivative", "evaluate", "evaluate_family",
     "from_json", "functional_T1", "functional_T2", "functional_T3",
     "functional_T4", "functional_T5", "functional_T6", "moebius_minus",
     "moebius_plus", "multiply_by_z", "power", "psi_eval", "random_blaschke",

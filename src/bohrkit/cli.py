@@ -25,7 +25,7 @@ import numpy as np
 from . import weights as wt
 from .errors import (AccuracyError, DomainError, NoRootError,
                      NotFalsifiableError, NoWitnessError, UsageError)
-from .functionals import ALL_FAMILIES, FunctionalParams, a_refinement
+from .functionals import FAMILIES, FunctionalParams, a_refinement
 from .radii import RadiusProblem, classical_crosscheck, solve_radius
 from .series import moebius_plus
 from .verify import (check_lemma_coeff, check_lemma_D, check_schwarz_pick,
@@ -75,6 +75,16 @@ def _cast_int(v: float) -> int:
     return int(v)
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than lo."""
+    def integer(text: str) -> int:  # argparse names the type after it
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return integer
+
+
 def _load_weights(spec: str) -> wt.WeightSequence:
     if spec == "power":
         return wt.power()
@@ -84,8 +94,7 @@ def _load_weights(spec: str) -> wt.WeightSequence:
 def _make_problem(family: str, w: wt.WeightSequence, m: int, p: float,
                   lam: float, q: int, n: int) -> RadiusProblem:
     params = FunctionalParams(m=m, p=p, lam=lam, q=q, n_lacunary=n)
-    needs_w = family in {"psi1", "psi2", "psi3", "psi4", "classical_c"}
-    return RadiusProblem(family, params, w if needs_w else None)
+    return RadiusProblem(family, params, w if FAMILIES[family].weighted else None)
 
 
 def _emit(text: str, path: str | None):
@@ -105,7 +114,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_param_flags(sp, multi: bool):
     helper = " (value, comma list, or lo..hi:step)" if multi else ""
-    sp.add_argument("--family", required=True, choices=ALL_FAMILIES)
+    sp.add_argument("--family", required=True, choices=list(FAMILIES))
     sp.add_argument("--m", default="1", help="inner-map exponent" + helper)
     sp.add_argument("--p", default="1", help="modulus power in (0, 2]" + helper)
     sp.add_argument("--lambda", dest="lam", default="1",
@@ -139,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="envelope")
     sp.add_argument("--blaschke", type=int, default=100,
                     help="number of random Blaschke products")
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=_int_at_least(0), default=42)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_verify)
 
@@ -151,14 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-lemmas", help="run the three lemma suites")
     sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=_int_at_least(0), default=42)
     sp.add_argument("--weights", default="power")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_check_lemmas)
 
     sp = sub.add_parser("identity-check",
                         help="closed-form identities and classical cross-checks")
-    sp.add_argument("--grid", type=int, default=50)
+    sp.add_argument("--grid", type=_int_at_least(1), default=50)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_identity_check)
     return parser

@@ -1,4 +1,5 @@
-"""The Bohr-type building blocks and the six composite functionals.
+"""The Bohr-type building blocks, the composite functionals and the
+registry of radius families that use them.
 
 Every sum over the series coefficients is truncated adaptively and the
 discarded mass is bounded through the weight sequence's geometric
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -35,19 +37,6 @@ _POWER = wt.power()
 
 ENVELOPE = "envelope"
 POINTWISE = "pointwise"
-
-PSI_FAMILIES = ("psi1", "psi2", "psi3", "psi4", "psi5_t5", "psi5_t6")
-CLASSICAL_FAMILIES = ("classical_alpha", "classical_beta", "classical_zeta",
-                      "classical_eta", "classical_c", "classical_d")
-ALL_FAMILIES = PSI_FAMILIES + CLASSICAL_FAMILIES
-
-# families whose functional is bounded by phi_0(r); the rest are bounded by 1
-_PHI0_BOUNDED = frozenset({"psi1", "psi2", "psi3", "psi4",
-                           "classical_alpha", "classical_beta",
-                           "classical_zeta", "classical_eta", "classical_c"})
-
-# families requiring a Schwarz function (a_0 = 0)
-SCHWARZ_FAMILIES = frozenset({"psi3", "psi4", "classical_c"})
 
 
 @dataclass(frozen=True)
@@ -65,8 +54,8 @@ class FunctionalParams:
             raise DomainError("m must be a positive integer")
         if not 0.0 < self.p <= 2.0:
             raise DomainError("p must lie in (0, 2]")
-        if self.lam <= 0.0:
-            raise DomainError("lambda must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise DomainError("lambda must be a positive finite number")
         if not isinstance(self.q, (int, np.integer)) or self.q < 1:
             raise DomainError("q must be a positive integer")
         if not isinstance(self.n_lacunary, (int, np.integer)) or self.n_lacunary < 1:
@@ -249,11 +238,16 @@ def functional_T5(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
     return _unwrap(out, scalar)
 
 
+def _check_lacunary(params: FunctionalParams):
+    """The theorem-6 constraint on the lacunary gap q and the inner exponent m."""
+    if params.q < 2 or not 0 < params.m < params.q:
+        raise DomainError("psi5_t6 needs q >= 2 and 0 < m < q")
+
+
 def functional_T6(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
     """|f(w(z))|**p + lambda * lacunary majorant over indices qk + m."""
     _check_mode(mode)
-    if params.q < 2 or not 0 < params.m < params.q:
-        raise DomainError("theorem-6 functional needs q >= 2 and 0 < m < q")
+    _check_lacunary(params)
     rs, scalar = _as_grid(r)
     rmax = float(rs.max())
     n_hi, U = _trunc(f, _POWER, rmax)
@@ -264,8 +258,8 @@ def functional_T6(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
     return _unwrap(out, scalar)
 
 
-def functional_TD(f, params: FunctionalParams, r, mode: str = ENVELOPE):
-    """|f(z)| + lambda * lacunary majorant over indices nk (classical form)."""
+def functional_TD(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
+    """|f(z)| + lambda * lacunary majorant over indices nk, power weights."""
     _check_mode(mode)
     rs, scalar = _as_grid(r)
     rmax = float(rs.max())
@@ -278,47 +272,102 @@ def functional_TD(f, params: FunctionalParams, r, mode: str = ENVELOPE):
     return _unwrap(out, scalar)
 
 
+@dataclass(frozen=True)
+class Family:
+    """Everything bohrkit knows about one radius family.
+
+    ``psi(params, w, rs, x)`` is the radius function on the grid ``rs``
+    with ``x = rs**m``, positive in the validity regime.  A ``weighted``
+    family gives the problem's weights to Psi, to ``functional`` and to
+    its bound phi_0(r); the others use power weights r**n throughout,
+    where phi_0 = 1.  ``p`` pins the modulus power of a classical
+    theorem.  ``extremal`` names the extremal family for sharpness
+    ("plus", "minus" or "schwarz"); Schwarz families are tested on
+    functions with a_0 = 0.  ``check`` rejects parameters the family's
+    theorem excludes.
+    """
+
+    psi: Callable
+    functional: Callable
+    weighted: bool
+    extremal: str
+    p: float | None = None
+    check: Callable = lambda params: None
+
+
+FAMILIES: dict[str, Family] = {
+    "psi1": Family(
+        lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x) * w.weight_at(0, rs)
+                              - 2.0 * w.tail(1, rs)),
+        functional_T1, weighted=True, extremal="plus"),
+    "psi2": Family(
+        lambda pm, w, rs, x: (0.5 * pm.p * w.weight_at(0, rs) - w.tail(1, rs)
+                              - x / (1.0 - x)),
+        functional_T2, weighted=True, extremal="minus"),
+    "psi3": Family(
+        lambda pm, w, rs, x: 0.5 * pm.p * w.weight_at(0, rs) - w.weighted_tail(1, rs),
+        functional_T3, weighted=True, extremal="schwarz"),
+    "psi4": Family(
+        lambda pm, w, rs, x: (0.5 * pm.p * w.weight_at(0, rs) - w.weighted_tail(1, rs)
+                              - x * (2.0 - x) / (1.0 - x) ** 2),
+        functional_T4, weighted=True, extremal="schwarz"),
+    "psi5_t5": Family(
+        lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x)
+                              - 2.0 * pm.lam * rs / (1.0 - rs)),
+        functional_T5, weighted=False, extremal="plus"),
+    # sign flipped relative to the source convention, which is positive
+    # past the radius, so that every Psi is positive at 0
+    "psi5_t6": Family(
+        lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x) - 2.0 * pm.lam
+                              * rs ** (pm.q + pm.m) / (1.0 - rs ** pm.q)),
+        functional_T6, weighted=False, extremal="plus", check=_check_lacunary),
+    "classical_alpha": Family(
+        lambda pm, w, rs, x: (1.0 - rs) * (1.0 - x) - 2.0 * rs * (1.0 + x),
+        functional_T1, weighted=False, extremal="plus", p=1.0),
+    "classical_beta": Family(
+        lambda pm, w, rs, x: 1.0 - 2.0 * rs - x,
+        functional_T1, weighted=False, extremal="plus", p=2.0),
+    "classical_zeta": Family(
+        lambda pm, w, rs, x: 1.0 - 3.0 * rs - x * (3.0 - 5.0 * rs),
+        functional_T2, weighted=False, extremal="minus", p=1.0),
+    "classical_eta": Family(
+        lambda pm, w, rs, x: 1.0 - 2.0 * rs - x * (2.0 - 3.0 * rs),
+        functional_T2, weighted=False, extremal="minus", p=2.0),
+    # theorem C under general weights: twice psi3 at p = 1
+    "classical_c": Family(
+        lambda pm, w, rs, x: w.weight_at(0, rs) - 2.0 * w.weighted_tail(1, rs),
+        functional_T3, weighted=True, extremal="schwarz", p=1.0),
+    "classical_d": Family(
+        lambda pm, w, rs, x: (1.0 - rs - (2.0 * pm.lam + 1.0) * rs ** pm.n_lacunary
+                              - (2.0 * pm.lam - 1.0) * rs ** (pm.n_lacunary + 1)),
+        functional_TD, weighted=False, extremal="plus"),
+}
+
+
+def get_family(name: str) -> Family:
+    """The registry record of a family name; DomainError for unknown names."""
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise DomainError(f"unknown radius family {name!r}") from None
+
+
 def evaluate_family(family: str, f, w, params: FunctionalParams, r,
                     mode: str = ENVELOPE):
-    """Dispatch a radius family name to its composite functional.
+    """Evaluate a radius family's composite functional.
 
-    Classical families evaluate the corresponding theorem's functional
-    with power weights and the p-case fixed by the theorem.
+    Unweighted families evaluate with power weights, and classical
+    families with the p-case fixed by their theorem.
     """
-    if family == "psi1":
-        return functional_T1(f, w, params, r, mode)
-    if family == "psi2":
-        return functional_T2(f, w, params, r, mode)
-    if family == "psi3":
-        return functional_T3(f, w, params, r, mode)
-    if family == "psi4":
-        return functional_T4(f, w, params, r, mode)
-    if family == "psi5_t5":
-        return functional_T5(f, w, params, r, mode)
-    if family == "psi5_t6":
-        return functional_T6(f, w, params, r, mode)
-    if family == "classical_alpha":
-        return functional_T1(f, _POWER, replace(params, p=1.0), r, mode)
-    if family == "classical_beta":
-        return functional_T1(f, _POWER, replace(params, p=2.0), r, mode)
-    if family == "classical_zeta":
-        return functional_T2(f, _POWER, replace(params, p=1.0), r, mode)
-    if family == "classical_eta":
-        return functional_T2(f, _POWER, replace(params, p=2.0), r, mode)
-    if family == "classical_c":
-        return functional_T3(f, _POWER, replace(params, p=1.0), r, mode)
-    if family == "classical_d":
-        return functional_TD(f, params, r, mode)
-    raise DomainError(f"unknown functional family {family!r}")
+    fam = get_family(family)
+    if fam.p is not None:
+        params = replace(params, p=fam.p)
+    return fam.functional(f, w if fam.weighted else _POWER, params, r, mode)
 
 
 def bound_for(family: str, w, r):
-    """The right-hand side each family's inequality is checked against."""
-    if family in _PHI0_BOUNDED:
-        use = _POWER if family.startswith("classical") else w
-        rs, scalar = _as_grid(r)
-        return _unwrap(use._weight2(np.array([0]), rs)[0], scalar)
-    if family in ALL_FAMILIES:
-        rs, scalar = _as_grid(r)
-        return _unwrap(np.ones(rs.size), scalar)
-    raise DomainError(f"unknown functional family {family!r}")
+    """The right-hand side each family's inequality is checked against:
+    phi_0(r) of the weights its functional uses."""
+    use = w if get_family(family).weighted else _POWER
+    rs, scalar = _as_grid(r)
+    return _unwrap(use._weight2(np.array([0]), rs)[0], scalar)

@@ -7,11 +7,8 @@ width 1e-13.  Under scaled-power weights the grid is evaluated in chunks
 of 64 cells and the scan stops at the chunk holding the first sign change,
 so the points above the root are never evaluated; every other Psi is in
 closed form and is evaluated on the whole grid in one call.  The bracket, the signed values at its
-ends and the scan step are returned as a certificate.
-
-For the theorem-6 family the sign is flipped relative to the source
-convention (which is positive past the radius) so that the positive-at-0
-convention is uniform across families.
+ends and the scan step are returned as a certificate.  The Psi
+functions themselves live in :data:`bohrkit.functionals.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import numpy as np
 
 from . import weights as wt
 from .errors import DomainError, NoRootError
-from .functionals import ALL_FAMILIES, FunctionalParams
+from .functionals import FAMILIES, FunctionalParams, get_family
 
 SCAN_STEP = 1e-3
 BRACKET_WIDTH = 1e-13
@@ -31,8 +28,6 @@ BRACKET_WIDTH = 1e-13
 # the tail is cut to a few hundred terms by the chunk's largest r, large
 # enough that the per-call overhead of psi_eval stays below the work
 _SCAN_CHUNK = 64
-
-_NEEDS_WEIGHTS = frozenset({"psi1", "psi2", "psi3", "psi4", "classical_c"})
 
 
 @dataclass(frozen=True)
@@ -44,13 +39,10 @@ class RadiusProblem:
     weights: wt.WeightSequence | None = None
 
     def __post_init__(self):
-        if self.family not in ALL_FAMILIES:
-            raise DomainError(f"unknown radius family {self.family!r}")
-        if self.family in _NEEDS_WEIGHTS and self.weights is None:
+        fam = get_family(self.family)
+        if fam.weighted and self.weights is None:
             raise DomainError(f"family {self.family} needs a weight sequence")
-        if self.family == "psi5_t6":
-            if self.params.q < 2 or not 0 < self.params.m < self.params.q:
-                raise DomainError("psi5_t6 needs q >= 2 and 0 < m < q")
+        fam.check(self.params)
 
 
 @dataclass(frozen=True)
@@ -68,39 +60,7 @@ class RootCertificate:
 def psi_eval(prob: RadiusProblem, r):
     """The family's radius function, positive in the validity regime."""
     rs = wt._as_r(r)
-    pm, w = prob.params, prob.weights
-    m, p, lam, q, n = pm.m, pm.p, pm.lam, pm.q, pm.n_lacunary
-    x = rs ** m
-    fam = prob.family
-    if fam == "psi1":
-        out = p * (1.0 - x) / (1.0 + x) * w.weight_at(0, rs) - 2.0 * w.tail(1, rs)
-    elif fam == "psi2":
-        out = 0.5 * p * w.weight_at(0, rs) - w.tail(1, rs) - x / (1.0 - x)
-    elif fam == "psi3":
-        out = 0.5 * p * w.weight_at(0, rs) - w.weighted_tail(1, rs)
-    elif fam == "psi4":
-        out = (0.5 * p * w.weight_at(0, rs) - w.weighted_tail(1, rs)
-               - x * (2.0 - x) / (1.0 - x) ** 2)
-    elif fam == "psi5_t5":
-        out = p * (1.0 - x) / (1.0 + x) - 2.0 * lam * rs / (1.0 - rs)
-    elif fam == "psi5_t6":
-        # sign flipped relative to the source convention, see module docstring
-        out = p * (1.0 - x) / (1.0 + x) - 2.0 * lam * rs ** (q + m) / (1.0 - rs ** q)
-    elif fam == "classical_alpha":
-        out = (1.0 - rs) * (1.0 - x) - 2.0 * rs * (1.0 + x)
-    elif fam == "classical_beta":
-        out = 1.0 - 2.0 * rs - x
-    elif fam == "classical_zeta":
-        out = 1.0 - 3.0 * rs - x * (3.0 - 5.0 * rs)
-    elif fam == "classical_eta":
-        out = 1.0 - 2.0 * rs - x * (2.0 - 3.0 * rs)
-    elif fam == "classical_c":
-        out = w.weight_at(0, rs) - 2.0 * w.weighted_tail(1, rs)
-    elif fam == "classical_d":
-        out = (1.0 - rs - (2.0 * lam + 1.0) * rs ** n
-               - (2.0 * lam - 1.0) * rs ** (n + 1))
-    else:  # pragma: no cover - guarded by RadiusProblem
-        raise DomainError(f"unknown radius family {fam!r}")
+    out = FAMILIES[prob.family].psi(prob.params, prob.weights, rs, rs ** prob.params.m)
     return float(out[0]) if np.ndim(r) == 0 else out
 
 

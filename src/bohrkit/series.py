@@ -64,17 +64,6 @@ class BoundedFunction:
                 f"T={self.truncation_order}, tail_bound={self.tail_bound:.3g})")
 
 
-@dataclass(frozen=True)
-class InnerMap:
-    """The monomial inner map z -> z**m."""
-
-    exponent: int
-
-    def __post_init__(self):
-        if not isinstance(self.exponent, (int, np.integer)) or self.exponent < 1:
-            raise DomainError("inner-map exponent must be a positive integer")
-
-
 def _check_a(a: float) -> float:
     a = float(a)
     if not 0.0 <= a < 1.0:
@@ -214,12 +203,3 @@ def eval_derivative(f: BoundedFunction, z):
     vals = (ns * f.coeffs[1:n_eff]) @ powers
     return complex(vals[0]) if np.ndim(z) == 0 else vals
 
-
-def compose_inner(f: BoundedFunction, w: InnerMap) -> BoundedFunction:
-    """The series of f(z**m): coefficient m*n carries a_n."""
-    m = w.exponent
-    if m == 1:
-        return f
-    out = np.zeros(m * f.truncation_order + 1, dtype=complex)
-    out[::m] = f.coeffs
-    return BoundedFunction(out, f.tail_bound, f"{f.family_tag}(z^{m})")

@@ -19,8 +19,8 @@ import numpy as np
 from . import weights as wt
 from .errors import (DomainError, NoRootError, NotFalsifiableError,
                      NoWitnessError)
-from .functionals import (ENVELOPE, POINTWISE, SCHWARZ_FAMILIES,
-                          FunctionalParams, bound_for, evaluate_family)
+from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, bound_for,
+                          evaluate_family, get_family)
 from .radii import RadiusProblem, RootCertificate, psi_eval, solve_radius
 from .series import (BoundedFunction, eval_derivative, evaluate,
                      moebius_minus, moebius_plus, multiply_by_z,
@@ -32,14 +32,6 @@ VIOLATION_TOL = 1e-9
 WITNESS_EXCESS_TOL = 1e-12
 MAX_WITNESS_STEPS = 40
 
-_EXTREMAL_KIND = {
-    "psi1": "plus", "psi2": "minus", "psi3": "schwarz", "psi4": "schwarz",
-    "psi5_t5": "plus", "psi5_t6": "plus",
-    "classical_alpha": "plus", "classical_beta": "plus",
-    "classical_zeta": "minus", "classical_eta": "minus",
-    "classical_c": "schwarz", "classical_d": "plus",
-}
-
 _EXTREMAL_BUILDER = {
     "plus": moebius_plus,
     "minus": moebius_minus,
@@ -48,10 +40,7 @@ _EXTREMAL_BUILDER = {
 
 
 def extremal_kind(family: str) -> str:
-    try:
-        return _EXTREMAL_KIND[family]
-    except KeyError:
-        raise DomainError(f"unknown radius family {family!r}") from None
+    return get_family(family).extremal
 
 
 def extremal_member(kind: str, a: float) -> BoundedFunction:
@@ -63,6 +52,8 @@ def standard_families(family: str, seed: int = 42,
     """The documented test population: the extremal family on the a-grid
     plus seeded random Blaschke products (shifted to Schwarz functions
     where the theorem requires a_0 = 0)."""
+    if blaschke_count < 0:
+        raise DomainError("the Blaschke product count must be nonnegative")
     kind = extremal_kind(family)
     fams = [extremal_member(kind, a) for a in MOEBIUS_A_GRID]
     rng = np.random.default_rng(seed)
@@ -70,7 +61,7 @@ def standard_families(family: str, seed: int = 42,
         degree = int(rng.integers(1, 9))
         sub = int(rng.integers(0, 2 ** 31))
         f = random_blaschke(degree, sub)
-        if family in SCHWARZ_FAMILIES:
+        if kind == "schwarz":
             f = multiply_by_z(f)
         fams.append(f)
     return fams
@@ -144,7 +135,7 @@ def verify_below_radius(prob: RadiusProblem,
     ``cert`` is the problem's certificate when the caller has already
     solved it; otherwise the problem is solved here.
     """
-    if margin < 0.0:
+    if not margin >= 0.0:
         raise DomainError("margin must be nonnegative")
     if r_points < 1:
         raise DomainError("need at least one radius point")

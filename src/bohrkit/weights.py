@@ -113,9 +113,6 @@ class WeightSequence:
     def dominator(self) -> float:
         return 1.0 if self.kind == POWER else self.C
 
-    def phi0(self, r):
-        return self.weight_at(0, r)
-
     # -- public operations ------------------------------------------------
 
     def weight_at(self, n, r):
@@ -201,8 +198,11 @@ def power() -> WeightSequence:
 
 def scaled_power(coeffs, rho: float = 1.0, C: float = 1.0) -> WeightSequence:
     """Weights c_n * r**n with declared dominator c_n <= C * rho**n."""
-    return WeightSequence(SCALED_POWER, coeffs=np.asarray(coeffs, dtype=float),
-                          rho=float(rho), C=float(C))
+    try:
+        coeffs, rho, C = np.asarray(coeffs, dtype=float), float(rho), float(C)
+    except (TypeError, ValueError):
+        raise DomainError("weight coefficients, rho and C must be numbers") from None
+    return WeightSequence(SCALED_POWER, coeffs=coeffs, rho=rho, C=C)
 
 
 def from_json(source) -> WeightSequence:
@@ -215,7 +215,10 @@ def from_json(source) -> WeightSequence:
     ``{"kind": "power"}`` is accepted as well.
     """
     if isinstance(source, (str, Path)):
-        obj = json.loads(Path(source).read_text())
+        try:
+            obj = json.loads(Path(source).read_text())
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read weight JSON {str(source)!r}: {exc}") from None
     else:
         obj = source
     if not isinstance(obj, dict) or "kind" not in obj:

@@ -148,6 +148,44 @@ class TestUsageErrors:
         assert err.startswith("usage error:") and "finite" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name, text", [
+        ("missing.json", None),
+        ("adir", None),
+        ("w.json", "not json"),
+        ("w.json", '{"kind": "scaled_power", "coeffs": [1.0], "rho": "abc"}'),
+        ("w.json", '{"kind": "scaled_power", "coeffs": [1.0], "C": [2.0]}'),
+        ("w.json", '{"kind": "scaled_power", "coeffs": ["x", 0.5]}'),
+    ])
+    def test_unreadable_weights(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        if name == "adir":
+            path.mkdir()
+        elif text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, "radius", "--family", "psi1",
+                             "--weights", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("identity-check", "--grid", "0"),
+        ("identity-check", "--grid", "-2"),
+        ("verify", "--family", "psi1", "--seed", "-1"),
+        ("check-lemmas", "--seed", "-1"),
+        ("verify", "--family", "psi1", "--blaschke", "-5"),
+        ("verify", "--family", "psi1", "--margin", "nan"),
+        ("radius", "--family", "psi1", "--lambda", "nan"),
+    ])
+    def test_out_of_range_flags(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    def test_nan_lambda_table_row_invalid(self, capsys):
+        code, out, _ = run(capsys, "table", "--family", "psi1", "--lambda", "nan")
+        assert code == 2
+        assert out.strip().split("\n")[1].endswith("invalid")
+
 
 class TestSuites:
     def test_verify_small(self, capsys):

@@ -246,6 +246,11 @@ class TestParams:
         with pytest.raises(DomainError):
             FunctionalParams(lam=0.0)
 
+    @pytest.mark.parametrize("lam", (float("nan"), float("inf")))
+    def test_lambda_finite(self, lam):
+        with pytest.raises(DomainError):
+            FunctionalParams(lam=lam)
+
     def test_m_positive_integer(self):
         with pytest.raises(DomainError):
             FunctionalParams(m=0)

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from bohrkit import (BoundedFunction, DomainError, InnerMap, blaschke,
-                     compose_inner, eval_derivative, evaluate, moebius_minus,
-                     moebius_plus, multiply_by_z, random_blaschke,
-                     schwarz_moebius)
+from bohrkit import (BoundedFunction, DomainError, blaschke, eval_derivative,
+                     evaluate, moebius_minus, moebius_plus, multiply_by_z,
+                     random_blaschke, schwarz_moebius)
 
 
 class TestMoebiusPlus:
@@ -140,34 +139,12 @@ class TestEvaluate:
         assert vals.shape == (3,)
         assert vals[0] == pytest.approx(0.5)
 
-
-class TestComposeInner:
-    def test_identity_exponent(self):
-        f = moebius_plus(0.5)
-        assert compose_inner(f, InnerMap(1)) is f
-
-    def test_monomial_shift(self):
-        f = BoundedFunction(np.array([0.0, 1.0]), 0.0)
-        g = compose_inner(f, InnerMap(3))
-        assert np.allclose(g.coeffs, [0, 0, 0, 1])
-
-    def test_substitution_consistency(self):
-        f = moebius_plus(0.4)
-        g = compose_inner(f, InnerMap(2))
-        for r in (0.1, 0.5, 0.8):
-            assert evaluate(g, r) == pytest.approx(evaluate(f, r * r), abs=1e-12)
-
-    def test_envelope_on_circle(self):
+    def test_inner_power_envelope_on_circle(self):
         # sup over |z| = r of |f(z^m)| stays below (r^m + a)/(1 + a r^m)
         a, m, r = 0.6, 2, 0.7
-        g = compose_inner(moebius_plus(a), InnerMap(m))
         zs = r * np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
         env = (r ** m + a) / (1.0 + a * r ** m)
-        assert np.abs(evaluate(g, zs)).max() <= env + 1e-12
-
-    def test_exponent_validation(self):
-        with pytest.raises(DomainError):
-            InnerMap(0)
+        assert np.abs(evaluate(moebius_plus(a), zs ** m)).max() <= env + 1e-12
 
 
 class TestSchwarzPickPointwise:

@@ -86,6 +86,15 @@ class TestVerifyBelowRadius:
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.coeffs, fb.coeffs)
 
+    def test_classical_c_uses_its_weights(self):
+        # c_n = 1/(n+1): the weighted tail is r/(1-r), so the root is 1/3
+        w = scaled_power(1.0 / (np.arange(4096) + 1.0), rho=1.0, C=1.0)
+        pr = prob("classical_c", w)
+        report = verify_below_radius(pr, r_points=32, blaschke_count=5)
+        assert report.radius == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert report.verified
+        assert sharpness_witness(pr, 0.01).excess > 1e-12
+
     def test_schwarz_population_has_zero_head(self):
         for f in standard_families("psi3", blaschke_count=5):
             assert abs(f.coeffs[0]) < 1e-12

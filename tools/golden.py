@@ -16,7 +16,11 @@ grid under c_n = 1/(n+1) with 4096 coefficients, the classical families,
 further scaled weights (short lists, rho < 1), late roots near r = 1 and a
 weight whose Psi has no root.  The command set: ``radius``, ``table`` with
 power weights and with a scaled-weights JSON file (including ``psi5_t6``
-rows with m >= q, which are invalid), and ``identity-check``.
+rows with m >= q, which are invalid), ``identity-check``, and small
+``verify`` and ``sharpness`` runs for every family under power weights and
+for the weighted families psi1-psi4 and classical_c under c_n = 1/(n+1).
+The ``elapsed`` field of ``verify`` reports is dropped, since it is a
+timing.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from bohrkit.functionals import FunctionalParams  # noqa: E402
 from bohrkit.radii import RadiusProblem, RootCertificate, solve_radius  # noqa: E402
 
 PSI = ("psi1", "psi2", "psi3", "psi4")
+FAMILIES = PSI + ("psi5_t5", "psi5_t6", "classical_alpha", "classical_beta",
+                  "classical_zeta", "classical_eta", "classical_c", "classical_d")
 P_GRID = (0.5, 1.0, 1.5, 2.0)
 CERT_FIELDS = tuple(f.name for f in dataclasses.fields(RootCertificate))
 
@@ -125,7 +131,13 @@ def commands(weights_json: str) -> list[list[str]]:
     ]
     tables += [["table", "--family", fam, "--weights", weights_json,
                 "--m", "1..3", "--p", "0.5..2:0.5"] for fam in PSI]
-    return radius + tables + [["identity-check"]]
+    suites = []
+    for fam, weights in ([(fam, "power") for fam in FAMILIES]
+                         + [(fam, weights_json) for fam in PSI + ("classical_c",)]):
+        suites.append(["verify", "--family", fam, "--weights", weights,
+                       "--r-points", "16", "--blaschke", "3"])
+        suites.append(["sharpness", "--family", fam, "--weights", weights])
+    return radius + tables + [["identity-check"]] + suites
 
 
 def command_lines(weights_json: str) -> list[str]:
@@ -134,9 +146,14 @@ def command_lines(weights_json: str) -> list[str]:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
+        text = buf.getvalue()
+        if argv[0] == "verify" and text:
+            report = json.loads(text)
+            report.pop("elapsed")
+            text = json.dumps(report, indent=2)
         shown = " ".join("WEIGHTS.json" if a == weights_json else a for a in argv)
         lines.append(f"$ bohrkit {shown}  # exit {code}")
-        lines.extend(buf.getvalue().splitlines())
+        lines.extend(text.splitlines())
     return lines
 
 
