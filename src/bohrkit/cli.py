@@ -17,6 +17,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -41,6 +42,10 @@ EXIT_ACCURACY = 4
 
 _IDENTITY_TOL = 1e-10
 
+# the most values one range, and the most rows one table, may have; both
+# counts are worked out from the numbers before anything is built
+MAX_TABLE_ROWS = 100_000
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".15g")
@@ -59,8 +64,12 @@ def _parse_values(spec: str, cast) -> list:
             step = float(step_s) if step_s else 1.0
         except ValueError:
             raise UsageError(f"bad range {spec!r}") from None
-        if step <= 0 or hi < lo:
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise UsageError(f"bad range {spec!r}")
+        count = (hi + 0.5 * step - lo) / step  # np.arange's length, rounded up
+        if count > MAX_TABLE_ROWS:
+            raise UsageError(f"range {spec!r} has {count:.3g} values, "
+                             f"more than {MAX_TABLE_ROWS}")
         vals = np.arange(lo, hi + 0.5 * step, step)
         return [cast(v) for v in vals]
     try:
@@ -70,7 +79,7 @@ def _parse_values(spec: str, cast) -> list:
 
 
 def _cast_int(v: float) -> int:
-    if v != int(v):
+    if not (math.isfinite(v) and v == int(v)):
         raise UsageError(f"expected an integer, got {v}")
     return int(v)
 
@@ -211,6 +220,9 @@ def cmd_table(args) -> int:
     lams = _parse_values(args.lam, float)
     qs = _parse_values(args.q, _cast_int)
     n = _single(args, "n", _cast_int)
+    rows = len(ms) * len(ps) * len(lams) * len(qs)
+    if rows > MAX_TABLE_ROWS:
+        raise UsageError(f"parameter grid has {rows} rows, more than {MAX_TABLE_ROWS}")
     grid = sorted(set(itertools.product(ms, ps, lams, qs)))
     if not grid:
         raise UsageError("empty parameter grid")

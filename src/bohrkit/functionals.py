@@ -62,19 +62,15 @@ class FunctionalParams:
             raise DomainError("n must be a positive integer")
 
 
-def _check_mode(mode: str) -> str:
-    if mode not in (ENVELOPE, POINTWISE):
-        raise DomainError(f"mode must be {ENVELOPE!r} or {POINTWISE!r}")
-    return mode
-
-
-def _as_grid(r):
+def _on_grid(r, compute):
+    """compute(rs) on the 1-d radius grid of r; a float for a scalar r."""
     rs = wt._as_r(r)
-    return rs, np.ndim(r) == 0
+    out = compute(rs)
+    return float(out[0]) if np.ndim(r) == 0 else out
 
 
-def _unwrap(out: np.ndarray, scalar: bool):
-    return float(out[0]) if scalar else out
+def _phi0(w, rs):
+    return w._weight2(np.array([0]), rs)[0]
 
 
 def _cutoff(x: float) -> int:
@@ -99,14 +95,15 @@ def _guard(bound: float, what: str):
                             f"exceeds {REMAINDER_TOL}")
 
 
-def _bohr_sum_arr(f, w, N, rs):
+def _bohr_sum_arr(f, w, rs, start, step=1, what="the weighted coefficient sum"):
+    """sum of |a_n| w_n(r) over n = start, start + step, start + 2 step, ..."""
     rmax = float(rs.max())
     n_hi, U = _trunc(f, w, rmax)
-    _guard(U * w.tail(n_hi + 1, rmax), "the weighted coefficient sum")
-    ns = np.arange(N, n_hi + 1)
+    _guard(U * w.tail(n_hi + 1, rmax), what)
+    ns = np.arange(start, n_hi + 1, step)
     if ns.size == 0:
         return np.zeros(rs.size)
-    return np.abs(f.coeffs[N:n_hi + 1]) @ w._weight2(ns, rs)
+    return np.abs(f.coeffs[ns]) @ w._weight2(ns, rs)
 
 
 def _a_refinement_arr(f, w, rs):
@@ -139,26 +136,16 @@ def _weighted_coeff_sum_arr(f, w, rs):
     return ((ns + 1.0) * np.abs(f.coeffs[2:top + 2])) @ w._weight2(ns, rs)
 
 
-def _lacunary_sum_arr(f, idx, rs):
-    """sum over the given coefficient indices of |a_idx| r**idx (power weights)."""
-    if idx.size == 0:
-        return np.zeros(rs.size)
-    powers = np.power(rs[None, :], idx[:, None].astype(float))
-    return np.abs(f.coeffs[idx]) @ powers
-
-
 def bohr_sum(f: BoundedFunction, w: wt.WeightSequence, N: int, r):
     """The majorant series sum_{n>=N} |a_n| w_n(r)."""
     if N < 0:
         raise DomainError("start index must be nonnegative")
-    rs, scalar = _as_grid(r)
-    return _unwrap(_bohr_sum_arr(f, w, N, rs), scalar)
+    return _on_grid(r, lambda rs: _bohr_sum_arr(f, w, rs, N))
 
 
 def a_refinement(f: BoundedFunction, w: wt.WeightSequence, r):
     """The quadratic refinement sum_{n>=1} |a_n|^2 [w_2n/(1+|a_0|) + tail(2n+1)]."""
-    rs, scalar = _as_grid(r)
-    return _unwrap(_a_refinement_arr(f, w, rs), scalar)
+    return _on_grid(r, lambda rs: _a_refinement_arr(f, w, rs))
 
 
 def _head_modulus(f, m, rs, mode):
@@ -175,21 +162,31 @@ def _require_schwarz(f):
         raise DomainError("this functional requires a Schwarz function (a_0 = 0)")
 
 
-def functional_T1(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
+def _functional(body):
+    """The public form ``functional(f, w, params, r, mode=ENVELOPE)`` of a
+    body that computes on the 1-d grid ``rs``: it checks ``mode`` and
+    returns a float for a scalar r."""
+    def functional(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
+        if mode not in (ENVELOPE, POINTWISE):
+            raise DomainError(f"mode must be {ENVELOPE!r} or {POINTWISE!r}")
+        return _on_grid(r, lambda rs: body(f, w, params, rs, mode))
+    # not functools.wraps: its __wrapped__ would make inspect.signature
+    # report the body's rs in place of the public r
+    functional.__name__ = functional.__qualname__ = body.__name__
+    functional.__doc__ = body.__doc__
+    return functional
+
+
+@_functional
+def functional_T1(f, w, params, rs, mode):
     """|f(w(z))|**p * phi_0 + majorant + refinement."""
-    _check_mode(mode)
-    rs, scalar = _as_grid(r)
-    phi0 = w._weight2(np.array([0]), rs)[0]
-    head = _head_modulus(f, params.m, rs, mode) ** params.p * phi0
-    out = head + _bohr_sum_arr(f, w, 1, rs) + _a_refinement_arr(f, w, rs)
-    return _unwrap(out, scalar)
+    head = _head_modulus(f, params.m, rs, mode) ** params.p * _phi0(w, rs)
+    return head + _bohr_sum_arr(f, w, rs, 1) + _a_refinement_arr(f, w, rs)
 
 
-def functional_T2(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
+@_functional
+def functional_T2(f, w, params, rs, mode):
     """|a_0|**p * phi_0 + majorant + refinement + |f(w(z)) - a_0|."""
-    _check_mode(mode)
-    rs, scalar = _as_grid(r)
-    phi0 = w._weight2(np.array([0]), rs)[0]
     a0 = f.coeffs[0]
     a = abs(a0)
     x = rs ** params.m
@@ -197,45 +194,36 @@ def functional_T2(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
         dev = (1.0 - a * a) * x / (1.0 - a * x)
     else:
         dev = np.abs(evaluate(f, x) - a0)
-    out = a ** params.p * phi0 + _bohr_sum_arr(f, w, 1, rs) \
+    return a ** params.p * _phi0(w, rs) + _bohr_sum_arr(f, w, rs, 1) \
         + _a_refinement_arr(f, w, rs) + dev
-    return _unwrap(out, scalar)
 
 
-def functional_T3(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
+@_functional
+def functional_T3(f, w, params, rs, mode):
     """|a_1|**p * phi_0 + sum (n+1)|a_{n+1}| w_n(r); needs a_0 = 0."""
-    _check_mode(mode)
     _require_schwarz(f)
-    rs, scalar = _as_grid(r)
-    phi0 = w._weight2(np.array([0]), rs)[0]
-    out = abs(f.coeffs[1]) ** params.p * phi0 + _weighted_coeff_sum_arr(f, w, rs)
-    return _unwrap(out, scalar)
+    return abs(f.coeffs[1]) ** params.p * _phi0(w, rs) + _weighted_coeff_sum_arr(f, w, rs)
 
 
-def functional_T4(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
+@_functional
+def functional_T4(f, w, params, rs, mode):
     """T3 plus the derivative deviation |f'(w(z)) - a_1|; needs a_0 = 0."""
-    _check_mode(mode)
     _require_schwarz(f)
-    rs, scalar = _as_grid(r)
-    phi0 = w._weight2(np.array([0]), rs)[0]
     a1 = f.coeffs[1]
     x = rs ** params.m
     if mode == ENVELOPE:
         dev = (1.0 - abs(a1) ** 2) * x * (2.0 - x) / (1.0 - x) ** 2
     else:
         dev = np.abs(eval_derivative(f, x) - a1)
-    out = abs(a1) ** params.p * phi0 + _weighted_coeff_sum_arr(f, w, rs) + dev
-    return _unwrap(out, scalar)
+    return abs(a1) ** params.p * _phi0(w, rs) + _weighted_coeff_sum_arr(f, w, rs) + dev
 
 
-def functional_T5(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
+@_functional
+def functional_T5(f, w, params, rs, mode):
     """|f(w(z))|**p + lambda * [majorant + refinement], power weights."""
-    _check_mode(mode)
-    rs, scalar = _as_grid(r)
     head = _head_modulus(f, params.m, rs, mode) ** params.p
-    out = head + params.lam * (_bohr_sum_arr(f, _POWER, 1, rs)
-                               + _a_refinement_arr(f, _POWER, rs))
-    return _unwrap(out, scalar)
+    return head + params.lam * (_bohr_sum_arr(f, _POWER, rs, 1)
+                                + _a_refinement_arr(f, _POWER, rs))
 
 
 def _check_lacunary(params: FunctionalParams):
@@ -244,32 +232,22 @@ def _check_lacunary(params: FunctionalParams):
         raise DomainError("psi5_t6 needs q >= 2 and 0 < m < q")
 
 
-def functional_T6(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
+@_functional
+def functional_T6(f, w, params, rs, mode):
     """|f(w(z))|**p + lambda * lacunary majorant over indices qk + m."""
-    _check_mode(mode)
     _check_lacunary(params)
-    rs, scalar = _as_grid(r)
-    rmax = float(rs.max())
-    n_hi, U = _trunc(f, _POWER, rmax)
-    _guard(U * _POWER.tail(n_hi + 1, rmax), "the lacunary sum")
-    idx = np.arange(params.q + params.m, min(n_hi, f.truncation_order) + 1, params.q)
     head = _head_modulus(f, params.m, rs, mode) ** params.p
-    out = head + params.lam * _lacunary_sum_arr(f, idx, rs)
-    return _unwrap(out, scalar)
+    q = params.q
+    return head + params.lam * _bohr_sum_arr(f, _POWER, rs, q + params.m, q,
+                                             "the lacunary sum")
 
 
-def functional_TD(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
+@_functional
+def functional_TD(f, w, params, rs, mode):
     """|f(z)| + lambda * lacunary majorant over indices nk, power weights."""
-    _check_mode(mode)
-    rs, scalar = _as_grid(r)
-    rmax = float(rs.max())
-    n_hi, U = _trunc(f, _POWER, rmax)
-    _guard(U * _POWER.tail(n_hi + 1, rmax), "the lacunary sum")
     n = params.n_lacunary
-    idx = np.arange(n, min(n_hi, f.truncation_order) + 1, n)
-    head = _head_modulus(f, 1, rs, mode)
-    out = head + params.lam * _lacunary_sum_arr(f, idx, rs)
-    return _unwrap(out, scalar)
+    return _head_modulus(f, 1, rs, mode) + params.lam * _bohr_sum_arr(
+        f, _POWER, rs, n, n, "the lacunary sum")
 
 
 @dataclass(frozen=True)
@@ -369,5 +347,4 @@ def bound_for(family: str, w, r):
     """The right-hand side each family's inequality is checked against:
     phi_0(r) of the weights its functional uses."""
     use = w if get_family(family).weighted else _POWER
-    rs, scalar = _as_grid(r)
-    return _unwrap(use._weight2(np.array([0]), rs)[0], scalar)
+    return _on_grid(r, lambda rs: _phi0(use, rs))

@@ -6,9 +6,12 @@ fixed 1e-3 grid over [0, R_EDGE], sharpened by bisection to a bracket of
 width 1e-13.  Under scaled-power weights the grid is evaluated in chunks
 of 64 cells and the scan stops at the chunk holding the first sign change,
 so the points above the root are never evaluated; every other Psi is in
-closed form and is evaluated on the whole grid in one call.  The bracket, the signed values at its
-ends and the scan step are returned as a certificate.  The Psi
-functions themselves live in :data:`bohrkit.functionals.FAMILIES`.
+closed form and is evaluated on the whole grid in one call.  The bracket,
+the signed values at its ends and the scan step are returned as a
+certificate, with ``psi_lo > 0 >= psi_hi``: the first sign change lies in
+``(bracket_lo, bracket_hi]``, and ``psi_hi`` is 0.0 where Psi vanishes
+on the end point.  The Psi functions themselves live in
+:data:`bohrkit.functionals.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,15 @@ class RadiusProblem:
 
 @dataclass(frozen=True)
 class RootCertificate:
-    """A bracketed minimal positive root with verified sign change."""
+    """A bracketed minimal positive root with verified sign change.
+
+    The contract is ``psi_lo > 0 >= psi_hi``: Psi is positive at
+    ``bracket_lo`` and not positive at ``bracket_hi``, so the sign change
+    lies in ``(bracket_lo, bracket_hi]``.  ``psi_hi`` is exactly 0.0 where
+    Psi vanishes on the end point (power ``psi2`` at m = 1, p = 1 has
+    ``bracket_hi = 0.2``), so the two signs are not always strictly opposite.
+    Both values are Psi as evaluated in double precision.
+    """
 
     radius: float
     bracket_lo: float
@@ -64,11 +75,10 @@ def psi_eval(prob: RadiusProblem, r):
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
-def solve_radius(prob: RadiusProblem, scan_step: float = SCAN_STEP,
-                 bracket_width: float = BRACKET_WIDTH) -> RootCertificate:
+def solve_radius(prob: RadiusProblem) -> RootCertificate:
     """Certified minimal positive root of the family's Psi function.
 
-    Scans the grid ``0, scan_step, 2*scan_step, ..., R_EDGE`` upward for
+    Scans the grid ``0, SCAN_STEP, 2*SCAN_STEP, ..., R_EDGE`` upward for
     the first sign change, then bisects that cell.  Under scaled-power
     weights the grid goes in chunks of ``_SCAN_CHUNK`` cells and the scan
     stops in the first chunk whose values change sign; consecutive chunks
@@ -77,7 +87,7 @@ def solve_radius(prob: RadiusProblem, scan_step: float = SCAN_STEP,
     :class:`NoRootError` when Psi keeps its sign on the whole evaluation
     domain.
     """
-    grid = np.arange(0.0, wt.R_EDGE, scan_step)
+    grid = np.arange(0.0, wt.R_EDGE, SCAN_STEP)
     if grid[-1] < wt.R_EDGE:
         grid = np.concatenate([grid, [wt.R_EDGE]])
     # a scaled-power tail costs in proportion to the largest r it is asked
@@ -98,14 +108,14 @@ def solve_radius(prob: RadiusProblem, scan_step: float = SCAN_STEP,
     i = int(flip[0])
     lo, hi = float(cells[i]), float(cells[i + 1])
     flo, fhi = float(vals[i]), float(vals[i + 1])
-    while hi - lo > bracket_width:
+    while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         fm = float(psi_eval(prob, mid))
         if np.sign(fm) == np.sign(flo):
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-    return RootCertificate(0.5 * (lo + hi), lo, hi, flo, fhi, scan_step)
+    return RootCertificate(0.5 * (lo + hi), lo, hi, flo, fhi, SCAN_STEP)
 
 
 def classical_crosscheck(m: int, p_case: int):

@@ -39,14 +39,6 @@ _EXTREMAL_BUILDER = {
 }
 
 
-def extremal_kind(family: str) -> str:
-    return get_family(family).extremal
-
-
-def extremal_member(kind: str, a: float) -> BoundedFunction:
-    return _EXTREMAL_BUILDER[kind](a)
-
-
 def standard_families(family: str, seed: int = 42,
                       blaschke_count: int = 100) -> list[BoundedFunction]:
     """The documented test population: the extremal family on the a-grid
@@ -54,8 +46,8 @@ def standard_families(family: str, seed: int = 42,
     where the theorem requires a_0 = 0)."""
     if blaschke_count < 0:
         raise DomainError("the Blaschke product count must be nonnegative")
-    kind = extremal_kind(family)
-    fams = [extremal_member(kind, a) for a in MOEBIUS_A_GRID]
+    kind = get_family(family).extremal
+    fams = [_EXTREMAL_BUILDER[kind](a) for a in MOEBIUS_A_GRID]
     rng = np.random.default_rng(seed)
     for _ in range(blaschke_count):
         degree = int(rng.integers(1, 9))
@@ -179,10 +171,10 @@ def sharpness_witness(prob: RadiusProblem, delta: float,
             f"{prob.family}: Psi is nonnegative at R + delta = {r:.6f}; "
             "the sharpness clause is vacuous there")
     bound = float(bound_for(prob.family, prob.weights, r))
-    kind = extremal_kind(prob.family)
+    build = _EXTREMAL_BUILDER[get_family(prob.family).extremal]
     for k in range(1, MAX_WITNESS_STEPS + 1):
         a = 1.0 - 2.0 ** -k
-        f = extremal_member(kind, a)
+        f = build(a)
         val = float(evaluate_family(prob.family, f, prob.weights,
                                     prob.params, r, POINTWISE))
         if val > bound + WITNESS_EXCESS_TOL:
@@ -219,48 +211,46 @@ _LEMMA_D_INSTANCES = ("phi_tail", "t5", "t6")
 
 
 def check_lemma_D(instance: str, m: int = 1, p: float = 1.0,
-                  r_points: int = 256, lam: float = 1.0,
-                  q: int | None = None,
                   w: wt.WeightSequence | None = None) -> dict:
     """Property run for the one-variable comparison function
 
         D(a) = [((a + r^m)/(1 + a r^m))^p - 1] phi_0(r) + (1 - a^2) N(r)
 
     with N(r) the instance-specific tail: the weight tail (theorem-1
-    form), lambda r/(1-r) (theorem-5 form) or lambda r^{q+m}/(1-r^q)
-    (theorem-6 form).  Checks D <= 0 below the radius, D(1) = 0 exactly,
-    monotonicity in a for p <= 1, and the auxiliary envelope inequality
-    for 1 < p <= 2.
+    form), r/(1-r) (theorem-5 form) or r^{q+m}/(1-r^q) with q = m + 1
+    (theorem-6 form), all at lambda = 1.  Checks D <= 0 on 256 points
+    below the radius, D(1) = 0 exactly, monotonicity in a for p <= 1, and
+    the auxiliary envelope inequality for 1 < p <= 2.
     """
     if instance not in _LEMMA_D_INSTANCES:
         raise DomainError(f"instance must be one of {_LEMMA_D_INSTANCES}")
     if w is None:
         w = wt.power()
-    params = FunctionalParams(m=m, p=p, lam=lam)
+    q = m + 1
+    params = FunctionalParams(m=m, p=p, q=q)
     if instance == "phi_tail":
         prob = RadiusProblem("psi1", params, w)
     elif instance == "t5":
         prob = RadiusProblem("psi5_t5", params)
     else:
-        q = m + 1 if q is None else q
-        prob = RadiusProblem("psi5_t6", FunctionalParams(m=m, p=p, lam=lam, q=q))
+        prob = RadiusProblem("psi5_t6", params)
     radius = solve_radius(prob).radius
-    rs = np.linspace(0.0, radius, r_points)
+    rs = np.linspace(0.0, radius, 256)
     if instance == "phi_tail":
         n_of_r = w.tail(1, rs)
         phi0 = np.atleast_1d(w.weight_at(0, rs))
     elif instance == "t5":
-        n_of_r = lam * rs / (1.0 - rs)
+        n_of_r = rs / (1.0 - rs)
         phi0 = np.ones(rs.size)
     else:
-        n_of_r = lam * rs ** (q + m) / (1.0 - rs ** q)
+        n_of_r = rs ** (q + m) / (1.0 - rs ** q)
         phi0 = np.ones(rs.size)
     a_grid = np.linspace(0.0, 1.0, 512)
     x = rs ** m
     ratio = (a_grid[:, None] + x[None, :]) / (1.0 + a_grid[:, None] * x[None, :])
     d = (ratio ** p - 1.0) * phi0[None, :] + (1.0 - a_grid[:, None] ** 2) * n_of_r[None, :]
     report = {
-        "instance": instance, "m": m, "p": p, "lambda": lam,
+        "instance": instance, "m": m, "p": p, "lambda": 1.0,
         "radius": radius,
         "max_D": float(d.max()),
         "D_at_1_max_abs": float(np.abs(d[-1]).max()),

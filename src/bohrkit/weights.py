@@ -170,9 +170,7 @@ class WeightSequence:
         L = self.coeffs.size
         L_eff = L
         xmax = x.max()
-        if self.C == 0.0:
-            L_eff = L
-        elif 0.0 < xmax < 1.0:
+        if 0.0 < xmax < 1.0:
             # beyond this index the dominated terms are numerically silent
             cut = math.log(_NEGLIGIBLE * (1.0 - xmax) / max(self.C, _NEGLIGIBLE))
             L_eff = min(L, max(1, math.ceil(cut / math.log(xmax)) + 8))

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from bohrkit import cli
 from bohrkit.cli import main
 
 
@@ -177,6 +178,27 @@ class TestUsageErrors:
         ("radius", "--family", "psi1", "--lambda", "nan"),
     ])
     def test_out_of_range_flags(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("radius", "--family", "psi1", "--m", "1e400"),
+        ("radius", "--family", "psi5_t6", "--q", "inf"),
+        ("radius", "--family", "classical_d", "--n", "inf"),
+        ("table", "--family", "psi1", "--m", "1..1e400"),
+        ("table", "--family", "psi1", "--p", "0.5..inf:0.5"),
+        ("table", "--family", "psi1", "--p", "nan..2"),
+        ("table", "--family", "psi1", "--p", "0.5..2:nan"),
+        ("table", "--family", "psi1", "--p", "0..2:1e-12"),
+        ("table", "--family", "psi1", "--p", "0..2:1e-320"),
+        # 1000 * 200 rows: rejected from the count, before any row is solved
+        ("table", "--family", "psi1", "--m", "1..1000", "--p", "0.01..2:0.01"),
+    ])
+    def test_numeric_inputs_rejected(self, capsys, monkeypatch, argv):
+        def solve_radius(prob):
+            raise RuntimeError("solved a row of a rejected table")
+        monkeypatch.setattr(cli, "solve_radius", solve_radius)
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1

@@ -18,9 +18,17 @@ weight whose Psi has no root.  The command set: ``radius``, ``table`` with
 power weights and with a scaled-weights JSON file (including ``psi5_t6``
 rows with m >= q, which are invalid), ``identity-check``, and small
 ``verify`` and ``sharpness`` runs for every family under power weights and
-for the weighted families psi1-psi4 and classical_c under c_n = 1/(n+1).
-The ``elapsed`` field of ``verify`` reports is dropped, since it is a
-timing.
+for the weighted families psi1-psi4 and classical_c under c_n = 1/(n+1),
+and ``check-lemmas --trials 20`` under both weights.  The ``elapsed``
+field of ``verify`` reports is dropped, since it is a timing.
+
+The functional set: ``evaluate_family`` for every family in both modes on
+one extremal member of each kind, a Blaschke product and its Schwarz
+shift, on a 7-point radius grid and at one scalar radius, under power
+weights and (for the weighted families) under c_n = 1/(n+1); the
+matching ``bound_for``, ``bohr_sum`` and ``a_refinement`` values; and the
+errors raised for a lacunary sum that cannot be certified at r = 0.999
+and for an unknown mode.
 """
 
 from __future__ import annotations
@@ -40,13 +48,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from bohrkit import cli  # noqa: E402
 from bohrkit import weights as wt  # noqa: E402
 from bohrkit.errors import BohrkitError  # noqa: E402
-from bohrkit.functionals import FunctionalParams  # noqa: E402
+from bohrkit.functionals import (ENVELOPE, POINTWISE, FunctionalParams,  # noqa: E402
+                                 a_refinement, bohr_sum, bound_for, evaluate_family)
 from bohrkit.radii import RadiusProblem, RootCertificate, solve_radius  # noqa: E402
+from bohrkit.series import (moebius_minus, moebius_plus, multiply_by_z,  # noqa: E402
+                            random_blaschke, schwarz_moebius)
 
 PSI = ("psi1", "psi2", "psi3", "psi4")
 FAMILIES = PSI + ("psi5_t5", "psi5_t6", "classical_alpha", "classical_beta",
                   "classical_zeta", "classical_eta", "classical_c", "classical_d")
 P_GRID = (0.5, 1.0, 1.5, 2.0)
+WEIGHTED = PSI + ("classical_c",)
+R_GRID = np.array([0.0, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6])
+R_SCALAR = 0.25
 CERT_FIELDS = tuple(f.name for f in dataclasses.fields(RootCertificate))
 
 
@@ -133,10 +147,12 @@ def commands(weights_json: str) -> list[list[str]]:
                 "--m", "1..3", "--p", "0.5..2:0.5"] for fam in PSI]
     suites = []
     for fam, weights in ([(fam, "power") for fam in FAMILIES]
-                         + [(fam, weights_json) for fam in PSI + ("classical_c",)]):
+                         + [(fam, weights_json) for fam in WEIGHTED]):
         suites.append(["verify", "--family", fam, "--weights", weights,
                        "--r-points", "16", "--blaschke", "3"])
         suites.append(["sharpness", "--family", fam, "--weights", weights])
+    suites += [["check-lemmas", "--trials", "20", "--weights", weights]
+               for weights in ("power", weights_json)]
     return radius + tables + [["identity-check"]] + suites
 
 
@@ -157,13 +173,64 @@ def command_lines(weights_json: str) -> list[str]:
     return lines
 
 
+def _floats(out) -> str:
+    """Exact reprs of a functional's value(s), prefixed by the result type."""
+    vals = np.atleast_1d(out)
+    return f"{type(out).__name__} " + " ".join(repr(float(v)) for v in vals)
+
+
+def _show(call) -> str:
+    try:
+        return _floats(call())
+    except BohrkitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def functional_lines() -> list[str]:
+    blaschke = random_blaschke(3, 7)
+    members = {"plus": moebius_plus(0.6), "minus": moebius_minus(0.6),
+               "schwarz": schwarz_moebius(0.6), "blaschke": blaschke,
+               "z*blaschke": multiply_by_z(blaschke)}
+    params = FunctionalParams(m=2, p=1.5, lam=0.75, q=3, n_lacunary=2)
+    weights = {"power": wt.power(), "harmonic": harmonic_weights()}
+    cases = ([(fam, "power") for fam in FAMILIES]
+             + [(fam, "harmonic") for fam in WEIGHTED])
+    lines = []
+    for fam, wname in cases:
+        w = weights[wname]
+        for r in (R_GRID, R_SCALAR):
+            where = f"{fam} {wname} r={'grid' if r is R_GRID else repr(r)}"
+            lines.append(f"bound {where}: {_show(lambda: bound_for(fam, w, r))}")
+            for mode in (ENVELOPE, POINTWISE):
+                for name, f in members.items():
+                    value = _show(lambda: evaluate_family(fam, f, w, params, r, mode))
+                    lines.append(f"functional {where} {mode} {name}: {value}")
+    for wname, w in weights.items():
+        for name, f in members.items():
+            for r in (R_GRID, R_SCALAR):
+                where = f"{wname} {name} r={'grid' if r is R_GRID else repr(r)}"
+                for N in (0, 1, 3):
+                    lines.append(f"bohr_sum N={N} {where}: "
+                                 f"{_show(lambda: bohr_sum(f, w, N, r))}")
+                lines.append(f"a_refinement {where}: "
+                             f"{_show(lambda: a_refinement(f, w, r))}")
+    for fam in ("psi5_t6", "classical_d"):
+        lines.append(f"functional {fam} power r=0.999 envelope blaschke: "
+                     + _show(lambda: evaluate_family(fam, blaschke, wt.power(),
+                                                     params, 0.999)))
+        lines.append(f"functional {fam} mode=bogus: "
+                     + _show(lambda: evaluate_family(fam, blaschke, wt.power(),
+                                                     params, R_SCALAR, "bogus")))
+    return lines
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         weights_json = str(Path(tmp) / "weights.json")
         Path(weights_json).write_text(json.dumps(
             {"kind": wt.SCALED_POWER, "coeffs": harmonic_weights().coeffs.tolist(),
              "rho": 1.0, "C": 1.0}))
-        lines = certificate_lines() + command_lines(weights_json)
+        lines = certificate_lines() + command_lines(weights_json) + functional_lines()
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
