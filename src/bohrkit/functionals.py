@@ -69,10 +69,6 @@ def _on_grid(r, compute):
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
-def _phi0(w, rs):
-    return w._weight2(np.array([0]), rs)[0]
-
-
 def _cutoff(x: float) -> int:
     """Smallest useful truncation index for geometric ratio x, padded."""
     if x <= 0.0:
@@ -101,8 +97,6 @@ def _bohr_sum_arr(f, w, rs, start, step=1, what="the weighted coefficient sum"):
     n_hi, U = _trunc(f, w, rmax)
     _guard(U * w.tail(n_hi + 1, rmax), what)
     ns = np.arange(start, n_hi + 1, step)
-    if ns.size == 0:
-        return np.zeros(rs.size)
     return np.abs(f.coeffs[ns]) @ w._weight2(ns, rs)
 
 
@@ -117,8 +111,6 @@ def _a_refinement_arr(f, w, rs):
     _guard(float(rem), "the quadratic refinement term")
     n_half = min(f.truncation_order, n_hi // 2 + 1)
     ns = np.arange(1, n_half + 1)
-    if ns.size == 0:
-        return np.zeros(rs.size)
     a0 = abs(f.coeffs[0])
     blocks = w._weight2(2 * ns, rs) / (1.0 + a0) + w._tail2(2 * ns + 1, rs, weighted=False)
     return (np.abs(f.coeffs[1:n_half + 1]) ** 2) @ blocks
@@ -131,8 +123,6 @@ def _weighted_coeff_sum_arr(f, w, rs):
     _guard(U * w.weighted_tail(max(n_hi, 1), rmax), "the derivative coefficient sum")
     top = min(n_hi, f.truncation_order - 1)
     ns = np.arange(1, top + 1)
-    if ns.size == 0:
-        return np.zeros(rs.size)
     return ((ns + 1.0) * np.abs(f.coeffs[2:top + 2])) @ w._weight2(ns, rs)
 
 
@@ -180,7 +170,7 @@ def _functional(body):
 @_functional
 def functional_T1(f, w, params, rs, mode):
     """|f(w(z))|**p * phi_0 + majorant + refinement."""
-    head = _head_modulus(f, params.m, rs, mode) ** params.p * _phi0(w, rs)
+    head = _head_modulus(f, params.m, rs, mode) ** params.p * w.weight_at(0, rs)
     return head + _bohr_sum_arr(f, w, rs, 1) + _a_refinement_arr(f, w, rs)
 
 
@@ -194,7 +184,7 @@ def functional_T2(f, w, params, rs, mode):
         dev = (1.0 - a * a) * x / (1.0 - a * x)
     else:
         dev = np.abs(evaluate(f, x) - a0)
-    return a ** params.p * _phi0(w, rs) + _bohr_sum_arr(f, w, rs, 1) \
+    return a ** params.p * w.weight_at(0, rs) + _bohr_sum_arr(f, w, rs, 1) \
         + _a_refinement_arr(f, w, rs) + dev
 
 
@@ -202,7 +192,8 @@ def functional_T2(f, w, params, rs, mode):
 def functional_T3(f, w, params, rs, mode):
     """|a_1|**p * phi_0 + sum (n+1)|a_{n+1}| w_n(r); needs a_0 = 0."""
     _require_schwarz(f)
-    return abs(f.coeffs[1]) ** params.p * _phi0(w, rs) + _weighted_coeff_sum_arr(f, w, rs)
+    return (abs(f.coeffs[1]) ** params.p * w.weight_at(0, rs)
+            + _weighted_coeff_sum_arr(f, w, rs))
 
 
 @_functional
@@ -215,7 +206,7 @@ def functional_T4(f, w, params, rs, mode):
         dev = (1.0 - abs(a1) ** 2) * x * (2.0 - x) / (1.0 - x) ** 2
     else:
         dev = np.abs(eval_derivative(f, x) - a1)
-    return abs(a1) ** params.p * _phi0(w, rs) + _weighted_coeff_sum_arr(f, w, rs) + dev
+    return abs(a1) ** params.p * w.weight_at(0, rs) + _weighted_coeff_sum_arr(f, w, rs) + dev
 
 
 @_functional
@@ -346,5 +337,4 @@ def evaluate_family(family: str, f, w, params: FunctionalParams, r,
 def bound_for(family: str, w, r):
     """The right-hand side each family's inequality is checked against:
     phi_0(r) of the weights its functional uses."""
-    use = w if get_family(family).weighted else _POWER
-    return _on_grid(r, lambda rs: _phi0(use, rs))
+    return (w if get_family(family).weighted else _POWER).weight_at(0, r)

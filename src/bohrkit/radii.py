@@ -22,7 +22,7 @@ import numpy as np
 
 from . import weights as wt
 from .errors import DomainError, NoRootError
-from .functionals import FAMILIES, FunctionalParams, get_family
+from .functionals import FAMILIES, FunctionalParams, _on_grid, get_family
 
 SCAN_STEP = 1e-3
 BRACKET_WIDTH = 1e-13
@@ -70,9 +70,8 @@ class RootCertificate:
 
 def psi_eval(prob: RadiusProblem, r):
     """The family's radius function, positive in the validity regime."""
-    rs = wt._as_r(r)
-    out = FAMILIES[prob.family].psi(prob.params, prob.weights, rs, rs ** prob.params.m)
-    return float(out[0]) if np.ndim(r) == 0 else out
+    psi = FAMILIES[prob.family].psi
+    return _on_grid(r, lambda rs: psi(prob.params, prob.weights, rs, rs ** prob.params.m))
 
 
 def solve_radius(prob: RadiusProblem) -> RootCertificate:

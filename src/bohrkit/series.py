@@ -64,54 +64,36 @@ class BoundedFunction:
                 f"T={self.truncation_order}, tail_bound={self.tail_bound:.3g})")
 
 
-def _check_a(a: float) -> float:
+def _moebius(a: float, sign: float, shift: int, name: str) -> BoundedFunction:
+    """z**shift * (a + sign z) / (1 + sign a z): a at index shift, then
+    sign * (1 - a**2) * (-sign a)**k, cut where the tail falls below
+    _MOEBIUS_TAIL_TARGET (T = 1 at a = 0, where the series is +-z)."""
     a = float(a)
     if not 0.0 <= a < 1.0:
         raise DomainError("family parameter must lie in [0, 1)")
-    return a
-
-
-def _moebius_order(a: float) -> int:
-    if a == 0.0:
-        return 1
-    t = math.log(_MOEBIUS_TAIL_TARGET / (1.0 - a * a)) / math.log(a)
-    return int(min(max(64, math.ceil(t)), T_MAX))
+    a = abs(a)  # -0.0 passes the range check; its sign would reach the coefficients
+    T = 1 if a == 0.0 else int(min(max(64, math.ceil(
+        math.log(_MOEBIUS_TAIL_TARGET / (1.0 - a * a)) / math.log(a))), T_MAX))
+    coeffs = np.zeros(T + shift + 1, dtype=complex)
+    coeffs[shift] = a
+    coeffs[shift + 1:] = sign * (1.0 - a * a) * np.power(-sign * a, np.arange(T, dtype=float))
+    return BoundedFunction(coeffs, (1.0 - a * a) * a ** T,
+                           f"{name}({0 if a == 0.0 else a})")
 
 
 def moebius_plus(a: float) -> BoundedFunction:
     """The automorphism (z + a) / (1 + a z)."""
-    a = _check_a(a)
-    if a == 0.0:
-        return BoundedFunction(np.array([0.0, 1.0]), 0.0, "moebius_plus(0)")
-    T = _moebius_order(a)
-    coeffs = np.empty(T + 1, dtype=complex)
-    coeffs[0] = a
-    coeffs[1:] = (1.0 - a * a) * np.power(-a, np.arange(T, dtype=float))
-    return BoundedFunction(coeffs, (1.0 - a * a) * a ** T, f"moebius_plus({a})")
+    return _moebius(a, 1.0, 0, "moebius_plus")
 
 
 def moebius_minus(a: float) -> BoundedFunction:
     """The automorphism (a - z) / (1 - a z)."""
-    a = _check_a(a)
-    if a == 0.0:
-        return BoundedFunction(np.array([0.0, -1.0]), 0.0, "moebius_minus(0)")
-    T = _moebius_order(a)
-    coeffs = np.empty(T + 1, dtype=complex)
-    coeffs[0] = a
-    coeffs[1:] = -(1.0 - a * a) * np.power(a, np.arange(T, dtype=float))
-    return BoundedFunction(coeffs, (1.0 - a * a) * a ** T, f"moebius_minus({a})")
+    return _moebius(a, -1.0, 0, "moebius_minus")
 
 
 def schwarz_moebius(a: float) -> BoundedFunction:
     """The Schwarz-class extremal z * (a - z) / (1 - a z)."""
-    a = _check_a(a)
-    if a == 0.0:
-        return BoundedFunction(np.array([0.0, 0.0, -1.0]), 0.0, "schwarz_moebius(0)")
-    T = _moebius_order(a)
-    coeffs = np.zeros(T + 2, dtype=complex)
-    coeffs[1] = a
-    coeffs[2:] = -(1.0 - a * a) * np.power(a, np.arange(T, dtype=float))
-    return BoundedFunction(coeffs, (1.0 - a * a) * a ** T, f"schwarz_moebius({a})")
+    return _moebius(a, -1.0, 1, "schwarz_moebius")
 
 
 def _blaschke_factor(zero: complex) -> np.ndarray:

@@ -207,7 +207,12 @@ def check_lemma_coeff(trials: int = 1000, seed: int = 42,
     return worst
 
 
-_LEMMA_D_INSTANCES = ("phi_tail", "t5", "t6")
+# instance -> (radius family, N(r) at lambda = 1)
+_LEMMA_D_INSTANCES = {
+    "phi_tail": ("psi1", lambda pm, w, rs: w.tail(1, rs)),
+    "t5": ("psi5_t5", lambda pm, w, rs: rs / (1.0 - rs)),
+    "t6": ("psi5_t6", lambda pm, w, rs: rs ** (pm.q + pm.m) / (1.0 - rs ** pm.q)),
+}
 
 
 def check_lemma_D(instance: str, m: int = 1, p: float = 1.0,
@@ -223,28 +228,17 @@ def check_lemma_D(instance: str, m: int = 1, p: float = 1.0,
     the auxiliary envelope inequality for 1 < p <= 2.
     """
     if instance not in _LEMMA_D_INSTANCES:
-        raise DomainError(f"instance must be one of {_LEMMA_D_INSTANCES}")
+        raise DomainError(f"instance must be one of {tuple(_LEMMA_D_INSTANCES)}")
     if w is None:
         w = wt.power()
-    q = m + 1
-    params = FunctionalParams(m=m, p=p, q=q)
-    if instance == "phi_tail":
-        prob = RadiusProblem("psi1", params, w)
-    elif instance == "t5":
-        prob = RadiusProblem("psi5_t5", params)
-    else:
-        prob = RadiusProblem("psi5_t6", params)
-    radius = solve_radius(prob).radius
+    family, tail = _LEMMA_D_INSTANCES[instance]
+    params = FunctionalParams(m=m, p=p, q=m + 1)
+    # unweighted families get no weights, so their radius scan stays whole-grid
+    radius = solve_radius(RadiusProblem(
+        family, params, w if get_family(family).weighted else None)).radius
     rs = np.linspace(0.0, radius, 256)
-    if instance == "phi_tail":
-        n_of_r = w.tail(1, rs)
-        phi0 = np.atleast_1d(w.weight_at(0, rs))
-    elif instance == "t5":
-        n_of_r = rs / (1.0 - rs)
-        phi0 = np.ones(rs.size)
-    else:
-        n_of_r = rs ** (q + m) / (1.0 - rs ** q)
-        phi0 = np.ones(rs.size)
+    n_of_r = tail(params, w, rs)
+    phi0 = bound_for(family, w, rs)
     a_grid = np.linspace(0.0, 1.0, 512)
     x = rs ** m
     ratio = (a_grid[:, None] + x[None, :]) / (1.0 + a_grid[:, None] * x[None, :])
