@@ -29,8 +29,7 @@ from .errors import (AccuracyError, DomainError, NoRootError,
 from .functionals import FAMILIES, FunctionalParams, a_refinement
 from .radii import RadiusProblem, classical_crosscheck, solve_radius
 from .series import moebius_plus
-from .verify import (check_lemma_coeff, check_lemma_D, check_schwarz_pick,
-                     sharpness_witness, verify_below_radius)
+from .verify import check_lemmas, sharpness_witness, verify_below_radius
 
 log = logging.getLogger("bohrkit")
 
@@ -284,24 +283,9 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_check_lemmas(args) -> int:
-    w = _load_weights(args.weights)
-    coeff_slack = check_lemma_coeff(args.trials, args.seed, w)
-    sp = check_schwarz_pick(max(1, args.trials // 5), args.seed)
-    d_reports = [check_lemma_D(instance, m=1, p=p, w=w)
-                 for instance in ("phi_tail", "t5", "t6")
-                 for p in (0.5, 1.0, 2.0)]
-    ok = (coeff_slack <= 1e-9
-          and sp["max_contraction_slack"] <= 1e-8
-          and sp["max_derivative_slack"] <= 1e-8
-          and sp["moebius_equality_dev"] <= 1e-10
-          and all(rep["max_D"] <= 1e-10 and rep["D_at_1_max_abs"] == 0.0
-                  for rep in d_reports))
-    out = {"coefficient_lemma_max_slack": coeff_slack,
-           "schwarz_pick": sp,
-           "d_function": d_reports,
-           "status": "ok" if ok else "violated"}
+    out = check_lemmas(args.trials, args.seed, _load_weights(args.weights))
     _emit(json.dumps(out, indent=2), args.output)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return EXIT_OK if out["status"] == "ok" else EXIT_VERIFICATION
 
 
 def cmd_identity_check(args) -> int:

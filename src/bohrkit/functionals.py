@@ -76,13 +76,11 @@ def _cutoff(x: float) -> int:
     return max(8, math.ceil(math.log(_CUT_TOL * (1.0 - x)) / math.log(x))) + 64
 
 
-def _trunc(f: BoundedFunction, w: wt.WeightSequence, rmax: float):
-    """Truncation index plus the worst coefficient bound beyond it."""
-    T = f.truncation_order
-    n_hi = min(T, _cutoff(w.ratio(rmax)))
-    beyond = np.abs(f.coeffs[n_hi + 1:])
-    U = max(f.tail_bound, float(beyond.max()) if beyond.size else 0.0)
-    return n_hi, U
+def _trunc(f: BoundedFunction, n: int):
+    """The kept index min(T, n) plus the worst coefficient bound over
+    every index above it."""
+    n = min(f.truncation_order, n)
+    return n, max(f.tail_bound, float(np.abs(f.coeffs[n + 1:]).max(initial=0.0)))
 
 
 def _guard(bound: float, what: str):
@@ -94,22 +92,20 @@ def _guard(bound: float, what: str):
 def _bohr_sum_arr(f, w, rs, start, step=1, what="the weighted coefficient sum"):
     """sum of |a_n| w_n(r) over n = start, start + step, start + 2 step, ..."""
     rmax = float(rs.max())
-    n_hi, U = _trunc(f, w, rmax)
+    n_hi, U = _trunc(f, _cutoff(w.ratio(rmax)))
     _guard(U * w.tail(n_hi + 1, rmax), what)
     ns = np.arange(start, n_hi + 1, step)
     return np.abs(f.coeffs[ns]) @ w._weight2(ns, rs)
 
 
 def _a_refinement_arr(f, w, rs):
-    rmax = float(rs.max())
-    n_hi, U = _trunc(f, w, rmax)
-    x = w.ratio(rmax)
-    with np.errstate(over="ignore"):
-        rem = U * U * w.dominator * (x ** (2 * n_hi + 2) / max(1.0 - x * x, 1e-9)
-                                     + x ** (2 * n_hi + 3)
-                                     / max((1.0 - x) * (1.0 - x * x), 1e-12))
-    _guard(float(rem), "the quadratic refinement term")
-    n_half = min(f.truncation_order, n_hi // 2 + 1)
+    """Keeps n <= min(T, K//2 + 1) for the cut-off K, as the weights run to
+    index 2n; each n above is bounded by U^2 C [x^2n + x^(2n+1)/(1-x)]."""
+    x = w.ratio(float(rs.max()))
+    n_half, U = _trunc(f, _cutoff(x) // 2 + 1)
+    _guard(U * U * w.dominator * (x ** (2 * n_half + 2) / (1.0 - x * x)
+                                  + x ** (2 * n_half + 3) / ((1.0 - x) * (1.0 - x * x))),
+           "the quadratic refinement term")
     ns = np.arange(1, n_half + 1)
     a0 = abs(f.coeffs[0])
     blocks = w._weight2(2 * ns, rs) / (1.0 + a0) + w._tail2(2 * ns + 1, rs, weighted=False)
@@ -119,7 +115,7 @@ def _a_refinement_arr(f, w, rs):
 def _weighted_coeff_sum_arr(f, w, rs):
     """sum_{n>=1} (n+1) |a_{n+1}| w_n(r) -- the derivative-type middle sum."""
     rmax = float(rs.max())
-    n_hi, U = _trunc(f, w, rmax)
+    n_hi, U = _trunc(f, _cutoff(w.ratio(rmax)))
     _guard(U * w.weighted_tail(max(n_hi, 1), rmax), "the derivative coefficient sum")
     top = min(n_hi, f.truncation_order - 1)
     ns = np.arange(1, top + 1)

@@ -19,8 +19,8 @@ import numpy as np
 from . import weights as wt
 from .errors import (DomainError, NoRootError, NotFalsifiableError,
                      NoWitnessError)
-from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, bound_for,
-                          evaluate_family, get_family)
+from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, a_refinement,
+                          bohr_sum, bound_for, evaluate_family, get_family)
 from .radii import RadiusProblem, RootCertificate, psi_eval, solve_radius
 from .series import (BoundedFunction, eval_derivative, evaluate,
                      moebius_minus, moebius_plus, multiply_by_z,
@@ -198,7 +198,6 @@ def check_lemma_coeff(trials: int = 1000, seed: int = 42,
     for _ in range(trials):
         pool.append(random_blaschke(int(rng.integers(1, 9)),
                                     int(rng.integers(0, 2 ** 31))))
-    from .functionals import a_refinement, bohr_sum
     worst = -np.inf
     for f in pool:
         lhs = bohr_sum(f, w, 1, rs) + a_refinement(f, w, rs)
@@ -259,6 +258,31 @@ def check_lemma_D(instance: str, m: int = 1, p: float = 1.0,
         report["min_aux_slack"] = float(
             (env - a_grid[:, None] ** (p - 1.0)).min())
     return report
+
+
+def check_lemmas(trials: int, seed: int, w: wt.WeightSequence) -> dict:
+    """The report of ``bohrkit check-lemmas``: the coefficient lemma, the
+    Schwarz-Pick suite on trials // 5 products and the D-lemma on every
+    instance at m = 1 and p in (0.5, 1, 2).  ``status`` is "ok" when
+    every suite meets its documented bound, including the D-lemma's
+    monotonicity (p <= 1) and auxiliary envelope (p > 1) checks, and
+    "violated" otherwise."""
+    coeff_slack = check_lemma_coeff(trials, seed, w)
+    sp = check_schwarz_pick(max(1, trials // 5), seed)
+    d_reports = [check_lemma_D(instance, m=1, p=p, w=w)
+                 for instance in _LEMMA_D_INSTANCES for p in (0.5, 1.0, 2.0)]
+    ok = (coeff_slack <= 1e-9
+          and sp["max_contraction_slack"] <= 1e-8
+          and sp["max_derivative_slack"] <= 1e-8
+          and sp["moebius_equality_dev"] <= 1e-10
+          and all(rep["max_D"] <= 1e-10 and rep["D_at_1_max_abs"] == 0.0
+                  and rep.get("min_a_increment", 0.0) >= -1e-10
+                  and rep.get("min_aux_slack", 0.0) >= -1e-12
+                  for rep in d_reports))
+    return {"coefficient_lemma_max_slack": coeff_slack,
+            "schwarz_pick": sp,
+            "d_function": d_reports,
+            "status": "ok" if ok else "violated"}
 
 
 def check_schwarz_pick(trials: int = 200, seed: int = 42) -> dict:

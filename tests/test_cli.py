@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from bohrkit import cli
+from bohrkit import cli, verify
 from bohrkit.cli import main
 
 
@@ -228,6 +228,23 @@ class TestSuites:
         code, out, _ = run(capsys, "check-lemmas", "--trials", "50")
         assert code == 0
         assert json.loads(out)["status"] == "ok"
+
+    def test_check_lemmas_applies_the_d_monotonicity_check(self, capsys, monkeypatch):
+        # a D-lemma report that fails only its monotonicity-in-a check
+        real = verify.check_lemma_D
+
+        def decreasing(instance, m=1, p=1.0, w=None):
+            rep = real(instance, m=m, p=p, w=w)
+            if "min_a_increment" in rep:
+                rep["min_a_increment"] = -1e-6
+            return rep
+
+        monkeypatch.setattr(verify, "check_lemma_D", decreasing)
+        code, out, _ = run(capsys, "check-lemmas", "--trials", "5")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["status"] == "violated"
+        assert min(rep.get("min_a_increment", 0.0) for rep in doc["d_function"]) == -1e-6
 
     def test_identity_check(self, capsys):
         code, out, _ = run(capsys, "identity-check", "--grid", "20")

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from bohrkit import (DomainError, FunctionalParams, a_refinement, bohr_sum,
-                     evaluate_family, functional_T1, functional_T2,
-                     functional_T3, functional_T4, functional_T5,
-                     functional_T6, moebius_minus, moebius_plus, multiply_by_z,
-                     power, random_blaschke, scaled_power, schwarz_moebius)
+from bohrkit import (BoundedFunction, DomainError, FunctionalParams,
+                     a_refinement, bohr_sum, evaluate_family, functional_T1,
+                     functional_T2, functional_T3, functional_T4,
+                     functional_T5, functional_T6, moebius_minus, moebius_plus,
+                     multiply_by_z, power, random_blaschke, scaled_power,
+                     schwarz_moebius)
 from bohrkit.functionals import ENVELOPE, POINTWISE, bound_for
 
 PW = power()
@@ -30,6 +31,12 @@ class TestBohrSum:
     def test_zero_radius(self):
         for f in (moebius_plus(0.3), random_blaschke(4, 3)):
             assert bohr_sum(f, PW, 1, 0.0) == 0.0
+
+    def test_start_beyond_truncation_order(self):
+        f = moebius_plus(0.0)  # f(z) = z, T = 1
+        assert bohr_sum(f, PW, 2, 0.5) == 0.0
+        got = bohr_sum(f, PW, 2, np.array([0.0, 0.5, 0.9]))
+        assert isinstance(got, np.ndarray) and np.array_equal(got, np.zeros(3))
 
     def test_negative_start_rejected(self):
         with pytest.raises(DomainError):
@@ -54,6 +61,16 @@ class TestARefinement:
 
     def test_zero_radius(self):
         assert a_refinement(moebius_plus(0.7), PW, 0.0) == 0.0
+
+    @pytest.mark.parametrize("n, a, T, r", ((12, 0.9, 20, 0.5), (60, 0.5, 100, 0.99)))
+    def test_series_shorter_than_cutoff_keeps_every_coefficient(self, n, a, T, r):
+        # one coefficient a_n of a series a_0..a_T with no tail: the sum is
+        # a^2 (r^2n + r^(2n+1) / (1 - r)), with no index above T // 2 + 1 dropped
+        coeffs = np.zeros(T + 1)
+        coeffs[n] = a
+        f = BoundedFunction(coeffs, 0.0)
+        want = a * a * (r ** (2 * n) + r ** (2 * n + 1) / (1 - r))
+        assert a_refinement(f, PW, r) == pytest.approx(want, rel=1e-12)
 
 
 class TestT1:
@@ -116,6 +133,15 @@ class TestT3:
         got = functional_T3(schwarz_moebius(a), PW, FunctionalParams(p=p), r)
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_first_order_series_is_head_only(self):
+        # f(z) = z has T = 1, so the derivative sum is empty: |a_1|**p * phi_0
+        w = scaled_power([0.5, 0.25], rho=0.5, C=1.0)
+        rs = np.array([0.0, 0.3, 0.6])
+        for p in (0.5, 2.0):
+            got = functional_T3(moebius_plus(0.0), w, FunctionalParams(p=p), rs)
+            assert np.array_equal(got, np.full(3, 0.5))
+            assert functional_T3(moebius_plus(0.0), w, FunctionalParams(p=p), 0.3) == 0.5
+
     def test_requires_schwarz_function(self):
         with pytest.raises(DomainError):
             functional_T3(moebius_plus(0.3), PW, FunctionalParams(), 0.2)
@@ -176,6 +202,13 @@ class TestT6:
         with pytest.raises(DomainError):
             functional_T6(moebius_plus(0.3), PW,
                           FunctionalParams(m=2, q=2), 0.2)
+
+    def test_lacunary_indices_beyond_truncation_order(self):
+        # f(z) = z has T = 1 < q + m = 3: only the head term r**p is left
+        rs = np.array([0.0, 0.3, 0.6])
+        params = FunctionalParams(m=1, p=1.5, lam=2.0, q=2)
+        got = functional_T6(moebius_plus(0.0), PW, params, rs)
+        assert np.array_equal(got, rs ** 1.5)
 
     def test_zero_radius(self):
         got = functional_T6(moebius_plus(0.3), PW,
