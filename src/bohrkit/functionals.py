@@ -4,7 +4,13 @@ registry of radius families that use them.
 Every sum over the series coefficients is truncated adaptively and the
 discarded mass is bounded through the weight sequence's geometric
 dominator; an :class:`~bohrkit.errors.AccuracyError` is raised whenever
-the certified remainder cannot be pushed below 1e-12.
+the certified remainder cannot be pushed below 1e-12.  A sum keeps the
+indices n <= min(T, K), with T the series' truncation order and K the
+cut-off of the weights' geometric ratio at the largest r (the derivative
+sum, which reads a_{n+1}, keeps n < T); the quadratic refinement, whose
+weights run to index 2n, keeps n <= min(T, K//2 + 1).  Every index above
+the kept range is bounded by the worst |a_n| there, the series' tail
+bound included.
 
 The composite functionals come in two evaluation modes:
 

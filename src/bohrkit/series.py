@@ -67,7 +67,7 @@ class BoundedFunction:
 def _moebius(a: float, sign: float, shift: int, name: str) -> BoundedFunction:
     """z**shift * (a + sign z) / (1 + sign a z): a at index shift, then
     sign * (1 - a**2) * (-sign a)**k, cut where the tail falls below
-    _MOEBIUS_TAIL_TARGET (T = 1 at a = 0, where the series is +-z)."""
+    _MOEBIUS_TAIL_TARGET (T = 1 at a = 0, where the map is sign z**(shift + 1))."""
     a = float(a)
     if not 0.0 <= a < 1.0:
         raise DomainError("family parameter must lie in [0, 1)")
