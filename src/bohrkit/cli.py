@@ -44,6 +44,9 @@ _IDENTITY_TOL = 1e-10
 # the most values one range, and the most rows one table, may have; both
 # counts are worked out from the numbers before anything is built
 MAX_TABLE_ROWS = 100_000
+# the most radius points one verify run may use: its weight block and every
+# functional value hold one column per point
+_MAX_R_POINTS = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -83,12 +86,14 @@ def _cast_int(v: float) -> int:
     return int(v)
 
 
-def _int_at_least(lo: int):
-    """An argparse type: an integer no smaller than lo."""
+def _int_in(lo: int, hi: float = math.inf):
+    """An argparse type: an integer from lo to hi."""
     def integer(text: str) -> int:  # argparse names the type after it
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {value}")
         return value
     return integer
 
@@ -150,13 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="check the inequality below the radius")
     _add_param_flags(sp, multi=False)
-    sp.add_argument("--r-points", type=int, default=256)
+    sp.add_argument("--r-points", type=_int_in(1, _MAX_R_POINTS), default=256)
     sp.add_argument("--margin", type=float, default=0.0)
     sp.add_argument("--mode", choices=("envelope", "pointwise"),
                     default="envelope")
     sp.add_argument("--blaschke", type=int, default=100,
                     help="number of random Blaschke products")
-    sp.add_argument("--seed", type=_int_at_least(0), default=42)
+    sp.add_argument("--seed", type=_int_in(0), default=42)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_verify)
 
@@ -168,14 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-lemmas", help="run the three lemma suites")
     sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=_int_at_least(0), default=42)
+    sp.add_argument("--seed", type=_int_in(0), default=42)
     sp.add_argument("--weights", default="power")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_check_lemmas)
 
     sp = sub.add_parser("identity-check",
                         help="closed-form identities and classical cross-checks")
-    sp.add_argument("--grid", type=_int_at_least(1), default=50)
+    sp.add_argument("--grid", type=_int_in(1), default=50)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_identity_check)
     return parser

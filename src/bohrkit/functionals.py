@@ -10,7 +10,8 @@ cut-off of the weights' geometric ratio at the largest r (the derivative
 sum, which reads a_{n+1}, keeps n < T); the quadratic refinement, whose
 weights run to index 2n, keeps n <= min(T, K//2 + 1).  Every index above
 the kept range is bounded by the worst |a_n| there, the series' tail
-bound included.
+bound included.  The weight rows and tails all come from one block per
+(weights, radius grid), which each function slices to its kept range.
 
 The composite functionals come in two evaluation modes:
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -95,49 +97,59 @@ def _guard(bound: float, what: str):
                             f"exceeds {REMAINDER_TOL}")
 
 
-def _bohr_sum_arr(f, w, rs, start, step=1, what="the weighted coefficient sum"):
+class _Block:
+    """w_n(rs) (row 0 is phi_0), the refinement's tail(2n + 1, rs) and the
+    guards' tails at max(rs), for each index kept up to truncation order."""
+
+    def __init__(self, w, rs, order):
+        self.w, self.rs, rmax = w, rs, float(rs.max())
+        self.x = w.ratio(rmax)
+        self.cut = _cutoff(self.x)
+        top, half = min(order, self.cut), min(order, self.cut // 2 + 1)
+        self.rows = w._weight2(np.arange(max(top, 2 * half) + 1), rs)
+        self.tails = w._tail2(2 * np.arange(1, half + 1) + 1, rs, weighted=False)
+        self.guard_tails = [w._tail2(np.arange(top + 2), np.array([rmax]), weighted)[:, 0]
+                            for weighted in (False, True)]
+
+
+def _bohr_sum_arr(f, blk, start, step=1, what="the weighted coefficient sum"):
     """sum of |a_n| w_n(r) over n = start, start + step, start + 2 step, ..."""
-    rmax = float(rs.max())
-    n_hi, U = _trunc(f, _cutoff(w.ratio(rmax)))
-    _guard(U * w.tail(n_hi + 1, rmax), what)
-    ns = np.arange(start, n_hi + 1, step)
-    return np.abs(f.coeffs[ns]) @ w._weight2(ns, rs)
+    n_hi, U = _trunc(f, blk.cut)
+    _guard(U * blk.guard_tails[0][n_hi + 1], what)
+    return np.abs(f.coeffs[start:n_hi + 1:step]) @ blk.rows[start:n_hi + 1:step]
 
 
-def _a_refinement_arr(f, w, rs):
+def _a_refinement_arr(f, blk):
     """Keeps n <= min(T, K//2 + 1) for the cut-off K, as the weights run to
     index 2n; each n above is bounded by U^2 C [x^2n + x^(2n+1)/(1-x)]."""
-    x = w.ratio(float(rs.max()))
-    n_half, U = _trunc(f, _cutoff(x) // 2 + 1)
-    _guard(U * U * w.dominator * (x ** (2 * n_half + 2) / (1.0 - x * x)
-                                  + x ** (2 * n_half + 3) / ((1.0 - x) * (1.0 - x * x))),
+    x = blk.x
+    n_half, U = _trunc(f, blk.cut // 2 + 1)
+    _guard(U * U * blk.w.dominator * (x ** (2 * n_half + 2) / (1.0 - x * x)
+                                      + x ** (2 * n_half + 3) / ((1.0 - x) * (1.0 - x * x))),
            "the quadratic refinement term")
-    ns = np.arange(1, n_half + 1)
-    a0 = abs(f.coeffs[0])
-    blocks = w._weight2(2 * ns, rs) / (1.0 + a0) + w._tail2(2 * ns + 1, rs, weighted=False)
+    blocks = blk.rows[2:2 * n_half + 1:2] / (1.0 + abs(f.coeffs[0])) + blk.tails[:n_half]
     return (np.abs(f.coeffs[1:n_half + 1]) ** 2) @ blocks
 
 
-def _weighted_coeff_sum_arr(f, w, rs):
+def _weighted_coeff_sum_arr(f, blk):
     """sum_{n>=1} (n+1) |a_{n+1}| w_n(r) -- the derivative-type middle sum."""
-    rmax = float(rs.max())
-    n_hi, U = _trunc(f, _cutoff(w.ratio(rmax)))
-    _guard(U * w.weighted_tail(max(n_hi, 1), rmax), "the derivative coefficient sum")
+    n_hi, U = _trunc(f, blk.cut)
+    _guard(U * blk.guard_tails[1][max(n_hi, 1)], "the derivative coefficient sum")
     top = min(n_hi, f.truncation_order - 1)
     ns = np.arange(1, top + 1)
-    return ((ns + 1.0) * np.abs(f.coeffs[2:top + 2])) @ w._weight2(ns, rs)
+    return ((ns + 1.0) * np.abs(f.coeffs[2:top + 2])) @ blk.rows[1:top + 1]
 
 
 def bohr_sum(f: BoundedFunction, w: wt.WeightSequence, N: int, r):
     """The majorant series sum_{n>=N} |a_n| w_n(r)."""
     if N < 0:
         raise DomainError("start index must be nonnegative")
-    return _on_grid(r, lambda rs: _bohr_sum_arr(f, w, rs, N))
+    return _on_grid(r, lambda rs: _bohr_sum_arr(f, _Block(w, rs, f.truncation_order), N))
 
 
 def a_refinement(f: BoundedFunction, w: wt.WeightSequence, r):
     """The quadratic refinement sum_{n>=1} |a_n|^2 [w_2n/(1+|a_0|) + tail(2n+1)]."""
-    return _on_grid(r, lambda rs: _a_refinement_arr(f, w, rs))
+    return _on_grid(r, lambda rs: _a_refinement_arr(f, _Block(w, rs, f.truncation_order)))
 
 
 def _head_modulus(f, m, rs, mode):
@@ -154,69 +166,73 @@ def _require_schwarz(f):
         raise DomainError("this functional requires a Schwarz function (a_0 = 0)")
 
 
-def _functional(body):
+def _functional(body, power=False):
     """The public form ``functional(f, w, params, r, mode=ENVELOPE)`` of a
-    body that computes on the 1-d grid ``rs``: it checks ``mode`` and
-    returns a float for a scalar r."""
-    def functional(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
+    body on the weight block of w (power weights if ``power``) and r's 1-d
+    grid; a float for a scalar r.  ``_evaluator`` returns the block and
+    f -> body on it, for every f of truncation order <= order."""
+    def evaluator(w, params, rs, order, mode):
         if mode not in (ENVELOPE, POINTWISE):
             raise DomainError(f"mode must be {ENVELOPE!r} or {POINTWISE!r}")
-        return _on_grid(r, lambda rs: body(f, w, params, rs, mode))
+        blk = _Block(_POWER if power else w, rs, order)
+        return blk, lambda f: body(f, blk, params, mode)
+
+    def functional(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
+        return _on_grid(r, lambda rs: evaluator(w, params, rs, f.truncation_order, mode)[1](f))
     # not functools.wraps: its __wrapped__ would make inspect.signature
-    # report the body's rs in place of the public r
+    # report the body's blk in place of the public w and r
     functional.__name__ = functional.__qualname__ = body.__name__
     functional.__doc__ = body.__doc__
+    functional._evaluator = evaluator
     return functional
 
 
 @_functional
-def functional_T1(f, w, params, rs, mode):
+def functional_T1(f, blk, params, mode):
     """|f(w(z))|**p * phi_0 + majorant + refinement."""
-    head = _head_modulus(f, params.m, rs, mode) ** params.p * w.weight_at(0, rs)
-    return head + _bohr_sum_arr(f, w, rs, 1) + _a_refinement_arr(f, w, rs)
+    head = _head_modulus(f, params.m, blk.rs, mode) ** params.p * blk.rows[0]
+    return head + _bohr_sum_arr(f, blk, 1) + _a_refinement_arr(f, blk)
 
 
 @_functional
-def functional_T2(f, w, params, rs, mode):
+def functional_T2(f, blk, params, mode):
     """|a_0|**p * phi_0 + majorant + refinement + |f(w(z)) - a_0|."""
     a0 = f.coeffs[0]
     a = abs(a0)
-    x = rs ** params.m
+    x = blk.rs ** params.m
     if mode == ENVELOPE:
         dev = (1.0 - a * a) * x / (1.0 - a * x)
     else:
         dev = np.abs(evaluate(f, x) - a0)
-    return a ** params.p * w.weight_at(0, rs) + _bohr_sum_arr(f, w, rs, 1) \
-        + _a_refinement_arr(f, w, rs) + dev
+    return a ** params.p * blk.rows[0] + _bohr_sum_arr(f, blk, 1) \
+        + _a_refinement_arr(f, blk) + dev
 
 
 @_functional
-def functional_T3(f, w, params, rs, mode):
+def functional_T3(f, blk, params, mode):
     """|a_1|**p * phi_0 + sum (n+1)|a_{n+1}| w_n(r); needs a_0 = 0."""
     _require_schwarz(f)
-    return (abs(f.coeffs[1]) ** params.p * w.weight_at(0, rs)
-            + _weighted_coeff_sum_arr(f, w, rs))
+    return abs(f.coeffs[1]) ** params.p * blk.rows[0] + _weighted_coeff_sum_arr(f, blk)
 
 
 @_functional
-def functional_T4(f, w, params, rs, mode):
+def functional_T4(f, blk, params, mode):
     """T3 plus the derivative deviation |f'(w(z)) - a_1|; needs a_0 = 0."""
     _require_schwarz(f)
     a1 = f.coeffs[1]
-    x = rs ** params.m
+    x = blk.rs ** params.m
     if mode == ENVELOPE:
         dev = (1.0 - abs(a1) ** 2) * x * (2.0 - x) / (1.0 - x) ** 2
     else:
         dev = np.abs(eval_derivative(f, x) - a1)
-    return abs(a1) ** params.p * w.weight_at(0, rs) + _weighted_coeff_sum_arr(f, w, rs) + dev
+    return abs(a1) ** params.p * blk.rows[0] + _weighted_coeff_sum_arr(f, blk) + dev
 
 
-@_functional
-def functional_T5(f, w, params, rs, mode):
+@partial(_functional, power=True)
+def functional_T5(f, blk, params, mode):
     """|f(w(z))|**p + lambda * [majorant + refinement], power weights."""
-    head = _head_modulus(f, params.m, rs, mode) ** params.p
-    return head + params.lam * (_bohr_sum_arr(f, _POWER, rs, 1)
-                                + _a_refinement_arr(f, _POWER, rs))
+    head = _head_modulus(f, params.m, blk.rs, mode) ** params.p
+    return head + params.lam * (_bohr_sum_arr(f, blk, 1) + _a_refinement_arr(f, blk))
 
 
 def _check_lacunary(params: FunctionalParams):
@@ -225,22 +241,21 @@ def _check_lacunary(params: FunctionalParams):
         raise DomainError("psi5_t6 needs q >= 2 and 0 < m < q")
 
 
-@_functional
-def functional_T6(f, w, params, rs, mode):
+@partial(_functional, power=True)
+def functional_T6(f, blk, params, mode):
     """|f(w(z))|**p + lambda * lacunary majorant over indices qk + m."""
     _check_lacunary(params)
-    head = _head_modulus(f, params.m, rs, mode) ** params.p
+    head = _head_modulus(f, params.m, blk.rs, mode) ** params.p
     q = params.q
-    return head + params.lam * _bohr_sum_arr(f, _POWER, rs, q + params.m, q,
-                                             "the lacunary sum")
+    return head + params.lam * _bohr_sum_arr(f, blk, q + params.m, q, "the lacunary sum")
 
 
-@_functional
-def functional_TD(f, w, params, rs, mode):
+@partial(_functional, power=True)
+def functional_TD(f, blk, params, mode):
     """|f(z)| + lambda * lacunary majorant over indices nk, power weights."""
     n = params.n_lacunary
-    return _head_modulus(f, 1, rs, mode) + params.lam * _bohr_sum_arr(
-        f, _POWER, rs, n, n, "the lacunary sum")
+    return _head_modulus(f, 1, blk.rs, mode) + params.lam * _bohr_sum_arr(
+        f, blk, n, n, "the lacunary sum")
 
 
 @dataclass(frozen=True)
@@ -323,6 +338,15 @@ def get_family(name: str) -> Family:
         raise DomainError(f"unknown radius family {name!r}") from None
 
 
+def _family_evaluator(family, w, params, rs, order, mode):
+    """evaluate_family's weight block on the grid rs and f -> its value
+    there, for every f of truncation order <= ``order``."""
+    fam = get_family(family)
+    if fam.p is not None:
+        params = replace(params, p=fam.p)
+    return fam.functional._evaluator(w if fam.weighted else _POWER, params, rs, order, mode)
+
+
 def evaluate_family(family: str, f, w, params: FunctionalParams, r,
                     mode: str = ENVELOPE):
     """Evaluate a radius family's composite functional.
@@ -330,10 +354,8 @@ def evaluate_family(family: str, f, w, params: FunctionalParams, r,
     Unweighted families evaluate with power weights, and classical
     families with the p-case fixed by their theorem.
     """
-    fam = get_family(family)
-    if fam.p is not None:
-        params = replace(params, p=fam.p)
-    return fam.functional(f, w if fam.weighted else _POWER, params, r, mode)
+    return _on_grid(r, lambda rs: _family_evaluator(
+        family, w, params, rs, f.truncation_order, mode)[1](f))
 
 
 def bound_for(family: str, w, r):

@@ -19,8 +19,9 @@ import numpy as np
 from . import weights as wt
 from .errors import (DomainError, NoRootError, NotFalsifiableError,
                      NoWitnessError)
-from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, a_refinement,
-                          bohr_sum, bound_for, evaluate_family, get_family)
+from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, _a_refinement_arr,
+                          _Block, _bohr_sum_arr, _family_evaluator, bound_for,
+                          evaluate_family, get_family)
 from .radii import RadiusProblem, RootCertificate, psi_eval, solve_radius
 from .series import (BoundedFunction, eval_derivative, evaluate,
                      moebius_minus, moebius_plus, multiply_by_z,
@@ -124,8 +125,10 @@ def verify_below_radius(prob: RadiusProblem,
                         cert: RootCertificate | None = None) -> VerificationReport:
     """Check functional <= bound on [0, R - margin] over the population.
 
-    ``cert`` is the problem's certificate when the caller has already
-    solved it; otherwise the problem is solved here.
+    One weight block of the problem's weights on the radius grid serves
+    every member, which slices it to its kept range.  ``cert`` is the
+    problem's certificate when the caller has already solved it;
+    otherwise the problem is solved here.
     """
     if not margin >= 0.0:
         raise DomainError("margin must be nonnegative")
@@ -140,12 +143,12 @@ def verify_below_radius(prob: RadiusProblem,
     if families is None:
         families = standard_families(prob.family, seed, blaschke_count)
     rs = np.linspace(0.0, r_hi, r_points)
-    bound = np.atleast_1d(bound_for(prob.family, prob.weights, rs))
+    blk, functional = _family_evaluator(
+        prob.family, prob.weights, prob.params, rs,
+        max((f.truncation_order for f in families), default=1), mode)
     worst = -np.inf
     for f in families:
-        vals = np.atleast_1d(evaluate_family(prob.family, f, prob.weights,
-                                             prob.params, rs, mode))
-        worst = max(worst, float(np.max(vals - bound)))
+        worst = max(worst, float(np.max(functional(f) - blk.rows[0])))
     return VerificationReport(
         family=prob.family, params=prob.params, mode=mode,
         radius=cert.radius, bracket=(cert.bracket_lo, cert.bracket_hi),
@@ -198,10 +201,12 @@ def check_lemma_coeff(trials: int = 1000, seed: int = 42,
     for _ in range(trials):
         pool.append(random_blaschke(int(rng.integers(1, 9)),
                                     int(rng.integers(0, 2 ** 31))))
+    blk = _Block(w, rs, max(f.truncation_order for f in pool))
+    tail1 = w.tail(1, rs)
     worst = -np.inf
     for f in pool:
-        lhs = bohr_sum(f, w, 1, rs) + a_refinement(f, w, rs)
-        rhs = (1.0 - abs(f.coeffs[0]) ** 2) * w.tail(1, rs)
+        lhs = _bohr_sum_arr(f, blk, 1) + _a_refinement_arr(f, blk)
+        rhs = (1.0 - abs(f.coeffs[0]) ** 2) * tail1
         worst = max(worst, float(np.max(lhs - rhs)))
     return worst
 

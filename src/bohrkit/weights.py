@@ -53,11 +53,8 @@ def _as_n(n, minimum: int) -> np.ndarray:
     return ns
 
 
-def _is_scalar(x) -> bool:
-    return np.ndim(x) == 0
-
-
-def _squeeze(out: np.ndarray, n_scalar: bool, r_scalar: bool):
+def _squeeze(out: np.ndarray, n, r):
+    n_scalar, r_scalar = np.ndim(n) == 0, np.ndim(r) == 0
     if n_scalar and r_scalar:
         return float(out[0, 0])
     if n_scalar:
@@ -119,19 +116,19 @@ class WeightSequence:
         """The n-th weight at radius r.  Broadcasts over 1-d n and r."""
         ns, rs = _as_n(n, 0), _as_r(r)
         out = self._weight2(ns, rs)
-        return _squeeze(out, _is_scalar(n), _is_scalar(r))
+        return _squeeze(out, n, r)
 
     def tail(self, N, r):
         """Certified overestimate of the weight mass from index N on."""
         Ns, rs = _as_n(N, 0), _as_r(r)
         out = self._tail2(Ns, rs, weighted=False)
-        return _squeeze(out, _is_scalar(N), _is_scalar(r))
+        return _squeeze(out, N, r)
 
     def weighted_tail(self, N, r):
         """Certified overestimate of ``sum_{n>=N} (n+1) w_n(r)``."""
         Ns, rs = _as_n(N, 1), _as_r(r)
         out = self._tail2(Ns, rs, weighted=True)
-        return _squeeze(out, _is_scalar(N), _is_scalar(r))
+        return _squeeze(out, N, r)
 
     # -- 2-d internals (shape: len(ns) x len(rs)) -------------------------
 

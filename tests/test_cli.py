@@ -203,6 +203,15 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+    def test_r_points_capped_before_verifying(self, capsys, monkeypatch):
+        def verify_below_radius(*args, **kw):
+            raise RuntimeError("verified with a rejected radius grid")
+        monkeypatch.setattr(cli, "verify_below_radius", verify_below_radius)
+        code, out, err = run(capsys, "verify", "--family", "psi1",
+                             "--r-points", "100000000000")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_nan_lambda_table_row_invalid(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "psi1", "--lambda", "nan")
         assert code == 2

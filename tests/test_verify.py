@@ -11,6 +11,9 @@ from bohrkit import (BoundedFunction, DomainError, FunctionalParams,
                      moebius_plus, power, scaled_power, sharpness_witness,
                      solve_radius, verify_below_radius)
 from bohrkit import verify
+from bohrkit import weights as wt
+from bohrkit.functionals import (ENVELOPE, FAMILIES, POINTWISE, _cutoff,
+                                 bound_for, evaluate_family)
 from bohrkit.verify import standard_families
 
 PW = power()
@@ -98,6 +101,55 @@ class TestVerifyBelowRadius:
     def test_schwarz_population_has_zero_head(self):
         for f in standard_families("psi3", blaschke_count=5):
             assert abs(f.coeffs[0]) < 1e-12
+
+
+HARMONIC = scaled_power(1.0 / (np.arange(4096) + 1.0), rho=1.0, C=1.0)
+
+
+class TestSharedWeightBlock:
+    """verify_below_radius builds one weight block per (weights, grid) and
+    slices it per member; the public single-call path must agree exactly."""
+
+    @pytest.mark.parametrize("w", [PW, HARMONIC], ids=["power", "harmonic"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_max_violation_equals_public_path(self, family, w):
+        pr = prob(family, w)  # unweighted families ignore w
+        cert = solve_radius(pr)
+        population = standard_families(family, blaschke_count=3)
+        rs = np.linspace(0.0, cert.radius, 24)
+        weights = pr.weights if FAMILIES[family].weighted else PW
+        cut = _cutoff(weights.ratio(cert.radius))
+        orders = [f.truncation_order for f in population]
+        assert min(orders) < cut < max(orders)
+        for mode in (ENVELOPE, POINTWISE):
+            report = verify_below_radius(pr, families=population, r_points=24,
+                                         mode=mode, cert=cert)
+            bound = bound_for(family, pr.weights, rs)
+            public = max(float(np.max(evaluate_family(family, f, pr.weights,
+                                                      pr.params, rs, mode) - bound))
+                         for f in population)
+            assert report.max_violation == public
+
+    def test_block_builds_do_not_grow_with_the_population(self, monkeypatch):
+        pr = prob("psi1", HARMONIC)
+        cert = solve_radius(pr)
+        calls = []
+        for name in ("_weight2", "_tail2"):
+            method = getattr(wt.WeightSequence, name)
+
+            def counting(self, *args, _name=name, _method=method, **kw):
+                calls.append(_name)
+                return _method(self, *args, **kw)
+
+            monkeypatch.setattr(wt.WeightSequence, name, counting)
+        counts = []
+        for blaschke_count in (2, 100):
+            calls.clear()
+            report = verify_below_radius(pr, r_points=16, cert=cert,
+                                         blaschke_count=blaschke_count)
+            assert report.verified
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] and counts[0]
 
 
 class TestSharpnessWitness:
