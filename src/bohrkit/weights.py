@@ -37,7 +37,7 @@ def _as_r(r) -> np.ndarray:
     rs = np.atleast_1d(np.asarray(r, dtype=float))
     if rs.size == 0:
         raise DomainError("empty radius grid")
-    if np.any(rs < 0.0) or np.any(rs > R_EDGE):
+    if not (rs.min() >= 0.0 and rs.max() <= R_EDGE):  # NaN fails both
         raise DomainError(f"radius outside [0, {R_EDGE}]")
     return rs
 
@@ -45,10 +45,10 @@ def _as_r(r) -> np.ndarray:
 def _as_n(n, minimum: int) -> np.ndarray:
     ns = np.atleast_1d(np.asarray(n))
     if not np.issubdtype(ns.dtype, np.integer):
-        if not np.all(ns == np.floor(ns)):
+        if not (ns == np.floor(ns)).all():
             raise DomainError("index must be an integer")
         ns = ns.astype(int)
-    if np.any(ns < minimum):
+    if (ns < minimum).any():
         raise DomainError(f"index must be >= {minimum}")
     return ns
 
@@ -141,7 +141,7 @@ class WeightSequence:
         inside = ns < L
         out = np.where(inside, self.coeffs[np.minimum(ns, L - 1)], 0.0)
         beyond = ~inside
-        if np.any(beyond):
+        if beyond.any():
             out = out + np.where(beyond, self.C * self.rho ** ns.astype(float), 0.0)
         return out
 
@@ -153,9 +153,7 @@ class WeightSequence:
         """Tail of the dominating geometric series from the given start
         indices; starts broadcasts against x."""
         s = starts.astype(float)
-        with np.errstate(divide="ignore"):
-            lead = np.where(x > 0.0, self.dominator * x ** s, 0.0)
-            lead = np.where((x == 0.0) & (s == 0.0), self.dominator, lead)
+        lead = self.dominator * x ** s  # 0.0 ** 0.0 is 1.0: the term at x = 0
         if weighted:
             return lead * ((s + 1.0) - s * x) / (1.0 - x) ** 2
         return lead / (1.0 - x)
@@ -177,13 +175,9 @@ class WeightSequence:
             M = M * (n + 1.0)[:, None]
         suffix = np.zeros((L_eff + 1, rs.size))
         suffix[:L_eff] = np.cumsum(M[::-1], axis=0)[::-1]
-        clipped = np.minimum(Ns, L_eff)
-        exact = suffix[clipped]
+        # suffix[L_eff] is 0: a start past the cut keeps the geometric tail alone
         starts = np.maximum(Ns, L_eff)[:, None]
-        inside = (Ns < L_eff)[:, None]
-        geom_from_cut = self._geom_tail(np.full_like(Ns, L_eff)[:, None], x[None, :], weighted)
-        geom_beyond = self._geom_tail(starts, x[None, :], weighted)
-        return np.where(inside, exact + geom_from_cut, geom_beyond)
+        return suffix[np.minimum(Ns, L_eff)] + self._geom_tail(starts, x[None, :], weighted)
 
 
 def power() -> WeightSequence:
