@@ -47,6 +47,13 @@ MAX_TABLE_ROWS = 100_000
 # the most radius points one verify run may use: its weight block and every
 # functional value hold one column per point
 _MAX_R_POINTS = 100_000
+# the most random Blaschke products one verify or check-lemmas run may build:
+# each holds 4097 complex128 coefficients (64 KiB) and the run keeps them all,
+# so 2000 products hold 128 MiB
+_MAX_PRODUCTS = 2000
+# the largest identity-check grid: its lambda-family identity holds about five
+# grid x grid float64 arrays at once, 40 MB at 1000
+_MAX_IDENTITY_GRID = 1000
 
 
 def _fmt(x: float) -> str:
@@ -159,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--margin", type=float, default=0.0)
     sp.add_argument("--mode", choices=("envelope", "pointwise"),
                     default="envelope")
-    sp.add_argument("--blaschke", type=int, default=100,
+    sp.add_argument("--blaschke", type=_int_in(0, _MAX_PRODUCTS), default=100,
                     help="number of random Blaschke products")
     sp.add_argument("--seed", type=_int_in(0), default=42)
     sp.add_argument("--output", default=None)
@@ -172,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sharpness)
 
     sp = sub.add_parser("check-lemmas", help="run the three lemma suites")
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--trials", type=_int_in(1, _MAX_PRODUCTS), default=1000)
     sp.add_argument("--seed", type=_int_in(0), default=42)
     sp.add_argument("--weights", default="power")
     sp.add_argument("--output", default=None)
@@ -180,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("identity-check",
                         help="closed-form identities and classical cross-checks")
-    sp.add_argument("--grid", type=_int_in(1), default=50)
+    sp.add_argument("--grid", type=_int_in(1, _MAX_IDENTITY_GRID), default=50)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_identity_check)
     return parser

@@ -6,7 +6,10 @@ fixed 1e-3 grid over [0, R_EDGE], sharpened by bisection to a bracket of
 width 1e-13.  Under scaled-power weights the grid is evaluated in chunks
 of 64 cells and the scan stops at the chunk holding the first sign change,
 so the points above the root are never evaluated; every other Psi is in
-closed form and is evaluated on the whole grid in one call.  The bracket,
+closed form and is evaluated on the whole grid in one call.  Each of the
+about 34 bisection steps is one Psi on a one-point grid, so its cost is
+the fixed per-call work: the grid is validated once, in :func:`psi_eval`,
+and the Psi bodies read the weights' internals on it.  The bracket,
 the signed values at its ends and the scan step are returned as a
 certificate, with ``psi_lo > 0 >= psi_hi``: the first sign change lies in
 ``(bracket_lo, bracket_hi]``, and ``psi_hi`` is 0.0 where Psi vanishes

@@ -212,6 +212,35 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("worker, argv", [
+        ("cmd_identity_check", ("identity-check", "--grid", "10000000")),
+        ("cmd_identity_check", ("identity-check", "--grid", "1001")),
+        ("verify_below_radius", ("verify", "--family", "psi1", "--blaschke", "2001")),
+        ("verify_below_radius", ("verify", "--family", "psi1", "--blaschke", "-1")),
+        ("check_lemmas", ("check-lemmas", "--trials", "2001")),
+        ("check_lemmas", ("check-lemmas", "--trials", "0")),
+    ])
+    def test_size_flags_capped_before_working(self, capsys, monkeypatch, worker, argv):
+        def refuse(*args, **kw):
+            raise RuntimeError(f"{worker} ran with a rejected size")
+        monkeypatch.setattr(cli, worker, refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("identity-check", "--grid", "1000"),
+        ("verify", "--family", "psi1", "--blaschke", "2000"),
+        ("check-lemmas", "--trials", "2000"),
+    ])
+    def test_size_flags_accept_their_cap(self, capsys, monkeypatch, argv):
+        def stop(*args, **kw):
+            raise cli.NoRootError("reached the worker")
+        for worker in ("cmd_identity_check", "verify_below_radius", "check_lemmas"):
+            monkeypatch.setattr(cli, worker, stop)
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "reached the worker" in err
+
     def test_nan_lambda_table_row_invalid(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "psi1", "--lambda", "nan")
         assert code == 2

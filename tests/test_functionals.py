@@ -42,6 +42,18 @@ class TestBohrSum:
         with pytest.raises(DomainError):
             bohr_sum(moebius_plus(0.3), PW, -1, 0.5)
 
+    @pytest.mark.parametrize("r", [float("nan"), [0.1, float("nan")]])
+    def test_nan_radius_rejected(self, r):
+        w = scaled_power(1.0 / (np.arange(64) + 1.0))
+        for call in (lambda: bohr_sum(moebius_plus(0.3), PW, 1, r),
+                     lambda: bohr_sum(moebius_plus(0.3), w, 1, r),
+                     lambda: evaluate_family("psi1", moebius_plus(0.3), w,
+                                             FunctionalParams(), r),
+                     lambda: evaluate_family("psi5_t5", moebius_plus(0.3), PW,
+                                             FunctionalParams(), r)):
+            with pytest.raises(DomainError, match="radius outside"):
+                call()
+
 
 class TestARefinement:
     def test_identity_function(self):

@@ -11,6 +11,8 @@ import pytest
 from bohrkit import (DomainError, FunctionalParams, NoRootError,
                      RadiusProblem, classical_crosscheck, power, psi_eval,
                      radii, scaled_power, solve_radius)
+from bohrkit import weights as wt
+from bohrkit.functionals import FAMILIES
 from bohrkit.weights import R_EDGE
 
 PW = power()
@@ -54,6 +56,58 @@ class TestPsiEval:
         }
         for name, pr in families.items():
             assert psi_eval(pr, 0.0) > 0.0, name
+
+
+# each weighted Psi written through the public, validating weight methods
+PUBLIC_PSI = {
+    "psi1": lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x) * w.weight_at(0, rs)
+                                  - 2.0 * w.tail(1, rs)),
+    "psi2": lambda pm, w, rs, x: (0.5 * pm.p * w.weight_at(0, rs) - w.tail(1, rs)
+                                  - x / (1.0 - x)),
+    "psi3": lambda pm, w, rs, x: 0.5 * pm.p * w.weight_at(0, rs) - w.weighted_tail(1, rs),
+    "psi4": lambda pm, w, rs, x: (0.5 * pm.p * w.weight_at(0, rs) - w.weighted_tail(1, rs)
+                                  - x * (2.0 - x) / (1.0 - x) ** 2),
+    "classical_c": lambda pm, w, rs, x: w.weight_at(0, rs) - 2.0 * w.weighted_tail(1, rs),
+}
+# power weights, c_n = 1/(n+1), and a weight with rho < 1 and C > 1
+LEAN_WEIGHTS = [PW, HARMONIC, scaled_power(1.5 * 0.9 ** np.arange(40), rho=0.9, C=2.0)]
+
+
+class TestLeanPsi:
+    def test_every_weighted_family_listed(self):
+        assert set(PUBLIC_PSI) == {k for k, fam in FAMILIES.items() if fam.weighted}
+
+    @pytest.mark.parametrize("w", LEAN_WEIGHTS)
+    @pytest.mark.parametrize("family", list(PUBLIC_PSI))
+    def test_equals_public_formula(self, family, w):
+        params = FunctionalParams(m=2, p=1.5)
+        if FAMILIES[family].p is not None:
+            params = replace(params, p=FAMILIES[family].p)
+        pr = RadiusProblem(family, params, w)
+        chunk = np.linspace(0.0, 64 * radii.SCAN_STEP, 65) + 0.3
+        assert np.array_equal(psi_eval(pr, chunk),
+                              PUBLIC_PSI[family](params, w, chunk, chunk ** 2))
+        for r in (0.0, 0.3, 0.8):
+            # psi_eval computes a scalar on the one-point grid [r]
+            rs = np.array([r])
+            assert psi_eval(pr, r) == PUBLIC_PSI[family](params, w, rs, rs ** 2)[0]
+
+    @pytest.mark.parametrize("w", LEAN_WEIGHTS)
+    @pytest.mark.parametrize("family", list(PUBLIC_PSI))
+    def test_one_grid_check_per_psi_eval(self, monkeypatch, family, w):
+        calls = []
+        as_r = wt._as_r
+        monkeypatch.setattr(wt, "_as_r", lambda r: calls.append(r) or as_r(r))
+        pr = prob(family, w)
+        psi_eval(pr, 0.3)
+        psi_eval(pr, np.linspace(0.0, 0.064, 65))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("r", [float("nan"), [0.1, float("nan")]])
+    def test_nan_radius_rejected(self, r):
+        for pr in (prob("psi3", HARMONIC), prob("psi1", PW), prob("psi5_t5")):
+            with pytest.raises(DomainError, match="radius outside"):
+                psi_eval(pr, r)
 
 
 class TestSolveRadius:

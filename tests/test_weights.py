@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bohrkit import DomainError, from_json, power, scaled_power
+from bohrkit.weights import WeightSequence
 
 
 def brute_tail(w, N, r, terms=10_000, weighted=False):
@@ -85,6 +86,47 @@ class TestTail:
                     gap = w.tail(N, r) - w.tail(N + 1, r)
                     assert gap == pytest.approx(w.weight_at(N, r), abs=1e-12)
 
+    def test_power_tail_from_zero_at_origin(self):
+        # the n = 0 term at r = 0 is 0.0 ** 0.0, which is 1.0
+        assert power().tail(0, 0.0) == 1.0
+        assert np.array_equal(power().tail([0, 1, 2], 0.0), [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("w", [
+        scaled_power([1.0, 0.5, 0.25], rho=1.0, C=1.0),
+        scaled_power(1.5 * 0.9 ** np.arange(40), rho=0.9, C=2.0),
+        scaled_power(1.0 / (np.arange(4096) + 1.0), rho=1.0, C=1.0),
+    ])
+    def test_past_the_cut_is_the_geometric_tail(self, w):
+        # the cut never exceeds the stored list, so every N >= coeffs.size is
+        # at or past it; the 3-term list's cut is the list length itself
+        rs = np.linspace(0.0, 0.9, 65)
+        x = w.rho * rs
+        Ns = np.array([w.coeffs.size, w.coeffs.size + 1, w.coeffs.size + 37])
+        s = Ns[:, None].astype(float)
+        lead = w.C * x[None, :] ** s
+        want = lead / (1.0 - x)
+        assert np.array_equal(w.tail(Ns, rs), want)
+        assert np.array_equal(w.weighted_tail(Ns, rs),
+                              lead * ((s + 1.0) - s * x) / (1.0 - x) ** 2)
+        # one point: past the cut the value does not depend on the grid
+        for i, N in enumerate(Ns):
+            for k in (0, 20, 64):
+                assert w.tail(int(N), rs[k]) == want[i, k]
+
+    @pytest.mark.parametrize("w", [power(), scaled_power(1.0 / (np.arange(300) + 1.0))])
+    def test_one_geometric_tail_per_tail(self, monkeypatch, w):
+        calls = {"_tail2": 0, "_geom_tail": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _orig=getattr(WeightSequence, name), **kw):
+                calls[_name] += 1
+                return _orig(self, *args, **kw)
+            monkeypatch.setattr(WeightSequence, name, counted)
+        rs = np.linspace(0.0, 0.9, 65)
+        w.tail(1, 0.3)
+        w.tail([0, 5, 400], rs)
+        w.weighted_tail([1, 2, 500], rs)
+        assert calls == {"_tail2": 3, "_geom_tail": 3}
+
     def test_tail_vanishes_near_edge(self):
         r = 0.99 * (1.0 - 1e-6)
         w = power()
@@ -116,6 +158,14 @@ class TestValidation:
     def test_coefficient_cap(self):
         with pytest.raises(DomainError):
             scaled_power(np.ones(5000))
+
+    @pytest.mark.parametrize("r", [float("nan"), [0.1, float("nan")]])
+    @pytest.mark.parametrize("w", [power(), scaled_power([1.0, 0.5], rho=0.9, C=1.0)])
+    def test_nan_radius_rejected(self, w, r):
+        for call in (lambda: w.weight_at(0, r), lambda: w.tail(1, r),
+                     lambda: w.weighted_tail(1, r)):
+            with pytest.raises(DomainError, match="radius outside"):
+                call()
 
     def test_weighted_tail_needs_positive_start(self):
         with pytest.raises(DomainError):
