@@ -2,24 +2,26 @@
 
 Run from anywhere::
 
-    python3 tools/bench_pairs.py REV N [--seconds 50] > BENCH_<n>.json
+    python3 tools/bench_pairs.py REV N > BENCH_<n>.json
 
-REV's ``src/`` and ``perfbench/`` are unpacked with ``git archive`` into a
-temporary directory, and the working tree's ``src/`` and ``perfbench/``
-are copied next to it when the script starts, so editing the checkout
-during a run changes neither side.  Each side runs its own, unmodified
-``perfbench/run.py``.  For every workload that ``BENCHMARK.json`` gates,
-the script runs N pairs with seeds 71, 72, ...; the side that runs first
-alternates, REV first in the first pair.  Then both sides make one traced
-run, ``--workload all --trace 1 --seed 41``.
+REV's ``src/`` and ``perfbench/`` are unpacked with ``golden_diff.unpack``
+into a temporary directory, and the working tree's ``src/`` and
+``perfbench/`` are copied next to it when the script starts, so editing
+the checkout during a run changes neither side.  Each side runs its own,
+unmodified ``perfbench/run.py`` at its default run length, which each
+record keeps as ``env.seconds``.  For every workload that
+``BENCHMARK.json`` gates, the script runs N pairs with seeds 71, 72, ...;
+the side that runs first alternates, REV first in the first pair.  Then
+both sides make one traced run, ``--workload all --trace 1 --seed 41``.
 
 The JSON document on standard output holds ``pairs`` (each side's
 ``perfbench/out/result-*.json`` record as written), ``traced`` (each
 side's traced record per workload) and ``summary``: per gated workload
 and end-to-end metric, the quartiles of each side
 (``statistics.quantiles``, inclusive), the ratio of the medians and the
-number of pairs the working tree wins.  Progress goes to standard error.
-Exit code: 0 on success, 2 when a side cannot be unpacked or run.
+number of pairs the working tree wins; it is written with
+``json.dump(indent=1)``.  Progress goes to standard error.  Exit code: 0
+on success, 2 when a side cannot be unpacked or run.
 """
 
 from __future__ import annotations
@@ -33,18 +35,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from golden_diff import ROOT, unpack
+
 FIRST_SEED = 71
 TRACE_SEED = 41
 CHANGE = "change"
 PARENT = "parent"
-
-
-def unpack(rev: str, dest: Path):
-    """REV's src/ and perfbench/ under dest."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src", "perfbench"],
-                             stdout=subprocess.PIPE, check=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def copy_worktree(dest: Path):
@@ -54,29 +50,15 @@ def copy_worktree(dest: Path):
         shutil.copytree(ROOT / name, dest / name, ignore=skip)
 
 
-def run(side: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(side: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run on a side; each workload's result record by name."""
     cmd = [sys.executable, str(side / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--trace", str(trace)]
     print(f"{side.name}: {' '.join(cmd[2:])}", file=sys.stderr, flush=True)
     subprocess.run(cmd, cwd=side, stdout=subprocess.DEVNULL, check=True)
     out = side / "perfbench" / "out"
     return {path.name.split("-seed")[0][len("result-"):]: json.loads(path.read_text())
             for path in sorted(out.glob(f"result-*-seed{seed}-trace{trace}.json"))}
-
-
-def layout(obj, depth: int = 0) -> str:
-    """JSON with one key per line down to the records and metric summaries,
-    each of which is one compact line, as in BENCH_7.json."""
-    if depth == 3 or not isinstance(obj, (dict, list)):
-        return json.dumps(obj, separators=(",", ":"))
-    pad = " " * (depth + 1)
-    if isinstance(obj, dict):
-        items = [f"{pad}{json.dumps(k)}: {layout(v, depth + 1)}" for k, v in obj.items()]
-    else:
-        items = [pad + layout(v, depth + 1) for v in obj]
-    ends = "{}" if isinstance(obj, dict) else "[]"
-    return ends[0] + "\n" + ",\n".join(items) + "\n" + " " * depth + ends[1]
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
@@ -104,7 +86,6 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev")
     ap.add_argument("n", type=int, help="pairs per gated workload")
-    ap.add_argument("--seconds", type=float, default=50.0)
     args = ap.parse_args(argv)
     if args.n < 1:
         ap.error("N must be at least 1")
@@ -118,7 +99,7 @@ def main(argv: list[str]) -> int:
             sides = {PARENT: Path(tmp) / PARENT, CHANGE: Path(tmp) / CHANGE}
             for path in sides.values():
                 path.mkdir()
-            unpack(commit, sides[PARENT])
+            unpack(commit, sides[PARENT], "src", "perfbench")
             copy_worktree(sides[CHANGE])
             pairs, summary = [], {}
             for workload in gated:
@@ -126,7 +107,7 @@ def main(argv: list[str]) -> int:
                 for i in range(args.n):
                     seed = FIRST_SEED + i
                     order = (PARENT, CHANGE) if i % 2 == 0 else (CHANGE, PARENT)
-                    res = {side: run(sides[side], workload, seed, args.seconds, 0)[workload]
+                    res = {side: run(sides[side], workload, seed, 0)[workload]
                            for side in order}
                     done.append({"workload": workload, "seed": seed, "first": order[0],
                                  PARENT: res[PARENT], CHANGE: res[CHANGE]})
@@ -134,7 +115,7 @@ def main(argv: list[str]) -> int:
                 summary[workload] = summarize(done, spec["end_to_end"])
             traced = {"seed": TRACE_SEED}
             for side in (PARENT, CHANGE):
-                traced[side] = run(sides[side], "all", TRACE_SEED, args.seconds, 1)
+                traced[side] = run(sides[side], "all", TRACE_SEED, 1)
     except subprocess.CalledProcessError as exc:
         print(f"bench_pairs: {' '.join(map(str, exc.cmd))} exited {exc.returncode}",
               file=sys.stderr)
@@ -146,13 +127,13 @@ def main(argv: list[str]) -> int:
                         f"(--workload all --trace 1 --seed {TRACE_SEED}). Each result is "
                         "the perfbench/out/result-*.json record as written."),
         "parent_commit": commit,
-        "command": (f"python3 perfbench/run.py --workload W --seed N "
-                    f"--seconds {args.seconds:g} --trace 0"),
+        "command": "python3 perfbench/run.py --workload W --seed N --trace 0",
         "pairs": pairs,
         "traced": traced,
         "summary": summary,
     }
-    sys.stdout.write(layout(doc) + "\n")
+    json.dump(doc, sys.stdout, indent=1)
+    sys.stdout.write("\n")
     return 0
 
 

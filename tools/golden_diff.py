@@ -28,6 +28,13 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tools" / "golden.py"
 
 
+def unpack(rev: str, dest: Path, *paths: str):
+    """REV's paths under dest: ``git archive REV paths | tar -x -C dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, *paths],
+                             stdout=subprocess.PIPE, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def src_lines(root: Path) -> int:
     """Newlines in src/bohrkit/*.py, as ``wc -l`` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "bohrkit").glob("*.py"))
@@ -47,9 +54,7 @@ def main(argv: list[str]) -> int:
     try:
         with tempfile.TemporaryDirectory() as tmp:
             old = Path(tmp)
-            archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                                     stdout=subprocess.PIPE, check=True).stdout
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            unpack(rev, old, "src")
             (old / "tools").mkdir()
             shutil.copy(GOLDEN, old / "tools" / "golden.py")
             sides = [(rev, src_lines(old), dump(old)),
