@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -24,7 +25,7 @@ import sys
 import numpy as np
 
 from . import weights as wt
-from .errors import (AccuracyError, DomainError, NoRootError,
+from .errors import (AccuracyError, BohrkitError, DomainError, NoRootError,
                      NotFalsifiableError, NoWitnessError, UsageError)
 from .functionals import FAMILIES, FunctionalParams, a_refinement
 from .radii import RadiusProblem, classical_crosscheck, solve_radius
@@ -40,6 +41,20 @@ EXIT_VERIFICATION = 3
 EXIT_ACCURACY = 4
 
 _IDENTITY_TOL = 1e-10
+
+
+class _Violated(BohrkitError):
+    """A suite ran to the end and its report says the check failed."""
+
+
+# a failed run prints "<prefix>: <message>" of the first MRO class found here
+_FAILURES = {
+    UsageError: ("usage error", EXIT_USAGE),
+    DomainError: ("usage error", EXIT_USAGE),
+    NoRootError: ("no root", EXIT_NO_ROOT),
+    _Violated: ("verification failure", EXIT_VERIFICATION),
+    AccuracyError: ("accuracy error", EXIT_ACCURACY),
+}
 
 # the most values one range, and the most rows one table, may have; both
 # counts are worked out from the numbers before anything is built
@@ -106,9 +121,7 @@ def _int_in(lo: int, hi: float = math.inf):
 
 
 def _load_weights(spec: str) -> wt.WeightSequence:
-    if spec == "power":
-        return wt.power()
-    return wt.from_json(spec)
+    return wt.power() if spec == "power" else wt.from_json(spec)
 
 
 def _make_problem(family: str, w: wt.WeightSequence, m: int, p: float,
@@ -119,9 +132,7 @@ def _make_problem(family: str, w: wt.WeightSequence, m: int, p: float,
 
 def _emit(text: str, path: str | None):
     if path in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
@@ -210,21 +221,24 @@ def _problem_from_args(args) -> RadiusProblem:
                          _single(args, "n", _cast_int))
 
 
-def cmd_radius(args) -> int:
+def _report(record: dict, ok: bool = True, why: str = ""):
+    """A command's JSON text, and the error that ends the run once it is written."""
+    return json.dumps(record, indent=2), None if ok else _Violated(why)
+
+
+def cmd_radius(args):
     prob = _problem_from_args(args)
     cert = solve_radius(prob)
-    record = {
+    return _report({
         "family": prob.family,
         "m": prob.params.m, "p": prob.params.p, "lambda": prob.params.lam,
         "q": prob.params.q,
         "radius": cert.radius,
         "bracket_lo": cert.bracket_lo, "bracket_hi": cert.bracket_hi,
-    }
-    _emit(json.dumps(record, indent=2), args.output)
-    return EXIT_OK
+    })
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     w = _load_weights(args.weights)
     ms = _parse_values(args.m, _cast_int)
     ps = _parse_values(args.p, float)
@@ -244,63 +258,44 @@ def cmd_table(args) -> int:
     failures = 0
     for m, p, lam, q in grid:
         try:
-            prob = _make_problem(args.family, w, m, p, lam, q, n)
-            cert = solve_radius(prob)
-            writer.writerow([args.family, m, _fmt(p), _fmt(lam), q,
-                             _fmt(cert.radius),
-                             _fmt(cert.bracket_hi - cert.bracket_lo), "ok"])
-        except NoRootError as exc:
-            log.info("row (%s, %s, %s, %s) failed: %s", m, p, lam, q, exc)
-            writer.writerow([args.family, m, _fmt(p), _fmt(lam), q,
-                             "", "", "no-root"])
+            cert = solve_radius(_make_problem(args.family, w, m, p, lam, q, n))
+            cells = [_fmt(cert.radius), _fmt(cert.bracket_hi - cert.bracket_lo), "ok"]
+        except (NoRootError, DomainError) as exc:
+            cells = ["", "", "no-root" if isinstance(exc, NoRootError) else "invalid"]
+            log.info("row (%s, %s, %s, %s) %s: %s", m, p, lam, q, cells[2], exc)
             failures += 1
-        except DomainError as exc:
-            log.info("row (%s, %s, %s, %s) invalid: %s", m, p, lam, q, exc)
-            writer.writerow([args.family, m, _fmt(p), _fmt(lam), q,
-                             "", "", "invalid"])
-            failures += 1
-    _emit(buf.getvalue(), args.output)
-    return EXIT_NO_ROOT if failures == len(grid) else EXIT_OK
+        writer.writerow([args.family, m, _fmt(p), _fmt(lam), q, *cells])
+    return buf.getvalue(), failures == len(grid) and NoRootError(
+        f"none of the {failures} table rows has a radius")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     prob = _problem_from_args(args)
     report = verify_below_radius(prob, r_points=args.r_points,
                                  margin=args.margin, mode=args.mode,
                                  seed=args.seed,
                                  blaschke_count=args.blaschke)
-    _emit(report.to_json(indent=2), args.output)
-    if not report.verified:
-        log.error("max violation %.3g at family %s", report.max_violation,
-                  prob.family)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    return _report(report.to_dict(), report.verified,
+                   f"max violation {report.max_violation:.3g} at family {prob.family}")
 
 
-def cmd_sharpness(args) -> int:
+def cmd_sharpness(args):
     prob = _problem_from_args(args)
     cert = solve_radius(prob)
+    record = {"family": prob.family, "radius": cert.radius, "witness": None}
     try:
-        witness = sharpness_witness(prob, args.delta, cert)
+        record["witness"] = dataclasses.asdict(sharpness_witness(prob, args.delta, cert))
     except (NotFalsifiableError, NoWitnessError) as exc:
-        _emit(json.dumps({"family": prob.family, "radius": cert.radius,
-                          "witness": None, "reason": str(exc)}, indent=2),
-              args.output)
-        return EXIT_VERIFICATION
-    _emit(json.dumps({"family": prob.family, "radius": cert.radius,
-                      "witness": {"a": witness.a, "r": witness.r,
-                                  "excess": witness.excess}}, indent=2),
-          args.output)
-    return EXIT_OK
+        record["reason"] = str(exc)
+    return _report(record, "reason" not in record, record.get("reason"))
 
 
-def cmd_check_lemmas(args) -> int:
+def cmd_check_lemmas(args):
     out = check_lemmas(args.trials, args.seed, _load_weights(args.weights))
-    _emit(json.dumps(out, indent=2), args.output)
-    return EXIT_OK if out["status"] == "ok" else EXIT_VERIFICATION
+    return _report(out, out["status"] == "ok", "a lemma suite misses its documented bound")
 
 
-def cmd_identity_check(args) -> int:
+def cmd_identity_check(args):
     n = args.grid
     a_grid = np.linspace(0.0, 0.98, n)
     r_grid = np.linspace(0.0, 0.9, n)
@@ -331,38 +326,29 @@ def cmd_identity_check(args) -> int:
                               "classical": rc, "psi": rp})
                 pair_dev = max(pair_dev, abs(rc - rp))
     ok = max(t5_dev, refine_dev, pair_dev) <= _IDENTITY_TOL
-    out = {"t5_identity_max_dev": t5_dev,
-           "refinement_identity_max_dev": refine_dev,
-           "crosscheck_max_gap": pair_dev,
-           "crosscheck_pairs": pairs,
-           "status": "ok" if ok else "violated"}
-    _emit(json.dumps(out, indent=2), args.output)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return _report({"t5_identity_max_dev": t5_dev,
+                    "refinement_identity_max_dev": refine_dev,
+                    "crosscheck_max_gap": pair_dev,
+                    "crosscheck_pairs": pairs,
+                    "status": "ok" if ok else "violated"},
+                   ok, f"an identity deviates by more than {_IDENTITY_TOL:g}")
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("BOHRKIT_LOG", "error").lower()
-    logging.basicConfig(
-        stream=sys.stderr,
-        level={"error": logging.ERROR, "info": logging.INFO,
-               "debug": logging.DEBUG}.get(level, logging.ERROR),
-        format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
+    level = os.environ.get("BOHRKIT_LOG", "error").upper()
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s",
+                        level=level if level in ("INFO", "DEBUG") else "ERROR")
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NoRootError as exc:
-        print(f"no root: {exc}", file=sys.stderr)
-        return EXIT_NO_ROOT
-    except AccuracyError as exc:
-        print(f"accuracy error: {exc}", file=sys.stderr)
-        return EXIT_ACCURACY
-    except DomainError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        text, failure = args.func(args)
+        _emit(text, args.output)
+        if failure:
+            raise failure
+        return EXIT_OK
+    except tuple(_FAILURES) as exc:
+        prefix, code = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
+        print(f"{prefix}: {exc}".replace("\n", " "), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

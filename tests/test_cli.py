@@ -1,11 +1,13 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from bohrkit import cli, verify
+from bohrkit.errors import AccuracyError, NoWitnessError
 from bohrkit.cli import main
 
 
@@ -301,3 +303,98 @@ class TestSuites:
             doc.pop("elapsed")
             outs.append(doc)
         assert outs[0] == outs[1]
+
+
+def no_root_weights(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"kind": "scaled_power", "coeffs": [1.0] + [0.0] * 63,
+                                "rho": 0.5, "C": 1.0}))
+    return str(path)
+
+
+class TestOneFailureLine:
+    """Every nonzero exit prints one stderr line, written by ``main`` alone."""
+
+    def test_verify_violation(self, capsys, monkeypatch):
+        real = cli.verify_below_radius
+
+        def violated(*args, **kw):
+            return dataclasses.replace(real(*args, **kw), max_violation=0.5)
+        monkeypatch.setattr(cli, "verify_below_radius", violated)
+        code, out, err = run(capsys, "verify", "--family", "psi1",
+                             "--r-points", "4", "--blaschke", "0")
+        assert code == cli.EXIT_VERIFICATION
+        assert json.loads(out)["status"] == "violated"
+        assert err == "verification failure: max violation 0.5 at family psi1\n"
+
+    def test_sharpness_without_witness(self, capsys, monkeypatch):
+        def none_found(*args, **kw):
+            raise NoWitnessError("psi1: none found")
+        monkeypatch.setattr(cli, "sharpness_witness", none_found)
+        code, out, err = run(capsys, "sharpness", "--family", "psi1")
+        assert code == cli.EXIT_VERIFICATION
+        doc = json.loads(out)
+        assert list(doc) == ["family", "radius", "witness", "reason"]
+        assert doc["witness"] is None and doc["reason"] == "psi1: none found"
+        assert err == "verification failure: psi1: none found\n"
+
+    def test_check_lemmas_violated(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_lemmas", lambda *args: {"status": "violated"})
+        code, out, err = run(capsys, "check-lemmas", "--trials", "1")
+        assert code == cli.EXIT_VERIFICATION
+        assert json.loads(out) == {"status": "violated"}
+        assert err.startswith("verification failure:") and err.count("\n") == 1
+
+    def test_identity_check_violated(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "classical_crosscheck",
+                            lambda m, p_case: [("psi1", 0.25, 0.5)])
+        code, out, err = run(capsys, "identity-check", "--grid", "3")
+        assert code == cli.EXIT_VERIFICATION
+        doc = json.loads(out)
+        assert doc["status"] == "violated" and doc["crosscheck_max_gap"] == 0.25
+        assert err.startswith("verification failure:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("radius", "--family", "psi1"),
+        ("table", "--family", "psi1", "--m", "1,2"),
+        ("verify", "--family", "psi1"),
+        ("sharpness", "--family", "psi1"),
+    ])
+    def test_accuracy_error(self, capsys, monkeypatch, argv):
+        def inaccurate(*args, **kw):
+            raise AccuracyError("remainder 1e-9 above 1e-12")
+        monkeypatch.setattr(cli, "solve_radius", inaccurate)
+        monkeypatch.setattr(cli, "verify_below_radius", inaccurate)
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_ACCURACY and out == ""
+        assert err == "accuracy error: remainder 1e-9 above 1e-12\n"
+
+    def test_radius_without_root(self, capsys, tmp_path):
+        code, out, err = run(capsys, "radius", "--family", "psi1",
+                             "--weights", no_root_weights(tmp_path))
+        assert code == cli.EXIT_NO_ROOT and out == ""
+        assert err.startswith("no root:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, status", [
+        (("table", "--family", "psi5_t5", "--m", "0"), "invalid"),
+        (("table", "--family", "psi1", "--lambda", "nan"), "invalid"),
+        (("table", "--family", "psi1", "--p", "1,2", "--weights", None), "no-root"),
+    ])
+    def test_table_without_a_radius(self, capsys, tmp_path, argv, status):
+        argv = [no_root_weights(tmp_path) if a is None else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_NO_ROOT
+        rows = out.strip().split("\n")[1:]
+        assert rows and all(row.endswith("," + status) for row in rows)
+        assert err == f"no root: none of the {len(rows)} table rows has a radius\n"
+
+    def test_table_with_one_radius_exits_0(self, capsys):
+        code, out, err = run(capsys, "table", "--family", "psi5_t5", "--m", "0,1")
+        assert code == cli.EXIT_OK and err == ""
+        assert [row.rsplit(",", 1)[1] for row in out.strip().split("\n")[1:]] == [
+            "invalid", "ok"]
+
+    def test_message_newlines_are_flattened(self, capsys):
+        code, _, err = run(capsys, "radius", "--family", "psi1", "extra\nword")
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and err.count("\n") == 1
