@@ -51,6 +51,7 @@ class _Violated(BohrkitError):
 _FAILURES = {
     UsageError: ("usage error", EXIT_USAGE),
     DomainError: ("usage error", EXIT_USAGE),
+    OSError: ("usage error", EXIT_USAGE),  # an --output that cannot be written
     NoRootError: ("no root", EXIT_NO_ROOT),
     _Violated: ("verification failure", EXIT_VERIFICATION),
     AccuracyError: ("accuracy error", EXIT_ACCURACY),

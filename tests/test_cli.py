@@ -127,6 +127,18 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "radius", "--family", "psi1", "--p", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("command", [
+        ("radius", "--family", "psi1"),
+        ("table", "--family", "psi1", "--m", "1,2"),
+    ])
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_output(self, capsys, tmp_path, command, target):
+        code, out, err = run(capsys, *command, "--output", str(tmp_path / target))
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert str(tmp_path) in err
+        assert not (tmp_path / "missing").exists()
+
     def test_psi0_not_positive(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"kind": "scaled_power",
