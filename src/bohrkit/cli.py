@@ -64,8 +64,8 @@ MAX_TABLE_ROWS = 100_000
 # functional value hold one column per point
 _MAX_R_POINTS = 100_000
 # the most random Blaschke products one verify or check-lemmas run may build:
-# each holds 4097 complex128 coefficients (64 KiB) and the run keeps them all,
-# so 2000 products hold 128 MiB
+# each holds 4097 complex128 coefficients (64 KiB); verify keeps its whole
+# population, 128 MiB at 2000, while check-lemmas holds one product at a time
 _MAX_PRODUCTS = 2000
 # the largest identity-check grid: its lambda-family identity holds about five
 # grid x grid float64 arrays at once, 40 MB at 1000

@@ -1,6 +1,7 @@
 """Below-radius verification, sharpness witnesses, and lemma suites."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -58,6 +59,8 @@ class TestVerifyBelowRadius:
         assert doc["r_grid_size"] == 16
         assert doc["bracket"][0] <= doc["radius"] <= doc["bracket"][1]
         assert doc["trials"] == doc["n_functions"] * 16
+        assert doc["witness"] is None  # kept in the JSON; the report has no such field
+        assert not hasattr(report, "witness")
 
     def test_given_certificate_same_report(self):
         pr = prob("psi2", PW, m=2, p=1.5)
@@ -204,6 +207,38 @@ class TestLemmaCoeff:
     def test_trials_validation(self):
         with pytest.raises(DomainError):
             check_lemma_coeff(0)
+
+    def test_products_built_one_at_a_time(self, monkeypatch):
+        real = verify.random_blaschke
+        alive, most = [], 0
+
+        def tracked(degree, seed):
+            nonlocal most
+            f = real(degree, seed)
+            alive.append(weakref.ref(f))
+            most = max(most, sum(ref() is not None for ref in alive))
+            return f
+
+        monkeypatch.setattr(verify, "random_blaschke", tracked)
+        check_lemma_coeff(30, 42)
+        assert len(alive) == 30
+        assert most <= 2  # the product being built and the one just checked
+
+    def test_same_slack_as_the_whole_pool(self):
+        # the pool built up front, with the draws of the run itself
+        rs = np.linspace(0.0, 0.9, 19)
+        rng = np.random.default_rng(7)
+        pool = [moebius_plus(a) for a in verify.MOEBIUS_A_GRID]
+        pool += [verify.moebius_minus(a) for a in (0.3, 0.7, 0.95)]
+        pool += [verify.random_blaschke(int(rng.integers(1, 9)),
+                                        int(rng.integers(0, 2 ** 31)))
+                 for _ in range(25)]
+        blk = verify._Block(PW, rs, max(f.truncation_order for f in pool))
+        slack = max(float(np.max(verify._bohr_sum_arr(f, blk, 1)
+                                 + verify._a_refinement_arr(f, blk)
+                                 - (1.0 - abs(f.coeffs[0]) ** 2) * PW.tail(1, rs)))
+                    for f in pool)
+        assert check_lemma_coeff(25, 7) == slack
 
 
 class TestLemmaD:
