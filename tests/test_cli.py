@@ -381,6 +381,12 @@ class TestOneFailureLine:
         assert code == cli.EXIT_ACCURACY and out == ""
         assert err == "accuracy error: remainder 1e-9 above 1e-12\n"
 
+    def test_uncertifiable_lacunary_sum(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "classical_d", "--n", "1000",
+                             "--r-points", "3", "--blaschke", "1")
+        assert code == cli.EXIT_ACCURACY and out == ""
+        assert err.startswith("accuracy error:") and err.count("\n") == 1
+
     def test_radius_without_root(self, capsys, tmp_path):
         code, out, err = run(capsys, "radius", "--family", "psi1",
                              "--weights", no_root_weights(tmp_path))

@@ -20,7 +20,12 @@ rows with m >= q, which are invalid), ``identity-check``, and small
 ``verify`` and ``sharpness`` runs for every family under power weights and
 for the weighted families psi1-psi4 and classical_c under c_n = 1/(n+1),
 and ``check-lemmas --trials 20`` under both weights.  The ``elapsed``
-field of ``verify`` reports is dropped, since it is a timing.
+field of ``verify`` reports is dropped, since it is a timing.  Failure
+paths end the command set: usage errors (exit 1), ``radius`` and ``table``
+under the no-root weights and tables whose every row is invalid (exit 2),
+a ``sharpness`` run whose window holds no witness (exit 3) and a
+``verify`` run whose lacunary sum cannot be certified (exit 4).  Only
+stdout and the exit code are dumped; stderr is not.
 
 The functional set: ``evaluate_family`` for every family in both modes on
 one extremal member of each kind, a Blaschke product and its Schwarz
@@ -62,6 +67,8 @@ WEIGHTED = PSI + ("classical_c",)
 R_GRID = np.array([0.0, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6])
 R_SCALAR = 0.25
 CERT_FIELDS = tuple(f.name for f in dataclasses.fields(RootCertificate))
+# c_0 = 1 and no other weight: Psi stays positive, so no radius exists
+NO_ROOT_COEFFS = [1.0] + [0.0] * 63
 
 
 def harmonic_weights():
@@ -109,7 +116,7 @@ def problems() -> list[tuple[str, RadiusProblem]]:
                 for fam in PSI:
                     add(f"scaled-{name}", fam, w, m=m, p=p)
         add(f"scaled-{name}", "classical_c", w)
-    add("no-root", "psi1", wt.scaled_power(np.r_[1.0, np.zeros(63)], rho=0.5, C=1.0))
+    add("no-root", "psi1", wt.scaled_power(NO_ROOT_COEFFS, rho=0.5, C=1.0))
     return out
 
 
@@ -129,7 +136,7 @@ def certificate_lines() -> list[str]:
     return lines
 
 
-def commands(weights_json: str) -> list[list[str]]:
+def commands(weights_json: str, no_root_json: str) -> list[list[str]]:
     radius = [["radius", "--family", fam, "--m", str(m), "--p", p]
               for fam in PSI for m in (1, 2) for p in ("0.5", "2")]
     radius += [["radius", "--family", fam, "--m", "2", "--p", "1",
@@ -153,12 +160,30 @@ def commands(weights_json: str) -> list[list[str]]:
         suites.append(["sharpness", "--family", fam, "--weights", weights])
     suites += [["check-lemmas", "--trials", "20", "--weights", weights]
                for weights in ("power", weights_json)]
-    return radius + tables + [["identity-check"]] + suites
+    failures = [
+        ["radius", "--family", "psi9"],
+        ["radius", "--family", "psi1", "--p", "3"],
+        ["radius", "--family", "psi1", "--m", "1e400"],
+        ["table", "--family", "psi1", "--m", "3..1"],
+        ["table", "--family", "psi1", "--p", "0..2:1e-12"],
+        ["verify", "--family", "psi1", "--margin", "nan"],
+        ["check-lemmas", "--trials", "0"],
+        ["identity-check", "--grid", "1001"],
+        ["radius", "--family", "psi1", "--weights", no_root_json],
+        ["table", "--family", "psi1", "--p", "1,2", "--weights", no_root_json],
+        ["table", "--family", "psi5_t5", "--m", "0"],
+        ["table", "--family", "psi1", "--lambda", "nan"],
+        ["sharpness", "--family", "psi1", "--delta", "1e-300"],
+        ["verify", "--family", "classical_d", "--n", "1000", "--r-points", "3",
+         "--blaschke", "1"],
+    ]
+    return radius + tables + [["identity-check"]] + suites + failures
 
 
-def command_lines(weights_json: str) -> list[str]:
+def command_lines(weights_json: str, no_root_json: str) -> list[str]:
+    shown_as = {weights_json: "WEIGHTS.json", no_root_json: "NO_ROOT.json"}
     lines = []
-    for argv in commands(weights_json):
+    for argv in commands(weights_json, no_root_json):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
@@ -167,7 +192,7 @@ def command_lines(weights_json: str) -> list[str]:
             report = json.loads(text)
             report.pop("elapsed")
             text = json.dumps(report, indent=2)
-        shown = " ".join("WEIGHTS.json" if a == weights_json else a for a in argv)
+        shown = " ".join(shown_as.get(a, a) for a in argv)
         lines.append(f"$ bohrkit {shown}  # exit {code}")
         lines.extend(text.splitlines())
     return lines
@@ -230,7 +255,11 @@ def main() -> int:
         Path(weights_json).write_text(json.dumps(
             {"kind": wt.SCALED_POWER, "coeffs": harmonic_weights().coeffs.tolist(),
              "rho": 1.0, "C": 1.0}))
-        lines = certificate_lines() + command_lines(weights_json) + functional_lines()
+        no_root_json = str(Path(tmp) / "no-root.json")
+        Path(no_root_json).write_text(json.dumps(
+            {"kind": wt.SCALED_POWER, "coeffs": NO_ROOT_COEFFS, "rho": 0.5, "C": 1.0}))
+        lines = (certificate_lines() + command_lines(weights_json, no_root_json)
+                 + functional_lines())
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
