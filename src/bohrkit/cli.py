@@ -4,9 +4,11 @@ Subcommands: ``radius`` (one certified radius), ``table`` (parameter
 sweep to CSV), ``verify`` / ``sharpness`` / ``check-lemmas`` /
 ``identity-check`` (verification suites emitting JSON).
 
-Exit codes: 0 success, 1 usage error, 2 no root, 3 verification failure,
-4 accuracy error.  Set BOHRKIT_LOG to error/info/debug for progress
-messages on stderr.
+Exit codes: 0 success, 1 usage error (an unwritable --output too), 2 no
+root (a table whose every row fails, after its CSV), 3 verification
+failure, 4 accuracy error; a nonzero exit prints one stderr line, "<name
+of the exit>: <message>".  Set BOHRKIT_LOG to error (the default), info
+or debug for progress messages on stderr.
 """
 
 from __future__ import annotations
