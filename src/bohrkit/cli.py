@@ -268,7 +268,7 @@ def cmd_table(args):
             log.info("row (%s, %s, %s, %s) %s: %s", m, p, lam, q, cells[2], exc)
             failures += 1
         writer.writerow([args.family, m, _fmt(p), _fmt(lam), q, *cells])
-    return buf.getvalue(), failures == len(grid) and NoRootError(
+    return buf.getvalue(), None if failures < len(grid) else NoRootError(
         f"none of the {failures} table rows has a radius")
 
 
@@ -290,7 +290,7 @@ def cmd_sharpness(args):
         record["witness"] = dataclasses.asdict(sharpness_witness(prob, args.delta, cert))
     except (NotFalsifiableError, NoWitnessError) as exc:
         record["reason"] = str(exc)
-    return _report(record, "reason" not in record, record.get("reason"))
+    return _report(record, "reason" not in record, record.get("reason", ""))
 
 
 def cmd_check_lemmas(args):

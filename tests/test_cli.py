@@ -11,6 +11,10 @@ from bohrkit.errors import AccuracyError, NoWitnessError
 from bohrkit.cli import main
 
 
+# the stderr line of a table none of whose rows has a radius
+NO_RADIUS = "no root: none of the {} table rows has a radius\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -81,28 +85,43 @@ class TestTable:
         path.write_text(json.dumps({"kind": "scaled_power",
                                     "coeffs": [1.0] + [0.0] * 63,
                                     "rho": 0.5, "C": 1.0}))
-        code, out, _ = run(capsys, "table", "--family", "psi1",
-                           "--weights", str(path))
+        code, out, err = run(capsys, "table", "--family", "psi1",
+                             "--weights", str(path))
         assert code == 2
         assert out.strip().split("\n")[1].endswith("no-root")
+        assert err == NO_RADIUS.format(1)
 
     def test_psi0_not_positive_rows_invalid(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"kind": "scaled_power",
                                     "coeffs": [0.0, 0.5, 0.25],
                                     "rho": 0.5, "C": 1.0}))
-        code, out, _ = run(capsys, "table", "--family", "psi3",
-                           "--p", "1,2", "--weights", str(path))
+        code, out, err = run(capsys, "table", "--family", "psi3",
+                             "--p", "1,2", "--weights", str(path))
         assert code == 2
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 2
         assert all(row.endswith("invalid") for row in rows)
+        assert err == NO_RADIUS.format(2)
+
+    def test_m_zero_row_invalid(self, capsys):
+        code, out, err = run(capsys, "table", "--family", "psi5_t5", "--m", "0")
+        assert code == 2
+        assert out.strip().split("\n")[1:] == ["psi5_t5,0,1,1,2,,,invalid"]
+        assert err == NO_RADIUS.format(1)
+
+    def test_one_radius_is_enough(self, capsys):
+        code, out, err = run(capsys, "table", "--family", "psi5_t5", "--m", "0,1")
+        assert code == 0 and err == ""
+        statuses = [row.rsplit(",", 1)[1] for row in out.strip().split("\n")[1:]]
+        assert statuses == ["invalid", "ok"]
 
     def test_invalid_rows(self, capsys):
-        code, out, _ = run(capsys, "table", "--family", "psi5_t6",
-                           "--m", "2", "--q", "2")
+        code, out, err = run(capsys, "table", "--family", "psi5_t6",
+                             "--m", "2", "--q", "2")
         assert code == 2
         assert out.strip().split("\n")[1].endswith("invalid")
+        assert err == NO_RADIUS.format(1)
 
 
 class TestUsageErrors:
@@ -256,9 +275,10 @@ class TestUsageErrors:
         assert code == 2 and "reached the worker" in err
 
     def test_nan_lambda_table_row_invalid(self, capsys):
-        code, out, _ = run(capsys, "table", "--family", "psi1", "--lambda", "nan")
+        code, out, err = run(capsys, "table", "--family", "psi1", "--lambda", "nan")
         assert code == 2
         assert out.strip().split("\n")[1].endswith("invalid")
+        assert err == NO_RADIUS.format(1)
 
 
 class TestSuites:
@@ -315,13 +335,6 @@ class TestSuites:
             doc.pop("elapsed")
             outs.append(doc)
         assert outs[0] == outs[1]
-
-
-def no_root_weights(tmp_path):
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps({"kind": "scaled_power", "coeffs": [1.0] + [0.0] * 63,
-                                "rho": 0.5, "C": 1.0}))
-    return str(path)
 
 
 class TestOneFailureLine:
@@ -388,29 +401,12 @@ class TestOneFailureLine:
         assert err.startswith("accuracy error:") and err.count("\n") == 1
 
     def test_radius_without_root(self, capsys, tmp_path):
-        code, out, err = run(capsys, "radius", "--family", "psi1",
-                             "--weights", no_root_weights(tmp_path))
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"kind": "scaled_power", "coeffs": [1.0] + [0.0] * 63,
+                                    "rho": 0.5, "C": 1.0}))
+        code, out, err = run(capsys, "radius", "--family", "psi1", "--weights", str(path))
         assert code == cli.EXIT_NO_ROOT and out == ""
         assert err.startswith("no root:") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("argv, status", [
-        (("table", "--family", "psi5_t5", "--m", "0"), "invalid"),
-        (("table", "--family", "psi1", "--lambda", "nan"), "invalid"),
-        (("table", "--family", "psi1", "--p", "1,2", "--weights", None), "no-root"),
-    ])
-    def test_table_without_a_radius(self, capsys, tmp_path, argv, status):
-        argv = [no_root_weights(tmp_path) if a is None else a for a in argv]
-        code, out, err = run(capsys, *argv)
-        assert code == cli.EXIT_NO_ROOT
-        rows = out.strip().split("\n")[1:]
-        assert rows and all(row.endswith("," + status) for row in rows)
-        assert err == f"no root: none of the {len(rows)} table rows has a radius\n"
-
-    def test_table_with_one_radius_exits_0(self, capsys):
-        code, out, err = run(capsys, "table", "--family", "psi5_t5", "--m", "0,1")
-        assert code == cli.EXIT_OK and err == ""
-        assert [row.rsplit(",", 1)[1] for row in out.strip().split("\n")[1:]] == [
-            "invalid", "ok"]
 
     def test_message_newlines_are_flattened(self, capsys):
         code, _, err = run(capsys, "radius", "--family", "psi1", "extra\nword")

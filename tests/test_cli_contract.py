@@ -64,7 +64,8 @@ WEIGHT_FILES = {
 # "@name" stands for that file (or directory, or missing path) in the test's
 # temporary directory
 VALID_WEIGHTS = ("power", "@valid", "@no-root", "@power")
-BAD_WEIGHTS = ("@missing", "@dir") + tuple(f"@{n}" for n in list(WEIGHT_FILES)[3:])
+BAD_WEIGHTS = ("@missing", "@dir") + tuple(
+    f"@{name}" for name in WEIGHT_FILES if f"@{name}" not in VALID_WEIGHTS)
 OUTPUT = (("-", "@out"), ("@missing/out.txt", "@dir"))
 
 # flag -> (valid values, hostile values); a size flag is always given, so a
