@@ -7,8 +7,8 @@ import math
 import pytest
 
 from bohrkit import cli, verify
-from bohrkit.errors import AccuracyError, NoWitnessError
 from bohrkit.cli import main
+from bohrkit.errors import AccuracyError, NoWitnessError
 
 
 # the stderr line of a table none of whose rows has a radius
