@@ -19,6 +19,7 @@ on the end point.  The Psi functions themselves live in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ BRACKET_WIDTH = 1e-13
 # the tail is cut to a few hundred terms by the chunk's largest r, large
 # enough that the per-call overhead of psi_eval stays below the work
 _SCAN_CHUNK = 64
+# bisection steps per psi_eval call: the 2**5 - 1 dyadic midpoints of the
+# bracket cost about one call's fixed work, and the steps replay on them
+_BISECT_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -111,13 +115,50 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     lo, hi = float(cells[i]), float(cells[i + 1])
     flo, fhi = float(vals[i]), float(vals[i + 1])
     while hi - lo > BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        fm = float(psi_eval(prob, mid))
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
+        # replay _BISECT_LEVELS steps of the sequential bisection on one batch
+        pts = _dyadic_points(lo, hi)
+        fs = _bisect_values(prob, pts[1:-1], scaled)
+        a, b = 0, pts.size - 1
+        while b - a > 1 and hi - lo > BRACKET_WIDTH:
+            k = (a + b) // 2
+            mid, fm = float(pts[k]), fs[k - 1]
+            if np.sign(fm) == np.sign(flo):
+                a, lo, flo = k, mid, fm
+            else:
+                b, hi, fhi = k, mid, fm
     return RootCertificate(0.5 * (lo + hi), lo, hi, flo, fhi, SCAN_STEP)
+
+
+def _dyadic_points(lo: float, hi: float) -> np.ndarray:
+    """lo, the 2**_BISECT_LEVELS - 1 dyadic midpoints of (lo, hi) and hi,
+    built level by level with the bisection's own ``0.5 * (a + b)``, so
+    that ``pts[(i + j) // 2]`` is the midpoint of ``pts[i]`` and ``pts[j]``
+    for every bracket the bisection can reach."""
+    n = 2 ** _BISECT_LEVELS
+    pts = np.empty(n + 1)
+    pts[0], pts[n] = lo, hi
+    step = n
+    while step > 1:
+        half = step // 2
+        pts[half::step] = 0.5 * (pts[:-half:step] + pts[step::step])
+        step = half
+    return pts
+
+
+def _bisect_values(prob: RadiusProblem, mids: np.ndarray, scaled: bool) -> list:
+    """Psi at each of the ascending midpoints, each equal to its value on
+    a one-point grid.  A scaled-power tail cuts its sum at an index set by
+    the grid's largest r, so a batch is one call only where the cut at
+    its first and last point agree (the cut is nondecreasing in r > 0);
+    otherwise each run of equal cut is its own call.  Power weights and
+    closed-form Psi always take one call."""
+    w = prob.weights
+    if not scaled or w._tail_cut(mids[0]) == w._tail_cut(mids[-1]):
+        return psi_eval(prob, mids).tolist()
+    out = []
+    for _, run in itertools.groupby(mids.tolist(), w._tail_cut):
+        out += psi_eval(prob, np.array(list(run))).tolist()
+    return out
 
 
 def classical_crosscheck(m: int, p_case: int):

@@ -158,17 +158,22 @@ class WeightSequence:
             return lead * ((s + 1.0) - s * x) / (1.0 - x) ** 2
         return lead / (1.0 - x)
 
+    def _tail_cut(self, rmax: float) -> int:
+        """The stored terms a scaled-power tail sums on a grid whose largest
+        radius is rmax; beyond them the dominated terms are numerically
+        silent.  Nondecreasing in rmax > 0."""
+        L = self.coeffs.size
+        xmax = self.rho * rmax
+        if not 0.0 < xmax < 1.0:
+            return L
+        cut = math.log(_NEGLIGIBLE * (1.0 - xmax) / max(self.C, _NEGLIGIBLE))
+        return min(L, max(1, math.ceil(cut / math.log(xmax)) + 8))
+
     def _tail2(self, Ns: np.ndarray, rs: np.ndarray, weighted: bool) -> np.ndarray:
         if self.kind == POWER:
             return self._geom_tail(Ns[:, None], rs[None, :], weighted)
         x = self.rho * rs
-        L = self.coeffs.size
-        L_eff = L
-        xmax = x.max()
-        if 0.0 < xmax < 1.0:
-            # beyond this index the dominated terms are numerically silent
-            cut = math.log(_NEGLIGIBLE * (1.0 - xmax) / max(self.C, _NEGLIGIBLE))
-            L_eff = min(L, max(1, math.ceil(cut / math.log(xmax)) + 8))
+        L_eff = self._tail_cut(float(rs.max()))
         n = np.arange(L_eff)
         M = self.coeffs[:L_eff, None] * np.power(rs[None, :], n[:, None].astype(float))
         if weighted:

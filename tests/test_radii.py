@@ -211,28 +211,47 @@ class TestChunkedScan:
         assert cert.radius == pytest.approx(root, abs=1e-12)
 
     @staticmethod
-    def count_points(monkeypatch):
-        points = []
+    def record_calls(monkeypatch):
+        calls = []
 
-        def counting_psi_eval(pr, r):
-            points.append(np.size(r))
+        def recording_psi_eval(pr, r):
+            calls.append(np.atleast_1d(np.asarray(r, dtype=float)))
             return psi_eval(pr, r)
 
-        monkeypatch.setattr(radii, "psi_eval", counting_psi_eval)
-        return points
+        monkeypatch.setattr(radii, "psi_eval", recording_psi_eval)
+        return calls
+
+    @staticmethod
+    def root_cell(cert):
+        grid = scan_grid()
+        i = int(np.searchsorted(grid, cert.bracket_lo, side="right")) - 1
+        return grid[i], grid[i + 1]
 
     def test_scan_stops_after_root(self, monkeypatch):
-        points = self.count_points(monkeypatch)
+        # scan calls hold only grid points; bisection calls lie strictly
+        # inside the root's cell, so no point is both
+        calls = self.record_calls(monkeypatch)
         cert = solve_radius(prob("psi3", HARMONIC, p=1.0))
         assert cert.radius == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert sum(points) < 500
+        on_grid = [np.isin(pts, scan_grid()).all() for pts in calls]
+        scan = [pts.size for pts, g in zip(calls, on_grid) if g]
+        # the root 1/3 lies in cell 333, in the sixth chunk of 64 cells
+        assert scan == [radii._SCAN_CHUNK + 1] * 6
+        assert on_grid == [True] * len(scan) + [False] * (len(calls) - len(scan))
+        lo, hi = self.root_cell(cert)
+        bisect = calls[len(scan):]
+        assert all(np.all((lo < pts) & (pts < hi)) for pts in bisect)
+        assert 0 < len(bisect) <= BISECT_CALLS
 
     def test_closed_form_scan_is_one_call(self, monkeypatch):
         # power weights have closed-form tails: one call over the whole grid
         # costs less than several chunk calls
-        points = self.count_points(monkeypatch)
-        solve_radius(prob("psi1", PW, m=2, p=1.0))
-        assert [n for n in points if n > 1] == [scan_grid().size]
+        calls = self.record_calls(monkeypatch)
+        cert = solve_radius(prob("psi1", PW, m=2, p=1.0))
+        assert np.array_equal(calls[0], scan_grid())
+        lo, hi = self.root_cell(cert)
+        assert all(np.all((lo < pts) & (pts < hi)) for pts in calls[1:])
+        assert 0 < len(calls) - 1 <= BISECT_CALLS
 
 
 class TestMonotonicity:
@@ -409,3 +428,116 @@ class TestOracles:
         lo, hi = Fraction(cert.bracket_lo), Fraction(cert.bracket_hi)
         exact = EXACT_PSI[problem.family]
         assert exact(pm, lo, lo ** pm.m) > 0 >= exact(pm, hi, hi ** pm.m)
+
+
+# a 1e-3 cell takes 34 sequential steps to a 1e-13 bracket, and each call
+# replays radii._BISECT_LEVELS of them
+BISECT_CALLS = math.ceil(34 / radii._BISECT_LEVELS)
+
+
+def sequential_certificate(pr):
+    """The solver with one Psi call per bisection step: the oracle of the
+    batched bisection, which must reach the same certificate."""
+    grid = scan_grid()
+    scaled = pr.weights is not None and pr.weights.kind == wt.SCALED_POWER
+    chunk = radii._SCAN_CHUNK if scaled else grid.size - 1
+    for start in range(0, grid.size - 1, chunk):
+        cells = grid[start:start + chunk + 1]
+        vals = psi_eval(pr, cells)
+        flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0)[0]
+        flip = flip[np.sign(vals[flip]) != np.sign(vals[flip + 1])]
+        if flip.size:
+            break
+    i = int(flip[0])
+    lo, hi = float(cells[i]), float(cells[i + 1])
+    flo, fhi = float(vals[i]), float(vals[i + 1])
+    while hi - lo > radii.BRACKET_WIDTH:
+        mid = 0.5 * (lo + hi)
+        fm = float(psi_eval(pr, mid))
+        if np.sign(fm) == np.sign(flo):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    return radii.RootCertificate(0.5 * (lo + hi), lo, hi, flo, fhi, radii.SCAN_STEP)
+
+
+def chunk_boundary_problem(chunks, cell_offset):
+    """psi3 under c_n = 1/(n+1) with its root p/(2+p) in the middle of the
+    cell next to a chunk boundary, by p = 2r/(1-r)."""
+    grid = scan_grid()
+    k = chunks * radii._SCAN_CHUNK + cell_offset
+    root = 0.5 * (grid[k] + grid[k + 1])
+    return prob("psi3", HARMONIC, p=2.0 * root / (1.0 - root))
+
+
+def cut_change_problem():
+    """psi3 under c_n = 1/(n+1) with its root in the middle of the first
+    cell past 0.3 whose tail cut changes inside it, so that the first
+    batch of midpoints spans two cuts."""
+    grid = scan_grid()
+    for k in range(300, grid.size - 1):
+        root = 0.5 * (grid[k] + grid[k + 1])
+        mids = radii._dyadic_points(grid[k], grid[k + 1])[1:-1]
+        if HARMONIC._tail_cut(mids[0]) != HARMONIC._tail_cut(mids[-1]):
+            return prob("psi3", HARMONIC, p=2.0 * root / (1.0 - root))
+    raise AssertionError("no cell with a cut change")
+
+
+def oracle_problems():
+    """Problems whose batched certificate must equal the sequential one."""
+    out = [param.values[0] for param in power_problems()]
+    out += [prob(fam, HARMONIC, m=m, p=p) for fam in ("psi1", "psi2", "psi3", "psi4")
+            for m in (1, 2) for p in (1.0, 1.5)]
+    out += [prob("psi3", LATE, p=2.0), cut_change_problem()]
+    out += [chunk_boundary_problem(chunks, offset) for chunks in (1, 2) for offset in (-1, 0)]
+    return out
+
+
+class TestBatchedBisection:
+    @pytest.mark.parametrize("pr", oracle_problems(),
+                             ids=lambda pr: f"{pr.family}-{pr.weights and pr.weights.kind}")
+    def test_certificate_equals_sequential(self, pr):
+        assert solve_radius(pr) == sequential_certificate(pr)
+
+    @pytest.mark.parametrize("pr, end", [
+        (prob("psi2", PW, m=1, p=1.0), 0.2),
+        (prob("psi5_t6", m=1, p=1.0, lam=1.0, q=2), 0.5),
+    ], ids=("psi2", "psi5_t6"))
+    def test_exact_zero_end(self, pr, end):
+        # Psi vanishes on the end point, where the bracket must stop
+        cert = solve_radius(pr)
+        assert (cert.bracket_hi, cert.psi_hi) == (end, 0.0)
+        assert cert == sequential_certificate(pr)
+
+    def test_cut_change_splits_the_batch(self, monkeypatch):
+        calls = TestChunkedScan.record_calls(monkeypatch)
+        pr = cut_change_problem()
+        cert = solve_radius(pr)
+        lo, hi = TestChunkedScan.root_cell(cert)
+        cuts = [{HARMONIC._tail_cut(r) for r in pts} for pts in calls
+                if np.all((lo < pts) & (pts < hi))]
+        # each call holds one cut, and the first batch spans two
+        assert all(len(c) == 1 for c in cuts)
+        assert len(set.union(*cuts)) > 1
+        assert cert == sequential_certificate(pr)
+
+    @pytest.mark.parametrize("w", LEAN_WEIGHTS, ids=("power", "harmonic", "rho0.9"))
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_batch_equals_one_point_values(self, family, w):
+        rng = np.random.default_rng(7)
+        pr = RadiusProblem(family, FunctionalParams(m=2, p=1.5, q=3), w)
+        checked = 0
+        for _ in range(8):
+            lo = rng.uniform(0.01, 0.95)
+            mids = radii._dyadic_points(lo, lo + 10.0 ** rng.uniform(-13, -3))[1:-1]
+            if w.kind == wt.SCALED_POWER and w._tail_cut(mids[0]) != w._tail_cut(mids[-1]):
+                continue
+            checked += 1
+            assert np.array_equal(psi_eval(pr, mids), [psi_eval(pr, r) for r in mids])
+        assert checked >= 6
+
+    def test_criterion_7_solve_call_count(self, monkeypatch):
+        calls = TestChunkedScan.record_calls(monkeypatch)
+        solve_radius(prob("psi3", HARMONIC, p=1.0))
+        bisect = [pts for pts in calls if not np.isin(pts, scan_grid()).all()]
+        assert len(bisect) <= BISECT_CALLS
