@@ -296,6 +296,13 @@ class TestSuites:
         assert doc["witness"]["excess"] > 1e-12
         assert doc["witness"]["r"] > doc["radius"]
 
+    def test_sharpness_delta_below_double_spacing(self, capsys):
+        code, out, err = run(capsys, "sharpness", "--family", "psi1",
+                             "--delta", "1e-300")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "spacing of doubles" in err
+        assert err.count("\n") == 1
+
     def test_check_lemmas(self, capsys):
         code, out, _ = run(capsys, "check-lemmas", "--trials", "50")
         assert code == 0

@@ -179,6 +179,12 @@ class TestSharpnessWitness:
         with pytest.raises(DomainError):
             sharpness_witness(pr, 0.06)
 
+    def test_delta_below_double_spacing(self):
+        # R + delta == R: no point past the radius to test
+        pr = prob("psi1", PW)
+        with pytest.raises(DomainError, match="spacing of doubles"):
+            sharpness_witness(pr, 1e-300)
+
     def test_no_root_propagates(self):
         w = scaled_power(np.r_[1.0, np.zeros(63)], rho=0.5, C=1.0)
         with pytest.raises(NoRootError):
