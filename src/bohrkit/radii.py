@@ -6,10 +6,13 @@ fixed 1e-3 grid over [0, R_EDGE], sharpened by bisection to a bracket of
 width 1e-13.  Under scaled-power weights the grid is evaluated in chunks
 of 64 cells and the scan stops at the chunk holding the first sign change,
 so the points above the root are never evaluated; every other Psi is in
-closed form and is evaluated on the whole grid in one call.  Each of the
-about 34 bisection steps is one Psi on a one-point grid, so its cost is
-the fixed per-call work: the grid is validated once, in :func:`psi_eval`,
-and the Psi bodies read the weights' internals on it.  The bracket,
+closed form and is evaluated on the whole grid in one call.  The about
+34 bisection steps go in batches of five: one :func:`psi_eval` call holds
+the 31 dyadic midpoints of the bracket, and the sequential bisection is
+replayed on their values, so it reaches the same bracket in about seven
+calls.  Each value equals the one-point value at its midpoint; under
+scaled-power weights that holds where the batch's points share one tail
+cut, which the solver checks before each call.  The bracket,
 the signed values at its ends and the scan step are returned as a
 certificate, with ``psi_lo > 0 >= psi_hi``: the first sign change lies in
 ``(bracket_lo, bracket_hi]``, and ``psi_hi`` is 0.0 where Psi vanishes
@@ -88,7 +91,11 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     the first sign change, then bisects that cell.  Under scaled-power
     weights the grid goes in chunks of ``_SCAN_CHUNK`` cells and the scan
     stops in the first chunk whose values change sign; consecutive chunks
-    share their boundary point, so every grid cell is examined.  Raises
+    share their boundary point, so every grid cell is examined.  The
+    bisection evaluates ``_BISECT_LEVELS`` steps per call on the bracket's
+    dyadic midpoints and replays the steps on them; a scaled-power batch
+    whose points do not share one tail cut is split into calls that do,
+    so the certificate is the one a step-by-step bisection gives.  Raises
     :class:`DomainError` when Psi(0) is not positive and
     :class:`NoRootError` when Psi keeps its sign on the whole evaluation
     domain.

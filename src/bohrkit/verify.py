@@ -169,7 +169,8 @@ def sharpness_witness(prob: RadiusProblem, delta: float,
         cert = solve_radius(prob)
     r = cert.radius + delta
     if r == cert.radius:
-        raise DomainError(f"delta {delta!r} is below the spacing of doubles at R = {r!r}")
+        raise DomainError(f"delta {delta!r} is below the spacing of doubles "
+                          f"at R = {cert.radius!r}")
     if r > wt.R_EDGE:
         raise DomainError("R + delta leaves the evaluation domain")
     if float(psi_eval(prob, r)) >= 0.0:

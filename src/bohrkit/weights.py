@@ -159,9 +159,9 @@ class WeightSequence:
         return lead / (1.0 - x)
 
     def _tail_cut(self, rmax: float) -> int:
-        """The stored terms a scaled-power tail sums on a grid whose largest
-        radius is rmax; beyond them the dominated terms are numerically
-        silent.  Nondecreasing in rmax > 0."""
+        """How many stored terms a scaled-power tail sums on a grid whose
+        largest radius is rmax; beyond them the dominated terms are
+        numerically silent.  Nondecreasing in rmax > 0."""
         L = self.coeffs.size
         xmax = self.rho * rmax
         if not 0.0 < xmax < 1.0:
