@@ -66,8 +66,8 @@ MAX_TABLE_ROWS = 100_000
 # functional value hold one column per point
 _MAX_R_POINTS = 100_000
 # the most random Blaschke products one verify or check-lemmas run may build:
-# each holds 4097 complex128 coefficients (64 KiB); verify keeps its whole
-# population, 128 MiB at 2000, while check-lemmas holds one product at a time
+# each holds at most 1494 complex128 coefficients (24 KiB), about 6 KiB drawn;
+# verify keeps its whole population, 12 MiB at 2000, check-lemmas one product
 _MAX_PRODUCTS = 2000
 # the largest identity-check grid: its lambda-family identity holds about five
 # grid x grid float64 arrays at once, 40 MB at 1000

@@ -5,7 +5,9 @@ certified bound on every discarded coefficient, so downstream sums can
 account for truncation honestly.  The extremal families used in the
 sharpness arguments (disk automorphisms and their Schwarz variant) have
 closed-form coefficients; finite Blaschke products provide randomizable
-members for property testing.
+members for property testing.  A Blaschke product is cut where Cauchy's
+estimate bounds every later coefficient by 1e-25, and that bound, padded
+for the rounding of float log and exp, is its tail bound.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ BLASCHKE_ZERO_RADIUS = 0.9
 MAX_BLASCHKE_DEGREE = 16
 
 _MOEBIUS_TAIL_TARGET = 1e-15
+_BLASCHKE_TAIL_TARGET = 1e-25
+_CAUCHY_PAD = 1e-6  # added to the exponent of a Blaschke tail bound
+_CAUCHY_T = np.linspace(0.0, 1.0, 51)[1:-1]  # R = 1 + t (min(1/max|z_k|, 1e6) - 1)
 # series evaluation drops terms once they are below this absolute size
 _EVAL_NEGLIGIBLE = 1e-19
 
@@ -96,22 +101,40 @@ def schwarz_moebius(a: float) -> BoundedFunction:
     return _moebius(a, -1.0, 1, "schwarz_moebius")
 
 
-def _blaschke_factor(zero: complex) -> np.ndarray:
-    """Taylor coefficients of (zero - z) / (1 - conj(zero) z), trimmed
-    where the geometric decay makes further terms numerically silent."""
+def _blaschke_factor(zero: complex, length: int) -> np.ndarray:
+    """At most length Taylor coefficients of (zero - z) / (1 - conj(zero) z),
+    trimmed where the geometric decay makes further terms numerically silent."""
     mag = abs(zero)
     if mag == 0.0:
         return np.array([0.0, -1.0], dtype=complex)
-    length = min(BLASCHKE_ORDER + 1,
-                 max(2, math.ceil(math.log(1e-25) / math.log(mag)) + 2))
+    length = min(length, max(2, math.ceil(math.log(_BLASCHKE_TAIL_TARGET) / math.log(mag)) + 2))
     c = np.empty(length, dtype=complex)
     c[0] = zero
     c[1:] = (mag * mag - 1.0) * np.conj(zero) ** np.arange(length - 1, dtype=float)
     return c
 
 
+def _blaschke_cut(mags: np.ndarray) -> tuple[int, float]:
+    """The order T at which a Blaschke product with zero moduli mags is cut,
+    and a bound on each coefficient above T: on |z| = R < 1/max(mags),
+    |B| <= M(R) = prod (R + |z_k|)/(1 - |z_k| R), so |b_n| <= M(R) R**-n."""
+    rho = float(mags.max())
+    if rho == 0.0:  # B = +-z**d
+        return mags.size, 0.0
+    R = 1.0 + _CAUCHY_T[:, None] * (min(1.0 / rho, 1e6) - 1.0)
+    log_m = np.log((R + mags) / (1.0 - R * mags)).sum(axis=1)
+    log_r = np.log(R[:, 0])
+    need = np.ceil((log_m + 2.0 * _CAUCHY_PAD - math.log(_BLASCHKE_TAIL_TARGET)) / log_r) - 1.0
+    T = int(max(1.0, min(need.min(), BLASCHKE_ORDER)))
+    return T, math.exp(float((log_m - (T + 1) * log_r).min()) + _CAUCHY_PAD)
+
+
 def blaschke(zeros, rotation: complex = 1.0) -> BoundedFunction:
-    """Finite Blaschke product with the given zeros and unimodular rotation."""
+    """Finite Blaschke product with the given zeros and unimodular rotation,
+    cut at the first order T <= BLASCHKE_ORDER whose Cauchy bound over 49
+    radii R is at most 1e-25.  That bound is its tail bound: float log and
+    exp are assumed to err by a few ulps, which moves its exponent by under
+    1e-10 (as 1 - |z_k| R >= 0.002), and the exponent is raised by 1e-6."""
     zeros = np.asarray(zeros, dtype=complex)
     if zeros.ndim != 1 or not 1 <= zeros.size <= MAX_BLASCHKE_DEGREE:
         raise DomainError(f"need between 1 and {MAX_BLASCHKE_DEGREE} zeros")
@@ -121,14 +144,11 @@ def blaschke(zeros, rotation: complex = 1.0) -> BoundedFunction:
     if abs(rot) == 0.0:
         raise DomainError("rotation must be nonzero")
     rot /= abs(rot)
+    T, tail = _blaschke_cut(np.abs(zeros))
     prod = np.array([1.0 + 0.0j])
     for zero in zeros:
-        prod = np.convolve(prod, _blaschke_factor(zero))[: BLASCHKE_ORDER + 1]
-    # pad to the full truncation order: the trimmed entries are certified
-    # (numerically) zero, which keeps the generic tail bound of 1 harmless
-    coeffs = np.zeros(BLASCHKE_ORDER + 1, dtype=complex)
-    coeffs[: prod.size] = rot * prod
-    return BoundedFunction(coeffs, 1.0, f"blaschke(deg={zeros.size})")
+        prod = np.convolve(prod, _blaschke_factor(zero, T + 1))[: T + 1]
+    return BoundedFunction(rot * prod, tail, f"blaschke(deg={zeros.size})")
 
 
 def random_blaschke(degree: int, seed: int) -> BoundedFunction:

@@ -194,7 +194,7 @@ def check_lemma_coeff(trials: int = 1000, seed: int = 42,
                       w: wt.WeightSequence | None = None) -> float:
     """Max slack of majorant + refinement <= (1 - |a_0|^2) * tail(1, r)
     over Moebius members and random Blaschke products; expected <= 1e-9.
-    Every product has truncation order BLASCHKE_ORDER, so the block is
+    No product's truncation order exceeds BLASCHKE_ORDER, so the block is
     sized before any is drawn and each is built and dropped in turn."""
     if trials < 1:
         raise DomainError("need at least one trial")

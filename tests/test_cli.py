@@ -402,10 +402,20 @@ class TestOneFailureLine:
         assert err == "accuracy error: remainder 1e-9 above 1e-12\n"
 
     def test_uncertifiable_lacunary_sum(self, capsys):
-        code, out, err = run(capsys, "verify", "--family", "classical_d", "--n", "1000",
-                             "--r-points", "3", "--blaschke", "1")
+        # the radius lies so near 1 that the Moebius members' own tail
+        # bounds leave a remainder of 8.25e-12
+        code, out, err = run(capsys, "verify", "--family", "classical_d", "--n", "100000",
+                             "--r-points", "3", "--blaschke", "0")
         assert code == cli.EXIT_ACCURACY and out == ""
         assert err.startswith("accuracy error:") and err.count("\n") == 1
+
+    def test_blaschke_tail_certifies_lacunary_sum(self, capsys):
+        # the product's Cauchy tail bound (at most 1e-25) certifies the sum
+        # at a radius of 0.9936, where a tail bound of 1 left 5.56e-10
+        code, out, err = run(capsys, "verify", "--family", "classical_d", "--n", "1000",
+                             "--r-points", "3", "--blaschke", "1")
+        assert code == 0 and err == ""
+        assert json.loads(out)["status"] == "verified"
 
     def test_radius_without_root(self, capsys, tmp_path):
         path = tmp_path / "w.json"

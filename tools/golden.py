@@ -23,17 +23,18 @@ and ``check-lemmas --trials 20`` under both weights.  The ``elapsed``
 field of ``verify`` reports is dropped, since it is a timing.  Failure
 paths end the command set: usage errors (exit 1), ``radius`` and ``table``
 under the no-root weights and tables whose every row is invalid (exit 2),
-a ``sharpness`` run whose window holds no witness (exit 3) and a
-``verify`` run whose lacunary sum cannot be certified (exit 4).  Only
-stdout and the exit code are dumped; stderr is not.
+a ``sharpness`` run whose window holds no witness (exit 3), a
+``verify`` run near r = 1 that a Blaschke member's tail bound lets
+verify, and one whose Moebius members' lacunary sum cannot be certified
+(exit 4).  Only stdout and the exit code are dumped; stderr is not.
 
 The functional set: ``evaluate_family`` for every family in both modes on
 one extremal member of each kind, a Blaschke product and its Schwarz
 shift, on a 7-point radius grid and at one scalar radius, under power
 weights and (for the weighted families) under c_n = 1/(n+1); the
-matching ``bound_for``, ``bohr_sum`` and ``a_refinement`` values; and the
-errors raised for a lacunary sum that cannot be certified at r = 0.999
-and for an unknown mode.
+matching ``bound_for``, ``bohr_sum`` and ``a_refinement`` values; the
+Blaschke product's lacunary sums at r = 0.999; and the error raised for
+an unknown mode.
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ def commands(weights_json: str, no_root_json: str) -> list[list[str]]:
         ["sharpness", "--family", "psi1", "--delta", "1e-300"],
         ["verify", "--family", "classical_d", "--n", "1000", "--r-points", "3",
          "--blaschke", "1"],
+        ["verify", "--family", "classical_d", "--n", "100000", "--r-points", "3",
+         "--blaschke", "0"],
     ]
     return radius + tables + [["identity-check"]] + suites + failures
 
