@@ -405,6 +405,56 @@ def power_problems():
             for problem in out for pm in [problem.params]]
 
 
+def exact_scaled_weights(w, r):
+    """phi_0, tail(1) and weighted_tail(1) of scaled-power weights at the
+    double r, exactly from the stored coefficients: the sums stop at the
+    same cut w._tail_cut(r) and add the same dominator tail as _tail2."""
+    R, cut = Fraction(r), w._tail_cut(r)
+    c = [Fraction(float(v)) for v in w.coeffs[:cut]]
+    X, C = Fraction(w.rho) * R, Fraction(w.C)
+    start = max(1, cut)
+    terms = [c[n] * R ** n for n in range(1, cut)]
+    tail = sum(terms) + C * X ** start / (1 - X)
+    weighted = (sum((n + 1) * t for n, t in enumerate(terms, 1))
+                + C * X ** start * ((start + 1) - start * X) / (1 - X) ** 2)
+    return c[0], tail, weighted
+
+
+# psi1-psi4 from the exact phi_0 and tails of scaled-power weights
+EXACT_SCALED_PSI = {
+    "psi1": lambda pm, phi0, t, wt1, x: pm.p * (1 - x) / (1 + x) * phi0 - 2 * t,
+    "psi2": lambda pm, phi0, t, wt1, x: pm.p / 2 * phi0 - t - x / (1 - x),
+    "psi3": lambda pm, phi0, t, wt1, x: pm.p / 2 * phi0 - wt1,
+    "psi4": lambda pm, phi0, t, wt1, x: (pm.p / 2 * phi0 - wt1
+                                         - x * (2 - x) / (1 - x) ** 2),
+}
+
+
+def harmonic_problems():
+    """Criterion 7's 48 problems under c_n = 1/(n+1), each a pytest param;
+    the three whose bracket_hi lies below the exact root are xfail."""
+    # the stored 1/(n+1) are rounded, so the root of the stored weights lies
+    # just above 0.5, where the rounded psi3 is 0.0 and the exact one +1.29e-17
+    misses_root = [prob("psi3", HARMONIC, m=m, p=2.0) for m in (1, 2, 3)]
+    xfail = pytest.mark.xfail(strict=True, reason="rounding puts bracket_hi "
+                                                   "below the sign change")
+    return [pytest.param(pr, marks=[xfail] if pr in misses_root else [],
+                         id=f"harmonic-{fam}-m{m}-p{p}")
+            for m in (1, 2, 3) for p in (0.5, 1.0, 1.5, 2.0)
+            for fam in ("psi1", "psi2", "psi3", "psi4")
+            for pr in [prob(fam, HARMONIC, m=m, p=p)]]
+
+
+def exact_psi(problem):
+    """Psi of the problem as an exact rational function of a double r."""
+    pm = replace(problem.params, p=Fraction(problem.params.p), lam=Fraction(problem.params.lam))
+    w = problem.weights
+    if w is not None and w.kind == wt.SCALED_POWER:
+        return lambda r: EXACT_SCALED_PSI[problem.family](
+            pm, *exact_scaled_weights(w, r), Fraction(r) ** pm.m)
+    return lambda r: EXACT_PSI[problem.family](pm, Fraction(r), Fraction(r) ** pm.m)
+
+
 class TestOracles:
     @pytest.mark.parametrize("family", ("psi1", "psi2"))
     @pytest.mark.parametrize("m", (1, 2, 3))
@@ -418,16 +468,14 @@ class TestOracles:
         assert solve_radius(prob(family, HARMONIC, m=m, p=p)).radius == \
             pytest.approx(float(root), abs=1e-12)
 
-    @pytest.mark.parametrize("problem", power_problems())
+    @pytest.mark.parametrize("problem", power_problems() + harmonic_problems())
     def test_exact_signs_at_bracket_ends(self, problem):
         # the bracket ends are doubles, so Psi has an exact rational value
         # there; some vanish exactly (psi5_t6 at r = 0.5), which no rounded
         # evaluation could place on either side of zero
-        pm = replace(problem.params, p=Fraction(problem.params.p), lam=Fraction(problem.params.lam))
         cert = solve_radius(problem)
-        lo, hi = Fraction(cert.bracket_lo), Fraction(cert.bracket_hi)
-        exact = EXACT_PSI[problem.family]
-        assert exact(pm, lo, lo ** pm.m) > 0 >= exact(pm, hi, hi ** pm.m)
+        psi = exact_psi(problem)
+        assert psi(cert.bracket_lo) > 0 >= psi(cert.bracket_hi)
 
 
 # a 1e-3 cell takes 34 sequential steps to a 1e-13 bracket, and each call

@@ -1,11 +1,15 @@
 """Series representations of disk self-maps and their evaluation."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 from bohrkit import (BoundedFunction, DomainError, blaschke, eval_derivative,
                      evaluate, moebius_minus, moebius_plus, multiply_by_z,
                      random_blaschke, schwarz_moebius)
+from bohrkit.series import BLASCHKE_ORDER, BLASCHKE_ZERO_RADIUS
 
 
 class TestMoebiusPlus:
@@ -113,6 +117,95 @@ class TestBlaschke:
             random_blaschke(17, 1)
         with pytest.raises(DomainError):
             blaschke([0.95])
+
+
+def random_zeros(degree, seed):
+    """The zeros and rotation that random_blaschke(degree, seed) draws."""
+    rng = np.random.default_rng(seed)
+    radii = BLASCHKE_ZERO_RADIUS * np.sqrt(rng.uniform(size=degree))
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=degree)
+    return radii * np.exp(1j * angles), np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+
+def padded_blaschke(zeros, rotation):
+    """The product padded with zeros to BLASCHKE_ORDER, each factor trimmed
+    where it falls below 1e-25: the construction whose head a cut product
+    must keep bit for bit."""
+    prod = np.array([1.0 + 0.0j])
+    for zero in np.asarray(zeros, dtype=complex):
+        mag = abs(zero)
+        if mag == 0.0:
+            factor = np.array([0.0, -1.0], dtype=complex)
+        else:
+            length = min(BLASCHKE_ORDER + 1,
+                         max(2, math.ceil(math.log(1e-25) / math.log(mag)) + 2))
+            factor = np.empty(length, dtype=complex)
+            factor[0] = zero
+            factor[1:] = (mag * mag - 1.0) * np.conj(zero) ** np.arange(length - 1, dtype=float)
+        prod = np.convolve(prod, factor)[: BLASCHKE_ORDER + 1]
+    coeffs = np.zeros(BLASCHKE_ORDER + 1, dtype=complex)
+    coeffs[: prod.size] = rotation / abs(rotation) * prod
+    return coeffs
+
+
+def exact_coeffs(zeros, rotation, stop):
+    """b_0 .. b_{stop-1} of rotation * prod (z_k - z)/(1 - conj(z_k) z) at
+    50 digits, by the recurrence Q b = P of the rational form P/Q."""
+    with mpmath.workdps(50):
+        P, Q = [mpmath.mpc(complex(rotation))], [mpmath.mpc(1)]
+        for z in zeros:
+            z = mpmath.mpc(complex(z))
+            P = [a * z - b for a, b in zip(P + [0], [0] + P)]
+            Q = [a - b * mpmath.conj(z) for a, b in zip(Q + [0], [0] + Q)]
+        neg_q, b = [-q for q in Q[1:]], []
+        for n in range(stop):
+            k = min(n, len(neg_q))
+            acc = mpmath.fdot(neg_q[:k], b[n - k:n][::-1])
+            b.append(acc + P[n] if n < len(P) else acc)
+        return b
+
+
+# 50 seeded draws of random_blaschke, then the longest product allowed:
+# 16 zeros at |z| = 0.9, at spread angles
+CAUCHY_CASES = ([pytest.param(*random_zeros(1 + seed % 8, seed), id=f"seed{seed}")
+                 for seed in range(50)]
+                + [pytest.param(0.9 * np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16), 1.0,
+                                id="16-zeros-at-0.9")])
+
+
+class TestBlaschkeTail:
+    @pytest.mark.parametrize("zeros, rotation", CAUCHY_CASES)
+    def test_tail_bound_holds_past_the_cut(self, zeros, rotation):
+        f = blaschke(zeros, rotation)
+        T = f.truncation_order
+        b = exact_coeffs(zeros, rotation, T + 257)
+        assert max(abs(complex(b[n]) - f.coeffs[n]) for n in range(T + 1)) < 1e-12
+        assert max(abs(b[n]) for n in range(T + 1, T + 257)) <= f.tail_bound
+        assert T <= BLASCHKE_ORDER
+        assert T == BLASCHKE_ORDER or f.tail_bound <= 1e-25
+
+    @pytest.mark.parametrize("zeros, rotation", CAUCHY_CASES)
+    def test_head_is_the_padded_product(self, zeros, rotation):
+        f = blaschke(zeros, rotation)
+        padded = padded_blaschke(zeros, rotation)
+        assert np.array_equal(f.coeffs, padded[: f.truncation_order + 1])
+        assert np.abs(padded[f.truncation_order + 1:]).max() <= f.tail_bound
+
+    def test_random_draw_matches_its_zeros(self):
+        for seed in range(8):
+            zeros, rotation = random_zeros(1 + seed, seed)
+            assert np.array_equal(random_blaschke(1 + seed, seed).coeffs,
+                                  blaschke(zeros, rotation).coeffs)
+
+    def test_zeros_at_origin_give_a_monomial(self):
+        f = blaschke([0.0, 0.0, 0.0], -1.0)
+        assert np.array_equal(f.coeffs, [0.0, 0.0, 0.0, 1.0]) and f.tail_bound == 0.0
+        g = blaschke([0.0, 0.5])
+        assert g.coeffs[0] == 0.0 and g.tail_bound <= 1e-25
+
+    def test_longest_product(self):
+        f = blaschke(0.9 * np.exp(2j * np.pi * np.arange(16) / 16))
+        assert 1000 < f.truncation_order < BLASCHKE_ORDER
 
 
 class TestEvaluate:
