@@ -66,7 +66,7 @@ MAX_TABLE_ROWS = 100_000
 # functional value hold one column per point
 _MAX_R_POINTS = 100_000
 # the most random Blaschke products one verify or check-lemmas run may build:
-# each holds at most 1494 complex128 coefficients (24 KiB), about 6 KiB drawn;
+# each holds at most 1494 complex128 coefficients (23 KiB), about 6 KiB drawn;
 # verify keeps its whole population, 12 MiB at 2000, check-lemmas one product
 _MAX_PRODUCTS = 2000
 # the largest identity-check grid: its lambda-family identity holds about five

@@ -181,8 +181,8 @@ class TestBlaschkeTail:
         b = exact_coeffs(zeros, rotation, T + 257)
         assert max(abs(complex(b[n]) - f.coeffs[n]) for n in range(T + 1)) < 1e-12
         assert max(abs(b[n]) for n in range(T + 1, T + 257)) <= f.tail_bound
-        assert T <= BLASCHKE_ORDER
-        assert T == BLASCHKE_ORDER or f.tail_bound <= 1e-25
+        # even the longest product allowed stops below the cap
+        assert T < BLASCHKE_ORDER and f.tail_bound <= 1e-25
 
     @pytest.mark.parametrize("zeros, rotation", CAUCHY_CASES)
     def test_head_is_the_padded_product(self, zeros, rotation):
@@ -202,10 +202,6 @@ class TestBlaschkeTail:
         assert np.array_equal(f.coeffs, [0.0, 0.0, 0.0, 1.0]) and f.tail_bound == 0.0
         g = blaschke([0.0, 0.5])
         assert g.coeffs[0] == 0.0 and g.tail_bound <= 1e-25
-
-    def test_longest_product(self):
-        f = blaschke(0.9 * np.exp(2j * np.pi * np.arange(16) / 16))
-        assert 1000 < f.truncation_order < BLASCHKE_ORDER
 
 
 class TestEvaluate:
