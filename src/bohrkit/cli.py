@@ -130,7 +130,7 @@ def _load_weights(spec: str) -> wt.WeightSequence:
 def _make_problem(family: str, w: wt.WeightSequence, m: int, p: float,
                   lam: float, q: int, n: int) -> RadiusProblem:
     params = FunctionalParams(m=m, p=p, lam=lam, q=q, n_lacunary=n)
-    return RadiusProblem(family, params, w if FAMILIES[family].weighted else None)
+    return RadiusProblem(family, params, w)
 
 
 def _emit(text: str, path: str | None):

@@ -3,10 +3,10 @@
 Each family's Psi function is arranged so that Psi(0) > 0, and the solver
 checks that it is.  The reported radius is the first sign change on a
 fixed 1e-3 grid over [0, R_EDGE], sharpened by bisection to a bracket of
-width 1e-13.  Under scaled-power weights the grid is evaluated in chunks
-of 64 cells and the scan stops at the chunk holding the first sign change,
-so the points above the root are never evaluated; every other Psi is in
-closed form and is evaluated on the whole grid in one call.  The about
+width 1e-13.  Where a weighted family reads scaled-power weights, the grid
+is evaluated in chunks of 64 cells and the scan stops at the chunk holding
+the first sign change, so the points above the root are never evaluated;
+every other Psi is in closed form and is evaluated in one call.  The about
 34 bisection steps go in batches of five: one :func:`psi_eval` call holds
 the 31 dyadic midpoints of the bracket, and the sequential bisection is
 replayed on their values, so it reaches the same bracket in about seven
@@ -41,6 +41,9 @@ _SCAN_CHUNK = 64
 # bisection steps per psi_eval call: the 2**5 - 1 dyadic midpoints of the
 # bracket cost about one call's fixed work, and the steps replay on them
 _BISECT_LEVELS = 5
+# the scan grid 0, SCAN_STEP, ..., R_EDGE; arange stops below R_EDGE
+_SCAN_GRID = np.append(np.arange(0.0, wt.R_EDGE, SCAN_STEP), wt.R_EDGE)
+_SCAN_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -88,27 +91,25 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     """Certified minimal positive root of the family's Psi function.
 
     Scans the grid ``0, SCAN_STEP, 2*SCAN_STEP, ..., R_EDGE`` upward for
-    the first sign change, then bisects that cell.  Under scaled-power
-    weights the grid goes in chunks of ``_SCAN_CHUNK`` cells and the scan
-    stops in the first chunk whose values change sign; consecutive chunks
-    share their boundary point, so every grid cell is examined.  The
-    bisection evaluates ``_BISECT_LEVELS`` steps per call on the bracket's
-    dyadic midpoints and replays the steps on them; a scaled-power batch
-    whose points do not share one tail cut is split into calls that do,
-    so the certificate is the one a step-by-step bisection gives.  Raises
+    the first sign change, then bisects that cell.  Where a weighted
+    family reads scaled-power weights the grid goes in chunks of
+    ``_SCAN_CHUNK`` cells and the scan stops in the first chunk whose
+    values change sign; consecutive chunks share their boundary point, so
+    every grid cell is examined.  The bisection evaluates
+    ``_BISECT_LEVELS`` steps per call on the bracket's dyadic midpoints
+    and replays the steps on them; a scaled-power batch whose points do
+    not share one tail cut is split into calls that do, so the
+    certificate is the one a step-by-step bisection gives.  Raises
     :class:`DomainError` when Psi(0) is not positive and
     :class:`NoRootError` when Psi keeps its sign on the whole evaluation
     domain.
     """
-    grid = np.arange(0.0, wt.R_EDGE, SCAN_STEP)
-    if grid[-1] < wt.R_EDGE:
-        grid = np.concatenate([grid, [wt.R_EDGE]])
     # a scaled-power tail costs in proportion to the largest r it is asked
     # for; a closed-form Psi costs one call whatever the grid
-    scaled = prob.weights is not None and prob.weights.kind == wt.SCALED_POWER
-    chunk = _SCAN_CHUNK if scaled else grid.size - 1
-    for start in range(0, grid.size - 1, chunk):
-        cells = grid[start:start + chunk + 1]
+    scaled = FAMILIES[prob.family].weighted and prob.weights.kind == wt.SCALED_POWER
+    chunk = _SCAN_CHUNK if scaled else _SCAN_GRID.size - 1
+    for start in range(0, _SCAN_GRID.size - 1, chunk):
+        cells = _SCAN_GRID[start:start + chunk + 1]
         vals = psi_eval(prob, cells)
         if start == 0 and not vals[0] > 0.0:
             raise DomainError(f"{prob.family}: Psi(0) = {float(vals[0])!r} is not positive")

@@ -11,7 +11,6 @@ as runnable property checks.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass
 
@@ -113,9 +112,6 @@ class VerificationReport:
             "elapsed": self.elapsed,
             "status": "verified" if self.verified else "violated",
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 def verify_below_radius(prob: RadiusProblem,
@@ -241,9 +237,7 @@ def check_lemma_D(instance: str, m: int = 1, p: float = 1.0,
         w = wt.power()
     family, tail = _LEMMA_D_INSTANCES[instance]
     params = FunctionalParams(m=m, p=p, q=m + 1)
-    # unweighted families get no weights, so their radius scan stays whole-grid
-    radius = solve_radius(RadiusProblem(
-        family, params, w if get_family(family).weighted else None)).radius
+    radius = solve_radius(RadiusProblem(family, params, w)).radius
     rs = np.linspace(0.0, radius, 256)
     n_of_r = tail(params, w, rs)
     phi0 = bound_for(family, w, rs)

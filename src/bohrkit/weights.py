@@ -2,8 +2,8 @@
 
 Two kinds are supported:
 
-* ``power``: the classical basis ``w_n(r) = r**n``.  Tails have exact
-  closed forms.
+* ``power``: the classical basis ``w_n(r) = r**n``, with rho = C = 1 and
+  no stored coefficients.  Tails have exact closed forms.
 * ``scaled_power``: ``w_n(r) = c_n * r**n`` with a declared geometric
   dominator ``c_n <= C * rho**n``.  Beyond the stored coefficient list the
   dominator itself is used, so every tail is a certified overestimate.
@@ -54,14 +54,8 @@ def _as_n(n, minimum: int) -> np.ndarray:
 
 
 def _squeeze(out: np.ndarray, n, r):
-    n_scalar, r_scalar = np.ndim(n) == 0, np.ndim(r) == 0
-    if n_scalar and r_scalar:
-        return float(out[0, 0])
-    if n_scalar:
-        return out[0]
-    if r_scalar:
-        return out[:, 0]
-    return out
+    out = out.reshape(np.shape(n) + np.shape(r))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +74,10 @@ class WeightSequence:
     def __post_init__(self):
         if self.kind not in (POWER, SCALED_POWER):
             raise DomainError(f"unknown weight kind {self.kind!r}")
-        if self.kind == SCALED_POWER:
+        if self.kind == POWER:
+            if self.coeffs is not None or (self.rho, self.C) != (1.0, 1.0):
+                raise DomainError("power weights take no coefficients, rho or C")
+        else:
             c = np.asarray(self.coeffs, dtype=float)
             if c.ndim != 1 or c.size < 1:
                 raise DomainError("scaled_power needs a 1-d coefficient list")
@@ -104,11 +101,11 @@ class WeightSequence:
 
     def ratio(self, r: float) -> float:
         """Geometric ratio bounding w_{n+1}/w_n from above at radius r."""
-        return float(r) if self.kind == POWER else self.rho * float(r)
+        return self.rho * float(r)
 
     @property
     def dominator(self) -> float:
-        return 1.0 if self.kind == POWER else self.C
+        return self.C
 
     # -- public operations ------------------------------------------------
 

@@ -173,8 +173,7 @@ class TestSolveRadius:
 
 
 def scan_grid():
-    grid = np.arange(0.0, R_EDGE, radii.SCAN_STEP)
-    return np.concatenate([grid, [R_EDGE]])
+    return radii._SCAN_GRID
 
 
 class TestChunkedScan:
@@ -252,6 +251,23 @@ class TestChunkedScan:
         lo, hi = self.root_cell(cert)
         assert all(np.all((lo < pts) & (pts < hi)) for pts in calls[1:])
         assert 0 < len(calls) - 1 <= BISECT_CALLS
+
+    def test_unweighted_family_ignores_scaled_weights(self, monkeypatch):
+        # psi5_t5 never reads the weights, so carrying them neither chunks
+        # the scan nor changes the certificate
+        params = FunctionalParams(m=2, p=1.5, lam=0.5)
+        plain = solve_radius(RadiusProblem("psi5_t5", params, None))
+        calls = self.record_calls(monkeypatch)
+        cert = solve_radius(RadiusProblem("psi5_t5", params, HARMONIC))
+        assert cert == plain
+        assert np.array_equal(calls[0], scan_grid())
+        assert not any(np.isin(pts, scan_grid()).all() for pts in calls[1:])
+
+    def test_scan_grid(self):
+        grid = scan_grid()
+        assert grid.size == 1001 and (grid[0], grid[-1]) == (0.0, R_EDGE)
+        assert np.allclose(np.diff(grid[:-1]), radii.SCAN_STEP, rtol=0, atol=1e-15)
+        assert not grid.flags.writeable
 
 
 class TestMonotonicity:
@@ -487,7 +503,7 @@ def sequential_certificate(pr):
     """The solver with one Psi call per bisection step: the oracle of the
     batched bisection, which must reach the same certificate."""
     grid = scan_grid()
-    scaled = pr.weights is not None and pr.weights.kind == wt.SCALED_POWER
+    scaled = FAMILIES[pr.family].weighted and pr.weights.kind == wt.SCALED_POWER
     chunk = radii._SCAN_CHUNK if scaled else grid.size - 1
     for start in range(0, grid.size - 1, chunk):
         cells = grid[start:start + chunk + 1]

@@ -52,7 +52,7 @@ class TestVerifyBelowRadius:
     def test_report_serialization(self):
         report = verify_below_radius(prob("psi5_t5", lam=2.0), r_points=16,
                                      blaschke_count=3)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert doc["status"] == "verified"
         assert doc["problem"]["family"] == "psi5_t5"
         assert doc["problem"]["lambda"] == 2.0

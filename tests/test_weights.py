@@ -31,11 +31,14 @@ class TestWeightAt:
         w = scaled_power(np.arange(1.0, 65.0), rho=1.0, C=64.0)
         assert w.weight_at(2, 0.5) == pytest.approx(0.75, abs=1e-15)
 
-    def test_broadcast_shapes(self):
-        w = power()
-        assert w.weight_at([1, 2], 0.5).shape == (2,)
-        assert w.weight_at(2, [0.1, 0.2, 0.3]).shape == (3,)
-        assert w.weight_at([1, 2], [0.1, 0.2, 0.3]).shape == (2, 3)
+    @pytest.mark.parametrize("w", [power(), scaled_power([1.0, 0.5], rho=0.9)])
+    def test_broadcast_shapes(self, w):
+        for f in (w.weight_at, w.tail, w.weighted_tail):
+            assert f([1, 2], 0.5).shape == (2,)
+            assert f(2, [0.1, 0.2, 0.3]).shape == (3,)
+            assert f([1, 2], [0.1, 0.2, 0.3]).shape == (2, 3)
+            assert f([1], [0.5]).shape == (1, 1)
+            assert type(f(1, 0.5)) is float
 
 
 class TestTail:
@@ -158,6 +161,13 @@ class TestValidation:
     def test_coefficient_cap(self):
         with pytest.raises(DomainError):
             scaled_power(np.ones(5000))
+
+    @pytest.mark.parametrize("fields", [{"rho": 0.5}, {"C": 2.0}, {"rho": float("nan")},
+                                        {"coeffs": np.ones(3)}])
+    def test_power_takes_no_scaled_fields(self, fields):
+        # power weights are r**n: a rho, C or coefficient list would be ignored
+        with pytest.raises(DomainError, match="power weights take no"):
+            WeightSequence("power", **fields)
 
     @pytest.mark.parametrize("r", [float("nan"), [0.1, float("nan")]])
     @pytest.mark.parametrize("w", [power(), scaled_power([1.0, 0.5], rho=0.9, C=1.0)])
