@@ -50,6 +50,8 @@ class BoundedFunction:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size < 2:
             raise DomainError("coefficients must be a 1-d array a0..aT with T >= 1")
+        if not np.all(np.isfinite(c)):
+            raise DomainError("coefficients must be finite")
         mags = np.abs(c)
         if mags.max() > 1.0 + SP_COEFF_SLACK:
             raise DomainError("coefficient modulus exceeds 1; not a disk self-map")
@@ -138,11 +140,11 @@ def blaschke(zeros, rotation: complex = 1.0) -> BoundedFunction:
     zeros = np.asarray(zeros, dtype=complex)
     if zeros.ndim != 1 or not 1 <= zeros.size <= MAX_BLASCHKE_DEGREE:
         raise DomainError(f"need between 1 and {MAX_BLASCHKE_DEGREE} zeros")
-    if np.any(np.abs(zeros) > BLASCHKE_ZERO_RADIUS + 1e-12):
+    if not np.all(np.abs(zeros) <= BLASCHKE_ZERO_RADIUS + 1e-12):  # NaN fails it
         raise DomainError(f"Blaschke zeros must satisfy |z| <= {BLASCHKE_ZERO_RADIUS}")
     rot = complex(rotation)
-    if abs(rot) == 0.0:
-        raise DomainError("rotation must be nonzero")
+    if not 0.0 < abs(rot) < math.inf:  # NaN fails it
+        raise DomainError("rotation must be nonzero and finite")
     rot /= abs(rot)
     T, tail = _blaschke_cut(np.abs(zeros))
     prod = np.array([1.0 + 0.0j])

@@ -120,7 +120,8 @@ def verify_below_radius(prob: RadiusProblem,
                         mode: str = ENVELOPE, seed: int = 42,
                         blaschke_count: int = 100,
                         cert: RootCertificate | None = None) -> VerificationReport:
-    """Check functional <= bound on [0, R - margin] over the population.
+    """Check functional <= bound on [0, R - margin] over the population,
+    which must not be empty.
 
     One weight block of the problem's weights on the radius grid serves
     every member, which slices it to its kept range.  ``cert`` is the
@@ -139,10 +140,12 @@ def verify_below_radius(prob: RadiusProblem,
         raise DomainError("margin exceeds the radius")
     if families is None:
         families = standard_families(prob.family, seed, blaschke_count)
+    if not families:
+        raise DomainError("the test population is empty")
     rs = np.linspace(0.0, r_hi, r_points)
     blk, functional = _family_evaluator(
         prob.family, prob.weights, prob.params, rs,
-        max((f.truncation_order for f in families), default=1), mode)
+        max(f.truncation_order for f in families), mode)
     worst = -np.inf
     for f in families:
         worst = max(worst, float(np.max(functional(f) - blk.rows[0])))

@@ -118,6 +118,19 @@ class TestBlaschke:
         with pytest.raises(DomainError):
             blaschke([0.95])
 
+    @pytest.mark.parametrize("zeros", [[math.nan], [0.3, complex(0.1, math.nan)]])
+    def test_nan_zero_rejected(self, zeros):
+        # a NaN modulus fails every comparison, so the radius check must
+        # be written to fail on it
+        with pytest.raises(DomainError, match="zeros must satisfy"):
+            blaschke(zeros)
+
+    @pytest.mark.parametrize("rotation", [math.nan, math.inf, complex(1.0, -math.inf),
+                                          complex(math.nan, 1.0), 0.0])
+    def test_bad_rotation_rejected(self, rotation):
+        with pytest.raises(DomainError, match="rotation must be nonzero and finite"):
+            blaschke([0.5], rotation)
+
 
 def random_zeros(degree, seed):
     """The zeros and rotation that random_blaschke(degree, seed) draws."""
@@ -288,6 +301,14 @@ class TestBoundedFunction:
     def test_tail_bound_range(self):
         with pytest.raises(DomainError):
             BoundedFunction(np.array([0.0, 1.0]), 1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_non_finite_coefficient_rejected(self, bad, index):
+        coeffs = np.array([0.2, 0.0, 0.3], dtype=complex)
+        coeffs[index] = bad
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            BoundedFunction(coeffs, 0.0)
 
     def test_multiply_by_z_shifts(self):
         f = moebius_minus(0.3)

@@ -43,6 +43,11 @@ class TestVerifyBelowRadius:
                                      blaschke_count=5)
         assert report.verified
 
+    def test_empty_population_rejected(self):
+        # a run over no functions checks nothing and must not report verified
+        with pytest.raises(DomainError, match="population is empty"):
+            verify_below_radius(prob("psi1", PW), families=[], r_points=8)
+
     def test_margin_validation(self):
         with pytest.raises(DomainError):
             verify_below_radius(prob("psi1", PW), margin=-0.1)
