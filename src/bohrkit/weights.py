@@ -203,7 +203,8 @@ def from_json(source) -> WeightSequence:
 
         {"kind": "scaled_power", "coeffs": [...], "rho": 0.9, "C": 2.0}
 
-    ``{"kind": "power"}`` is accepted as well.
+    ``{"kind": "power"}`` is accepted as well, with no other field but
+    ``"rho": 1`` or ``"C": 1``.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -216,7 +217,7 @@ def from_json(source) -> WeightSequence:
         raise DomainError("weight JSON must be an object with a 'kind' field")
     kind = obj["kind"]
     if kind == POWER:
-        return power()
+        return WeightSequence(POWER, obj.get("coeffs"), obj.get("rho", 1.0), obj.get("C", 1.0))
     if kind == SCALED_POWER:
         try:
             return scaled_power(obj["coeffs"], obj.get("rho", 1.0), obj.get("C", 1.0))

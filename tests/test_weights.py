@@ -186,6 +186,13 @@ class TestJson:
     def test_power_roundtrip(self):
         w = from_json({"kind": "power"})
         assert w.kind == "power"
+        assert from_json({"kind": "power", "rho": 1, "C": 1.0}).kind == "power"
+
+    @pytest.mark.parametrize("extra", [{"rho": 0.5}, {"C": 3.0}, {"coeffs": [1.0]},
+                                       {"rho": "0.5"}])
+    def test_power_with_scaled_fields_rejected(self, extra):
+        with pytest.raises(DomainError, match="power weights take no"):
+            from_json({"kind": "power", **extra})
 
     def test_scaled_from_file(self, tmp_path):
         path = tmp_path / "w.json"
