@@ -31,14 +31,14 @@ class TestWeightAt:
         w = scaled_power(np.arange(1.0, 65.0), rho=1.0, C=64.0)
         assert w.weight_at(2, 0.5) == pytest.approx(0.75, abs=1e-15)
 
-    @pytest.mark.parametrize("w", [power(), scaled_power([1.0, 0.5], rho=0.9)])
-    def test_broadcast_shapes(self, w):
-        for f in (w.weight_at, w.tail, w.weighted_tail):
-            assert f([1, 2], 0.5).shape == (2,)
-            assert f(2, [0.1, 0.2, 0.3]).shape == (3,)
-            assert f([1, 2], [0.1, 0.2, 0.3]).shape == (2, 3)
-            assert f([1], [0.5]).shape == (1, 1)
-            assert type(f(1, 0.5)) is float
+    def test_broadcast_shapes(self):
+        for w in (power(), scaled_power([1.0, 0.5], rho=0.9)):
+            for f in (w.weight_at, w.tail, w.weighted_tail):
+                assert f([1, 2], 0.5).shape == (2,)
+                assert f(2, [0.1, 0.2, 0.3]).shape == (3,)
+                assert f([1, 2], [0.1, 0.2, 0.3]).shape == (2, 3)
+                assert f([1], [0.5]).shape == (1, 1)
+                assert type(f(1, 0.5)) is float
 
 
 class TestTail:
