@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -159,7 +160,10 @@ def _add_param_flags(sp, multi: bool):
                     help="'power' or a path to a scaled_power JSON file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; it keeps no state
+    between parses.  Subcommand ``x-y`` runs ``cmd_x_y``."""
     parser = _Parser(prog="bohrkit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -167,12 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("radius", help="compute one certified radius")
     _add_param_flags(sp, multi=False)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_radius)
 
     sp = sub.add_parser("table", help="sweep a parameter grid to CSV")
     _add_param_flags(sp, multi=True)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("verify", help="check the inequality below the radius")
     _add_param_flags(sp, multi=False)
@@ -184,26 +186,22 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of random Blaschke products")
     sp.add_argument("--seed", type=_int_in(0), default=42)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sharpness", help="search a witness above the radius")
     _add_param_flags(sp, multi=False)
     sp.add_argument("--delta", type=float, default=0.01)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_sharpness)
 
     sp = sub.add_parser("check-lemmas", help="run the three lemma suites")
     sp.add_argument("--trials", type=_int_in(1, _MAX_PRODUCTS), default=1000)
     sp.add_argument("--seed", type=_int_in(0), default=42)
     sp.add_argument("--weights", default="power")
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_check_lemmas)
 
     sp = sub.add_parser("identity-check",
                         help="closed-form identities and classical cross-checks")
     sp.add_argument("--grid", type=_int_in(1, _MAX_IDENTITY_GRID), default=50)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_identity_check)
     return parser
 
 
@@ -343,7 +341,9 @@ def main(argv=None) -> int:
                         level=level if level in ("INFO", "DEBUG") else "ERROR")
     try:
         args = build_parser().parse_args(argv)
-        text, failure = args.func(args)
+        # looked up on each run, so a patched command function is the one called
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        text, failure = command(args)
         _emit(text, args.output)
         if failure:
             raise failure

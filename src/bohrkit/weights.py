@@ -14,6 +14,7 @@ consume tails negatively, so reported radii can only shrink.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -78,7 +79,8 @@ class WeightSequence:
             if self.coeffs is not None or (self.rho, self.C) != (1.0, 1.0):
                 raise DomainError("power weights take no coefficients, rho or C")
         else:
-            c = np.asarray(self.coeffs, dtype=float)
+            c = np.array(self.coeffs, dtype=float)  # a copy: the caller's array may change
+            c.flags.writeable = False
             if c.ndim != 1 or c.size < 1:
                 raise DomainError("scaled_power needs a 1-d coefficient list")
             if c.size > MAX_COEFFS:
@@ -204,15 +206,26 @@ def from_json(source) -> WeightSequence:
         {"kind": "scaled_power", "coeffs": [...], "rho": 0.9, "C": 2.0}
 
     ``{"kind": "power"}`` is accepted as well, with no other field but
-    ``"rho": 1`` or ``"C": 1``.
+    ``"rho": 1`` or ``"C": 1``.  A file is read on every call, and every
+    read of the same text returns the same (immutable) instance.
     """
     if isinstance(source, (str, Path)):
         try:
-            obj = json.loads(Path(source).read_text())
+            return _from_text(Path(source).read_text())
+        except DomainError:  # a ValueError too: the document was read but is invalid
+            raise
         except (OSError, ValueError) as exc:
             raise DomainError(f"cannot read weight JSON {str(source)!r}: {exc}") from None
-    else:
-        obj = source
+    return _from_document(source)
+
+
+@functools.lru_cache(maxsize=4)
+def _from_text(text: str) -> WeightSequence:
+    """The weights of one file text, parsed once; a failed parse is not kept."""
+    return _from_document(json.loads(text))
+
+
+def _from_document(obj) -> WeightSequence:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("weight JSON must be an object with a 'kind' field")
     kind = obj["kind"]
@@ -224,3 +237,4 @@ def from_json(source) -> WeightSequence:
         except KeyError as exc:
             raise DomainError(f"weight JSON missing field {exc}") from exc
     raise DomainError(f"unknown weight kind {kind!r}")
+

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -429,3 +433,53 @@ class TestOneFailureLine:
         code, _, err = run(capsys, "radius", "--family", "psi1", "extra\nword")
         assert code == cli.EXIT_USAGE
         assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+class TestInProcessReuse:
+    """One process may call ``main`` many times: it reuses one parser and
+    the parsed weights of each file text."""
+
+    def test_rewritten_weight_file_is_read_again(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        argv = ("table", "--family", "psi2", "--p", "1,2", "--weights", str(path))
+        outs = []
+        for i, c2 in enumerate((0.25, 0.125)):
+            text = json.dumps({"kind": "scaled_power", "coeffs": [1.0, 0.5, c2],
+                               "rho": 0.5, "C": 1.0})
+            path.write_text(text)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            other = tmp_path / f"copy{i}.json"
+            other.write_text(text)
+            assert run(capsys, *argv[:-1], str(other)) == (0, out, "")
+            outs.append(out)
+        assert outs[0] != outs[1]
+
+    def test_fixed_weight_file_loads(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        argv = ("radius", "--family", "psi2", "--weights", str(path))
+        path.write_text('{"kind": "scaled_power", "coeffs": [1.0, 0.5], "rho": 2.0}')
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err == "usage error: rho must lie in (0, 1]\n"
+        path.write_text('{"kind": "scaled_power", "coeffs": [1.0, 0.5], "rho": 0.5}')
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and 0.0 < json.loads(out)["radius"] < 1.0
+
+    def test_parser_keeps_no_state_between_calls(self, capsys):
+        table = ("table", "--family", "psi1", "--m", "2..3", "--p", "0.5,2")
+        calls = [table,
+                 ("table", "--family", "psi2", "--lambda", "3", "--m"),  # usage error
+                 ("radius", "--family", "psi1"),
+                 table]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        fresh = {argv: subprocess.run([sys.executable, "-m", "bohrkit", *argv], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                 for argv in set(calls)}
+        for argv in calls:
+            code, out, err = run(capsys, *argv)
+            proc = fresh[argv]
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+            assert err.count("\n") == (code != 0)
+        assert fresh[calls[1]].returncode == cli.EXIT_USAGE

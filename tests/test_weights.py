@@ -181,6 +181,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             power().weighted_tail(0, 0.5)
 
+    def test_coefficients_are_a_read_only_copy(self):
+        c = np.array([1.0, 0.5])
+        w = scaled_power(c, rho=0.9)
+        c[1] = -5.0  # past every check, had the weights kept the caller's array
+        assert w.weight_at(1, 0.5) == 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            w.coeffs[1] = -5.0
+        assert w.weight_at(1, 0.5) == 0.25
+
 
 class TestJson:
     def test_power_roundtrip(self):
@@ -228,3 +237,29 @@ class TestJson:
         path.write_text('{"kind": "scaled_power", ' + fields + '}')
         with pytest.raises(DomainError, match="finite"):
             from_json(path)
+
+    def test_same_text_gives_one_instance(self, tmp_path):
+        doc = {"kind": "scaled_power", "coeffs": [1.0, 0.375], "rho": 0.75, "C": 1.0}
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(doc))
+        b.write_text(json.dumps(doc))
+        assert from_json(a) is from_json(str(a)) is from_json(b)
+        assert from_json(doc) is not from_json(doc)  # a dict is not cached
+
+    def test_rewritten_file_loads_fresh(self, tmp_path):
+        path = tmp_path / "w.json"
+        for c1 in (0.5, 0.4, 0.5):  # texts of one length: the text is the key
+            path.write_text(json.dumps({"kind": "scaled_power", "coeffs": [1.0, c1],
+                                        "rho": 0.9, "C": 1.0}))
+            assert from_json(path).weight_at(1, 0.5) == 0.5 * c1
+
+    def test_fixed_bad_file_loads(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"kind": "scaled_power", "coeffs": [1.0, -0.5]}')
+        with pytest.raises(DomainError, match="nonnegative"):
+            from_json(path)
+        path.write_text('{"kind": "scaled_power", "coeffs": [1.0, 0.5]')
+        with pytest.raises(DomainError, match="cannot read weight JSON"):
+            from_json(path)
+        path.write_text('{"kind": "scaled_power", "coeffs": [1.0, 0.5]}')
+        assert from_json(path).weight_at(1, 0.5) == 0.25
