@@ -237,4 +237,3 @@ def _from_document(obj) -> WeightSequence:
         except KeyError as exc:
             raise DomainError(f"weight JSON missing field {exc}") from exc
     raise DomainError(f"unknown weight kind {kind!r}")
-
