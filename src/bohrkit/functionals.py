@@ -42,9 +42,9 @@ REMAINDER_TOL = 1e-12
 _CUT_TOL = 1e-18
 
 _POWER = wt.power()
-# the index arrays of phi_0 and of the tails from 1 in the Psi bodies, which
-# read the weights' 2-d internals on the grid psi_eval validated
-_N0, _N1 = np.array([0]), np.array([1])
+# the start index of the Psi bodies' tails, which read the weights' 2-d
+# internals on the grid psi_eval validated
+_N1 = np.array([1])
 
 ENVELOPE = "envelope"
 POINTWISE = "pointwise"
@@ -286,18 +286,18 @@ class Family:
 
 FAMILIES: dict[str, Family] = {
     "psi1": Family(
-        lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x) * w._weight2(_N0, rs)[0]
+        lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x) * w._phi0
                               - 2.0 * w._tail2(_N1, rs, False)[0]),
         functional_T1, weighted=True, extremal="plus"),
     "psi2": Family(
-        lambda pm, w, rs, x: (0.5 * pm.p * w._weight2(_N0, rs)[0] - w._tail2(_N1, rs, False)[0]
+        lambda pm, w, rs, x: (0.5 * pm.p * w._phi0 - w._tail2(_N1, rs, False)[0]
                               - x / (1.0 - x)),
         functional_T2, weighted=True, extremal="minus"),
     "psi3": Family(
-        lambda pm, w, rs, x: 0.5 * pm.p * w._weight2(_N0, rs)[0] - w._tail2(_N1, rs, True)[0],
+        lambda pm, w, rs, x: 0.5 * pm.p * w._phi0 - w._tail2(_N1, rs, True)[0],
         functional_T3, weighted=True, extremal="schwarz"),
     "psi4": Family(
-        lambda pm, w, rs, x: (0.5 * pm.p * w._weight2(_N0, rs)[0] - w._tail2(_N1, rs, True)[0]
+        lambda pm, w, rs, x: (0.5 * pm.p * w._phi0 - w._tail2(_N1, rs, True)[0]
                               - x * (2.0 - x) / (1.0 - x) ** 2),
         functional_T4, weighted=True, extremal="schwarz"),
     "psi5_t5": Family(
@@ -324,7 +324,7 @@ FAMILIES: dict[str, Family] = {
         functional_T2, weighted=False, extremal="minus", p=2.0),
     # theorem C under general weights: twice psi3 at p = 1
     "classical_c": Family(
-        lambda pm, w, rs, x: w._weight2(_N0, rs)[0] - 2.0 * w._tail2(_N1, rs, True)[0],
+        lambda pm, w, rs, x: w._phi0 - 2.0 * w._tail2(_N1, rs, True)[0],
         functional_T3, weighted=True, extremal="schwarz", p=1.0),
     "classical_d": Family(
         lambda pm, w, rs, x: (1.0 - rs - (2.0 * pm.lam + 1.0) * rs ** pm.n_lacunary

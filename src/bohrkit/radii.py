@@ -130,7 +130,8 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
         while b - a > 1 and hi - lo > BRACKET_WIDTH:
             k = (a + b) // 2
             mid, fm = float(pts[k]), fs[k - 1]
-            if np.sign(fm) == np.sign(flo):
+            # flo > 0 throughout, so this is the sign test, a NaN fm included
+            if fm > 0.0:
                 a, lo, flo = k, mid, fm
             else:
                 b, hi, fhi = k, mid, fm

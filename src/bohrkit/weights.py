@@ -10,6 +10,15 @@ Two kinds are supported:
 
 Overestimating tails is the conservative direction: the radius equations
 consume tails negatively, so reported radii can only shrink.
+
+A scaled-power tail adds its stored terms from the last index down, as
+the reversed cumsum of its suffix matrix does.  A tail from one start on
+two or more radii skips that matrix: ``np.add.reduce`` over the start's
+rows, last index first, adds them into the result one row at a time, in
+the cumsum's own order, so its bits are the suffix row's.  Both paths
+build the terms with the same ``np.power`` call, whose rounding can
+depend on the array's shape.  On one radius numpy would add the column
+pairwise, so a one-point grid keeps the suffix matrix.
 """
 
 from __future__ import annotations
@@ -109,6 +118,11 @@ class WeightSequence:
     def dominator(self) -> float:
         return self.C
 
+    @property
+    def _phi0(self) -> float:
+        """w_0(r) = c_0 * r**0, which is c_0 at every r: 0.0 ** 0.0 is 1.0."""
+        return 1.0 if self.kind == POWER else self.coeffs[0]
+
     # -- public operations ------------------------------------------------
 
     def weight_at(self, n, r):
@@ -177,11 +191,16 @@ class WeightSequence:
         M = self.coeffs[:L_eff, None] * np.power(rs[None, :], n[:, None].astype(float))
         if weighted:
             M = M * (n + 1.0)[:, None]
-        suffix = np.zeros((L_eff + 1, rs.size))
-        suffix[:L_eff] = np.cumsum(M[::-1], axis=0)[::-1]
-        # suffix[L_eff] is 0: a start past the cut keeps the geometric tail alone
+        if Ns.size == 1 < rs.size:
+            # the one suffix row the cumsum below gives, added in its order
+            head = np.add.reduce(M[Ns[0]:][::-1])[None]
+        else:
+            suffix = np.zeros((L_eff + 1, rs.size))
+            suffix[:L_eff] = np.cumsum(M[::-1], axis=0)[::-1]
+            # suffix[L_eff] is 0: a start past the cut keeps the geometric tail alone
+            head = suffix[np.minimum(Ns, L_eff)]
         starts = np.maximum(Ns, L_eff)[:, None]
-        return suffix[np.minimum(Ns, L_eff)] + self._geom_tail(starts, x[None, :], weighted)
+        return head + self._geom_tail(starts, x[None, :], weighted)
 
 
 def power() -> WeightSequence:
