@@ -212,7 +212,7 @@ def scaled_power(coeffs, rho: float = 1.0, C: float = 1.0) -> WeightSequence:
     """Weights c_n * r**n with declared dominator c_n <= C * rho**n."""
     try:
         coeffs, rho, C = np.asarray(coeffs, dtype=float), float(rho), float(C)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int too large for a double
         raise DomainError("weight coefficients, rho and C must be numbers") from None
     return WeightSequence(SCALED_POWER, coeffs=coeffs, rho=rho, C=C)
 

@@ -60,6 +60,10 @@ WEIGHT_FILES = {
     "list-C": '{"kind": "scaled_power", "coeffs": [1.0], "C": [2.0]}',
     "inf-C": '{"kind": "scaled_power", "coeffs": [1.0, 0.5], "rho": 0.5, "C": Infinity}',
     "under-dominator": '{"kind": "scaled_power", "coeffs": [1.0, 0.9], "rho": 0.5, "C": 1}',
+    # integers too large for a double, short enough for the JSON parser
+    "huge-int-rho": '{"kind": "scaled_power", "coeffs": [1], "rho": ' + "9" * 400 + "}",
+    "huge-int-C": '{"kind": "scaled_power", "coeffs": [1], "C": ' + "9" * 400 + "}",
+    "huge-int-coeffs": '{"kind": "scaled_power", "coeffs": [1, ' + "9" * 400 + "]}",
 }
 # "@name" stands for that file (or directory, or missing path) in the test's
 # temporary directory
@@ -180,3 +184,10 @@ test_sharpness = contract("sharpness", 25)
 test_check_lemmas = contract("check-lemmas", 8)
 test_identity_check = contract("identity-check", 15)
 test_bad_subcommands = contract("usage", 6)
+
+
+@pytest.mark.parametrize("weights", BAD_WEIGHTS)
+def test_every_bad_weight_file_is_one_usage_line(files, weights):
+    code, lines = run(["radius", "--family", "psi1", "--weights", str(files / weights[1:])])
+    assert code == cli.EXIT_USAGE
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), lines

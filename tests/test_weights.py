@@ -181,6 +181,19 @@ class TestValidation:
         with pytest.raises(DomainError):
             power().weighted_tail(0, 0.5)
 
+    @pytest.mark.parametrize("fields", [
+        {"coeffs": [1], "rho": 10 ** 400},
+        {"coeffs": [1], "C": 10 ** 400},
+        {"coeffs": [1, 10 ** 400]},
+    ])
+    def test_integer_too_large_for_a_double_rejected(self, tmp_path, fields):
+        with pytest.raises(DomainError, match="must be numbers"):
+            scaled_power(**fields)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"kind": "scaled_power", **fields}))
+        with pytest.raises(DomainError, match="must be numbers"):
+            from_json(path)
+
     def test_coefficients_are_a_read_only_copy(self):
         c = np.array([1.0, 0.5])
         w = scaled_power(c, rho=0.9)
