@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bohrkit import DomainError, from_json, power, scaled_power
-from bohrkit.weights import WeightSequence
+from bohrkit.radii import _SCAN_GRID, _dyadic_points
+from bohrkit.weights import R_EDGE, WeightSequence
 
 
 def brute_tail(w, N, r, terms=10_000, weighted=False):
@@ -139,6 +140,39 @@ class TestTail:
             assert t < prev
             prev = t
         assert prev < 1e-15
+
+
+class TestOneStartTail:
+    """A tail from one start sums only its own terms; a call with two
+    starts builds the whole suffix matrix.  Both give the same bits, so a
+    numpy that changes either summation order fails here."""
+
+    WEIGHTS = {
+        "power": power(),
+        "harmonic": scaled_power(1.0 / (np.arange(4096) + 1.0), rho=1.0, C=1.0),
+        "short": scaled_power([1.0, 0.5, 0.25], rho=0.5, C=1.0),
+        "halves": scaled_power(0.5 ** np.arange(64), rho=0.5, C=1.0),
+        "slow": scaled_power(0.9 ** np.arange(1024), rho=0.9, C=1.0),
+    }
+
+    @staticmethod
+    def grids():
+        rng = np.random.default_rng(1729)
+        out = [np.sort(rng.uniform(0.0, rng.uniform(0.0, R_EDGE), rng.integers(1, 81)))
+               for _ in range(120)]
+        out += [_SCAN_GRID[start:start + 65] for start in range(0, _SCAN_GRID.size - 1, 64)]
+        return out + [_dyadic_points(0.4, 0.401)[1:-1], np.array([0.0]), np.array([R_EDGE])]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_matches_the_suffix_matrix_row(self, name, weighted):
+        w = self.WEIGHTS[name]
+        for rs in self.grids():
+            # starts inside the shortest list's cut and past every cut
+            for N in (1, 2, 70, 5000):
+                one = w._tail2(np.array([N]), rs, weighted)
+                assert one.shape == (1, rs.size)
+                assert np.array_equal(one[0], w._tail2(np.array([N, N + 1]), rs, weighted)[0])
 
 
 class TestValidation:

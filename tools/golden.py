@@ -35,6 +35,12 @@ weights and (for the weighted families) under c_n = 1/(n+1); the
 matching ``bound_for``, ``bohr_sum`` and ``a_refinement`` values; the
 Blaschke product's lacunary sums at r = 0.999; and the error raised for
 an unknown mode.
+
+The Psi set: ``psi_eval`` of psi1-psi4 and classical_c under power
+weights, c_n = 1/(n+1) and each further scaled weight, at one scalar
+radius, on the 7-point grid, on one 65-point scan chunk and on one
+31-point batch of bisection midpoints, so the radius functions' own bits
+are checked, not only the certificates they steer.
 """
 
 from __future__ import annotations
@@ -52,11 +58,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bohrkit import cli  # noqa: E402
+from bohrkit import radii  # noqa: E402
 from bohrkit import weights as wt  # noqa: E402
 from bohrkit.errors import BohrkitError  # noqa: E402
 from bohrkit.functionals import (ENVELOPE, POINTWISE, FunctionalParams,  # noqa: E402
                                  a_refinement, bohr_sum, bound_for, evaluate_family)
-from bohrkit.radii import RadiusProblem, RootCertificate, solve_radius  # noqa: E402
+from bohrkit.radii import RadiusProblem, RootCertificate, psi_eval, solve_radius  # noqa: E402
 from bohrkit.series import (moebius_minus, moebius_plus, multiply_by_z,  # noqa: E402
                             random_blaschke, schwarz_moebius)
 
@@ -75,6 +82,16 @@ NO_ROOT_COEFFS = [1.0] + [0.0] * 63
 def harmonic_weights():
     """The criterion-7 weights c_n = 1/(n+1), 4096 of them."""
     return wt.scaled_power(1.0 / (np.arange(4096) + 1.0), rho=1.0, C=1.0)
+
+
+def scaled_weights() -> dict[str, wt.WeightSequence]:
+    """Further scaled weights: short lists and rho < 1."""
+    return {
+        "short": wt.scaled_power([1.0, 0.5, 0.25], rho=0.5, C=1.0),
+        "halves": wt.scaled_power(0.5 ** np.arange(64), rho=0.5, C=1.0),
+        "slow": wt.scaled_power(0.9 ** np.arange(1024), rho=0.9, C=1.0),
+        "late": wt.scaled_power(0.3 ** np.arange(64), rho=0.3, C=1.0),
+    }
 
 
 def problems() -> list[tuple[str, RadiusProblem]]:
@@ -105,13 +122,7 @@ def problems() -> list[tuple[str, RadiusProblem]]:
     for lam in (0.5, 1.0, 2.0):
         for n in (1, 2, 3):
             add("classical", "classical_d", lam=lam, n_lacunary=n)
-    scaled = {
-        "short": wt.scaled_power([1.0, 0.5, 0.25], rho=0.5, C=1.0),
-        "halves": wt.scaled_power(0.5 ** np.arange(64), rho=0.5, C=1.0),
-        "slow": wt.scaled_power(0.9 ** np.arange(1024), rho=0.9, C=1.0),
-        "late": wt.scaled_power(0.3 ** np.arange(64), rho=0.3, C=1.0),
-    }
-    for name, w in scaled.items():
+    for name, w in scaled_weights().items():
         for m in (1, 3):
             for p in (0.25, 1.0, 2.0):
                 for fam in PSI:
@@ -252,6 +263,21 @@ def functional_lines() -> list[str]:
     return lines
 
 
+def psi_lines() -> list[str]:
+    weights = {"power": wt.power(), "harmonic": harmonic_weights(), **scaled_weights()}
+    grids = {repr(R_SCALAR): R_SCALAR, "grid": R_GRID,
+             "scan[448:513]": radii._SCAN_GRID[448:513],
+             "bisect(0.4, 0.401)": radii._dyadic_points(0.4, 0.401)[1:-1]}
+    params = FunctionalParams(m=2, p=1.5)
+    lines = []
+    for fam in WEIGHTED:
+        for wname, w in weights.items():
+            prob = RadiusProblem(fam, params, w)
+            for where, r in grids.items():
+                lines.append(f"psi {fam} {wname} r={where}: {_show(lambda: psi_eval(prob, r))}")
+    return lines
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         weights_json = str(Path(tmp) / "weights.json")
@@ -262,7 +288,7 @@ def main() -> int:
         Path(no_root_json).write_text(json.dumps(
             {"kind": wt.SCALED_POWER, "coeffs": NO_ROOT_COEFFS, "rho": 0.5, "C": 1.0}))
         lines = (certificate_lines() + command_lines(weights_json, no_root_json)
-                 + functional_lines())
+                 + functional_lines() + psi_lines())
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
