@@ -143,9 +143,9 @@ class TestTail:
 
 
 class TestOneStartTail:
-    """A tail from one start sums only its own terms; a call with two
-    starts builds the whole suffix matrix.  Both give the same bits, so a
-    numpy that changes either summation order fails here."""
+    """A tail from one start on two or more radii sums only its own rows;
+    a call with two starts builds the whole suffix matrix.  Both give the
+    same bits, so a numpy that changes either summation order fails here."""
 
     WEIGHTS = {
         "power": power(),

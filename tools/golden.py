@@ -58,12 +58,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bohrkit import cli  # noqa: E402
-from bohrkit import radii  # noqa: E402
 from bohrkit import weights as wt  # noqa: E402
 from bohrkit.errors import BohrkitError  # noqa: E402
 from bohrkit.functionals import (ENVELOPE, POINTWISE, FunctionalParams,  # noqa: E402
                                  a_refinement, bohr_sum, bound_for, evaluate_family)
-from bohrkit.radii import RadiusProblem, RootCertificate, psi_eval, solve_radius  # noqa: E402
+from bohrkit.radii import (_SCAN_GRID, RadiusProblem, RootCertificate,  # noqa: E402
+                          _dyadic_points, psi_eval, solve_radius)
 from bohrkit.series import (moebius_minus, moebius_plus, multiply_by_z,  # noqa: E402
                             random_blaschke, schwarz_moebius)
 
@@ -266,8 +266,8 @@ def functional_lines() -> list[str]:
 def psi_lines() -> list[str]:
     weights = {"power": wt.power(), "harmonic": harmonic_weights(), **scaled_weights()}
     grids = {repr(R_SCALAR): R_SCALAR, "grid": R_GRID,
-             "scan[448:513]": radii._SCAN_GRID[448:513],
-             "bisect(0.4, 0.401)": radii._dyadic_points(0.4, 0.401)[1:-1]}
+             "scan[448:513]": _SCAN_GRID[448:513],
+             "bisect(0.4, 0.401)": _dyadic_points(0.4, 0.401)[1:-1]}
     params = FunctionalParams(m=2, p=1.5)
     lines = []
     for fam in WEIGHTED:
