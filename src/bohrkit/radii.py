@@ -7,12 +7,16 @@ width 1e-13.  Where a weighted family reads scaled-power weights, the grid
 is evaluated in chunks of 64 cells and the scan stops at the chunk holding
 the first sign change, so the points above the root are never evaluated;
 every other Psi is in closed form and is evaluated in one call.  The about
-34 bisection steps go in batches of five: one :func:`psi_eval` call holds
-the 31 dyadic midpoints of the bracket, and the sequential bisection is
-replayed on their values, so it reaches the same bracket in about seven
-calls.  Each value equals the one-point value at its midpoint; under
-scaled-power weights that holds where the batch's points share one tail
-cut, which the solver checks before each call.  The bracket,
+34 bisection steps are predicted: one :func:`psi_eval` call holds the
+midpoints the bisection would visit if Psi changed sign at the bracket's
+regula-falsi guess, and the sequential bisection is replayed on their
+values for as long as each point is the step's own midpoint.  The first
+mispredicted step is still taken, the points after it are dropped, and
+the next call predicts again from the narrower bracket, so the solver
+reaches the step-by-step bracket in one to four calls.  Each value
+equals the one-point value at its midpoint; under scaled-power weights
+that holds where the batch's points share one tail cut, which the
+solver checks before each call.  The bracket,
 the signed values at its ends and the scan step are returned as a
 certificate, with ``psi_lo > 0 >= psi_hi``: the first sign change lies in
 ``(bracket_lo, bracket_hi]``, and ``psi_hi`` is 0.0 where Psi vanishes
@@ -22,7 +26,6 @@ on the end point.  The Psi functions themselves live in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +41,6 @@ BRACKET_WIDTH = 1e-13
 # the tail is cut to a few hundred terms by the chunk's largest r, large
 # enough that the per-call overhead of psi_eval stays below the work
 _SCAN_CHUNK = 64
-# bisection steps per psi_eval call: the 2**5 - 1 dyadic midpoints of the
-# bracket cost about one call's fixed work, and the steps replay on them
-_BISECT_LEVELS = 5
 # the scan grid 0, SCAN_STEP, ..., R_EDGE; arange stops below R_EDGE
 _SCAN_GRID = np.append(np.arange(0.0, wt.R_EDGE, SCAN_STEP), wt.R_EDGE)
 _SCAN_GRID.flags.writeable = False
@@ -95,10 +95,12 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     family reads scaled-power weights the grid goes in chunks of
     ``_SCAN_CHUNK`` cells and the scan stops in the first chunk whose
     values change sign; consecutive chunks share their boundary point, so
-    every grid cell is examined.  The bisection evaluates
-    ``_BISECT_LEVELS`` steps per call on the bracket's dyadic midpoints
-    and replays the steps on them; a scaled-power batch whose points do
-    not share one tail cut is split into calls that do, so the
+    every grid cell is examined.  Each bisection call evaluates the
+    midpoints the bisection visits toward the regula-falsi guess
+    ``lo - flo*(hi - lo)/(fhi - flo)`` of the current bracket and replays
+    the steps on them up to the first one whose sign the guess got wrong;
+    a scaled-power batch whose points do not share one tail cut is split
+    into calls that do.  Every step reads Psi at its own midpoint, so the
     certificate is the one a step-by-step bisection gives.  Raises
     :class:`DomainError` when Psi(0) is not positive and
     :class:`NoRootError` when Psi keeps its sign on the whole evaluation
@@ -123,51 +125,53 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     lo, hi = float(cells[i]), float(cells[i + 1])
     flo, fhi = float(vals[i]), float(vals[i + 1])
     while hi - lo > BRACKET_WIDTH:
-        # replay _BISECT_LEVELS steps of the sequential bisection on one batch
-        pts = _dyadic_points(lo, hi)
-        fs = _bisect_values(prob, pts[1:-1], scaled)
-        a, b = 0, pts.size - 1
-        while b - a > 1 and hi - lo > BRACKET_WIDTH:
-            k = (a + b) // 2
-            mid, fm = float(pts[k]), fs[k - 1]
+        # one call holds the path the bisection takes if Psi changes sign at
+        # the regula-falsi guess; the sequential steps replay on its values
+        # while the path's next point is the step's own midpoint
+        pts = _bisection_path(lo, hi, lo - flo * (hi - lo) / (fhi - flo))
+        for mid, fm in zip(pts.tolist(), _bisect_values(prob, pts, scaled)):
+            if not (hi - lo > BRACKET_WIDTH and mid == 0.5 * (lo + hi)):
+                break
             # flo > 0 throughout, so this is the sign test, a NaN fm included
             if fm > 0.0:
-                a, lo, flo = k, mid, fm
+                lo, flo = mid, fm
             else:
-                b, hi, fhi = k, mid, fm
+                hi, fhi = mid, fm
     return RootCertificate(0.5 * (lo + hi), lo, hi, flo, fhi, SCAN_STEP)
 
 
-def _dyadic_points(lo: float, hi: float) -> np.ndarray:
-    """lo, the 2**_BISECT_LEVELS - 1 dyadic midpoints of (lo, hi) and hi,
-    built level by level with the bisection's own ``0.5 * (a + b)``, so
-    that ``pts[(i + j) // 2]`` is the midpoint of ``pts[i]`` and ``pts[j]``
-    for every bracket the bisection can reach."""
-    n = 2 ** _BISECT_LEVELS
-    pts = np.empty(n + 1)
-    pts[0], pts[n] = lo, hi
-    step = n
-    while step > 1:
-        half = step // 2
-        pts[half::step] = 0.5 * (pts[:-half:step] + pts[step::step])
-        step = half
-    return pts
+def _bisection_path(lo: float, hi: float, guess: float) -> np.ndarray:
+    """The midpoints ``0.5 * (lo + hi)`` the bisection visits down to
+    ``BRACKET_WIDTH`` if Psi changes sign at guess, in the order visited;
+    a guess that is NaN or outside [lo, hi] is taken as the midpoint."""
+    if not lo <= guess <= hi:
+        guess = 0.5 * (lo + hi)
+    pts = []
+    while hi - lo > BRACKET_WIDTH:
+        mid = 0.5 * (lo + hi)
+        pts.append(mid)
+        if mid < guess:
+            lo = mid
+        else:
+            hi = mid
+    return np.array(pts)
 
 
 def _bisect_values(prob: RadiusProblem, mids: np.ndarray, scaled: bool) -> list:
-    """Psi at each of the ascending midpoints, each equal to its value on
-    a one-point grid.  A scaled-power tail cuts its sum at an index set by
-    the grid's largest r, so a batch is one call only where the cut at
-    its first and last point agree (the cut is nondecreasing in r > 0);
-    otherwise each run of equal cut is its own call.  Power weights and
-    closed-form Psi always take one call."""
+    """Psi at each of the midpoints, in their order, each equal to its
+    value on a one-point grid.  A scaled-power tail cuts its sum at an
+    index set by the grid's largest r, so a batch is one call only where
+    the cut at its smallest and largest point agree (the cut is
+    nondecreasing in r > 0); otherwise the points of each cut are one
+    call.  Power weights and closed-form Psi always take one call."""
     w = prob.weights
-    if not scaled or w._tail_cut(mids[0]) == w._tail_cut(mids[-1]):
+    if not scaled or w._tail_cut(mids.min()) == w._tail_cut(mids.max()):
         return psi_eval(prob, mids).tolist()
-    out = []
-    for _, run in itertools.groupby(mids.tolist(), w._tail_cut):
-        out += psi_eval(prob, np.array(list(run))).tolist()
-    return out
+    cuts = np.array([w._tail_cut(r) for r in mids.tolist()])
+    out = np.empty(mids.size)
+    for cut in np.unique(cuts):
+        out[cuts == cut] = psi_eval(prob, mids[cuts == cut])
+    return out.tolist()
 
 
 def classical_crosscheck(m: int, p_case: int):

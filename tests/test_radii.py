@@ -242,7 +242,7 @@ class TestChunkedScan:
         lo, hi = self.root_cell(cert)
         bisect = calls[len(scan):]
         assert all(np.all((lo < pts) & (pts < hi)) for pts in bisect)
-        assert 0 < len(bisect) <= BISECT_CALLS
+        assert 0 < len(bisect) <= MAX_BISECT_CALLS
 
     def test_closed_form_scan_is_one_call(self, monkeypatch):
         # power weights have closed-form tails: one call over the whole grid
@@ -252,7 +252,7 @@ class TestChunkedScan:
         assert np.array_equal(calls[0], scan_grid())
         lo, hi = self.root_cell(cert)
         assert all(np.all((lo < pts) & (pts < hi)) for pts in calls[1:])
-        assert 0 < len(calls) - 1 <= BISECT_CALLS
+        assert 0 < len(calls) - 1 <= MAX_BISECT_CALLS
 
     def test_unweighted_family_ignores_scaled_weights(self, monkeypatch):
         # psi5_t5 never reads the weights, so carrying them neither chunks
@@ -536,9 +536,9 @@ class TestScaledProperty:
         assert psi(cert.bracket_lo) > 0 >= psi(cert.bracket_hi)
 
 
-# a 1e-3 cell takes 34 sequential steps to a 1e-13 bracket, and each call
-# replays radii._BISECT_LEVELS of them
-BISECT_CALLS = math.ceil(34 / radii._BISECT_LEVELS)
+# the most bisection calls any of criterion 7's 48 problems or criteria
+# 3/4's 120 takes, as measured, against 7-8 calls of five dyadic levels
+MAX_BISECT_CALLS = 4
 
 
 def sequential_certificate(pr):
@@ -577,16 +577,27 @@ def chunk_boundary_problem(chunks, cell_offset):
 
 
 def cut_change_problem():
-    """psi3 under c_n = 1/(n+1) with its root in the middle of the first
-    cell past 0.3 whose tail cut changes inside it, so that the first
-    batch of midpoints spans two cuts."""
+    """psi3 under c_n = 1/(n+1) with its root p/(2+p) put, by p = 2r/(1-r),
+    on the smallest double past 0.3 where the tail cut steps up, so that
+    the first predicted bisection path, which closes in on the root from
+    both sides, spans two cuts."""
     grid = scan_grid()
-    for k in range(300, grid.size - 1):
-        root = 0.5 * (grid[k] + grid[k + 1])
-        mids = radii._dyadic_points(grid[k], grid[k + 1])[1:-1]
-        if HARMONIC._tail_cut(mids[0]) != HARMONIC._tail_cut(mids[-1]):
-            return prob("psi3", HARMONIC, p=2.0 * root / (1.0 - root))
-    raise AssertionError("no cell with a cut change")
+    cut = HARMONIC._tail_cut
+    k = next(k for k in range(300, grid.size - 1) if cut(grid[k]) != cut(grid[k + 1]))
+    lo, hi = float(grid[k]), float(grid[k + 1])
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if cut(mid) == cut(lo) else (lo, mid)
+    return prob("psi3", HARMONIC, p=2.0 * hi / (1.0 - hi))
+
+
+def criterion_7_problems():
+    return [param.values[0] for param in harmonic_problems()]
+
+
+def criteria_3_4_problems():
+    """The power-weight grid of criteria 3 and 4: the first 120 of
+    power_problems()."""
+    return [param.values[0] for param in power_problems()[:120]]
 
 
 def oracle_problems():
@@ -596,7 +607,7 @@ def oracle_problems():
             for m in (1, 2) for p in (1.0, 1.5)]
     out += [prob("psi3", LATE, p=2.0), cut_change_problem()]
     out += [chunk_boundary_problem(chunks, offset) for chunks in (1, 2) for offset in (-1, 0)]
-    return out
+    return out + [pr for pr in criterion_7_problems() if pr not in out]
 
 
 class TestBatchedBisection:
@@ -622,7 +633,7 @@ class TestBatchedBisection:
         lo, hi = TestChunkedScan.root_cell(cert)
         cuts = [{HARMONIC._tail_cut(r) for r in pts} for pts in calls
                 if np.all((lo < pts) & (pts < hi))]
-        # each call holds one cut, and the first batch spans two
+        # each call holds one cut, and some batch spans two
         assert all(len(c) == 1 for c in cuts)
         assert len(set.union(*cuts)) > 1
         assert cert == sequential_certificate(pr)
@@ -630,20 +641,48 @@ class TestBatchedBisection:
     @pytest.mark.parametrize("w", LEAN_WEIGHTS, ids=("power", "harmonic", "rho0.9"))
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_batch_equals_one_point_values(self, family, w):
+        # the solver's batches: unsorted bisection paths toward a guess that
+        # may lie inside the bracket, outside it or be NaN
         rng = np.random.default_rng(7)
         pr = RadiusProblem(family, FunctionalParams(m=2, p=1.5, q=3), w)
         checked = 0
-        for _ in range(8):
+        for i in range(8):
             lo = rng.uniform(0.01, 0.95)
-            mids = radii._dyadic_points(lo, lo + 10.0 ** rng.uniform(-13, -3))[1:-1]
-            if w.kind == wt.SCALED_POWER and w._tail_cut(mids[0]) != w._tail_cut(mids[-1]):
+            hi = lo + 10.0 ** rng.uniform(-12.5, -3)
+            guess = np.nan if i % 4 == 3 else rng.uniform(2 * lo - hi, 2 * hi - lo)
+            mids = radii._bisection_path(lo, hi, guess)
+            if w.kind == wt.SCALED_POWER and w._tail_cut(mids.min()) != w._tail_cut(mids.max()):
                 continue
             checked += 1
             assert np.array_equal(psi_eval(pr, mids), [psi_eval(pr, r) for r in mids])
         assert checked >= 6
 
-    def test_criterion_7_solve_call_count(self, monkeypatch):
+    @staticmethod
+    def bisection_calls(monkeypatch, problems):
+        """The problems that take more than MAX_BISECT_CALLS bisection calls."""
         calls = TestChunkedScan.record_calls(monkeypatch)
-        solve_radius(prob("psi3", HARMONIC, p=1.0))
-        bisect = [pts for pts in calls if not np.isin(pts, scan_grid()).all()]
-        assert len(bisect) <= BISECT_CALLS
+        over = []
+        for pr in problems:
+            calls.clear()
+            solve_radius(pr)
+            bisect = [pts for pts in calls if not np.isin(pts, scan_grid()).all()]
+            if not 0 < len(bisect) <= MAX_BISECT_CALLS:
+                over.append((pr, len(bisect)))
+        return over
+
+    def test_criterion_7_solve_call_count(self, monkeypatch):
+        assert self.bisection_calls(monkeypatch, criterion_7_problems()) == []
+
+    def test_criteria_3_4_solve_call_count(self, monkeypatch):
+        assert self.bisection_calls(monkeypatch, criteria_3_4_problems()) == []
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(problem=SCALED_PROBLEMS)
+    def test_scaled_certificate_equals_sequential(self, problem):
+        # mispredicted paths under drawn scaled weights must still replay
+        # the step-by-step bisection
+        try:
+            cert = solve_radius(problem)
+        except (NoRootError, DomainError):
+            return
+        assert cert == sequential_certificate(problem)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bohrkit import DomainError, from_json, power, scaled_power
-from bohrkit.radii import _SCAN_GRID, _dyadic_points
+from bohrkit.radii import _SCAN_GRID, _bisection_path
 from bohrkit.weights import R_EDGE, WeightSequence
 
 
@@ -142,6 +142,20 @@ class TestTail:
         assert prev < 1e-15
 
 
+def dyadic_midpoints(lo, hi):
+    """The 31 midpoints of five dyadic levels of (lo, hi), in ascending
+    order, each built from its neighbours with the bisection's own
+    ``0.5 * (a + b)``."""
+    pts = np.empty(33)
+    pts[0], pts[32] = lo, hi
+    step = 32
+    while step > 1:
+        half = step // 2
+        pts[half::step] = 0.5 * (pts[:-half:step] + pts[step::step])
+        step = half
+    return pts[1:-1]
+
+
 class TestOneStartTail:
     """A tail from one start on two or more radii sums only its own rows;
     a call with two starts builds the whole suffix matrix.  Both give the
@@ -161,7 +175,10 @@ class TestOneStartTail:
         out = [np.sort(rng.uniform(0.0, rng.uniform(0.0, R_EDGE), rng.integers(1, 81)))
                for _ in range(120)]
         out += [_SCAN_GRID[start:start + 65] for start in range(0, _SCAN_GRID.size - 1, 64)]
-        return out + [_dyadic_points(0.4, 0.401)[1:-1], np.array([0.0]), np.array([R_EDGE])]
+        # a sorted batch of bisection midpoints and the unsorted path the
+        # radius solver sends
+        out += [dyadic_midpoints(0.4, 0.401), _bisection_path(0.4, 0.401, 0.4 + 0.001 / 3.0)]
+        return out + [np.array([0.0]), np.array([R_EDGE])]
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("name", WEIGHTS)

@@ -38,9 +38,12 @@ an unknown mode.
 
 The Psi set: ``psi_eval`` of psi1-psi4 and classical_c under power
 weights, c_n = 1/(n+1) and each further scaled weight, at one scalar
-radius, on the 7-point grid, on one 65-point scan chunk and on one
-31-point batch of bisection midpoints, so the radius functions' own bits
-are checked, not only the certificates they steer.
+radius, on the 7-point grid, on one 65-point scan chunk, on the 31
+dyadic midpoints of a bisection bracket and on the unsorted midpoints a
+bisection of that bracket visits toward a point a third of the way in,
+so the radius functions' own bits are checked, not only the certificates
+they steer.  Both batches are built here, so any checkout's ``src/``
+dumps them.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from bohrkit.errors import BohrkitError  # noqa: E402
 from bohrkit.functionals import (ENVELOPE, POINTWISE, FunctionalParams,  # noqa: E402
                                  a_refinement, bohr_sum, bound_for, evaluate_family)
 from bohrkit.radii import (_SCAN_GRID, RadiusProblem, RootCertificate,  # noqa: E402
-                          _dyadic_points, psi_eval, solve_radius)
+                          psi_eval, solve_radius)
 from bohrkit.series import (moebius_minus, moebius_plus, multiply_by_z,  # noqa: E402
                             random_blaschke, schwarz_moebius)
 
@@ -263,11 +266,37 @@ def functional_lines() -> list[str]:
     return lines
 
 
+def dyadic_midpoints(lo: float, hi: float) -> np.ndarray:
+    """The 31 midpoints of five dyadic levels of (lo, hi), in ascending
+    order, each built from its neighbours with the bisection's own
+    ``0.5 * (a + b)``."""
+    pts = np.empty(33)
+    pts[0], pts[32] = lo, hi
+    step = 32
+    while step > 1:
+        half = step // 2
+        pts[half::step] = 0.5 * (pts[:-half:step] + pts[step::step])
+        step = half
+    return pts[1:-1]
+
+
+def bisection_path(lo: float, hi: float, target: float) -> np.ndarray:
+    """The midpoints a bisection of (lo, hi) visits, in order, down to a
+    width of 1e-13 if the sign changes at target."""
+    pts = []
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        pts.append(mid)
+        lo, hi = (mid, hi) if mid < target else (lo, mid)
+    return np.array(pts)
+
+
 def psi_lines() -> list[str]:
     weights = {"power": wt.power(), "harmonic": harmonic_weights(), **scaled_weights()}
     grids = {repr(R_SCALAR): R_SCALAR, "grid": R_GRID,
              "scan[448:513]": _SCAN_GRID[448:513],
-             "bisect(0.4, 0.401)": _dyadic_points(0.4, 0.401)[1:-1]}
+             "bisect(0.4, 0.401)": dyadic_midpoints(0.4, 0.401),
+             "path(0.4, 0.401)": bisection_path(0.4, 0.401, 0.4 + 0.001 / 3.0)}
     params = FunctionalParams(m=2, p=1.5)
     lines = []
     for fam in WEIGHTED:
