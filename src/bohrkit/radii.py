@@ -13,12 +13,11 @@ regula-falsi guess, and the sequential bisection is replayed on their
 values for as long as each point is the step's own midpoint.  The first
 mispredicted step is still taken, the points after it are dropped, and
 the next call predicts again from the narrower bracket, so the solver
-reaches the step-by-step bracket in one to four calls.  Each value
-equals the one-point value at its midpoint; under scaled-power weights
-that holds where the batch's points share one tail cut, which the
-solver checks before each call.  The bracket,
-the signed values at its ends and the scan step are returned as a
-certificate, with ``psi_lo > 0 >= psi_hi``: the first sign change lies in
+reaches the step-by-step bracket in a few calls.  Each value equals the
+one-point value at its midpoint; under scaled-power weights that holds
+where the batch's points share one tail cut, which the solver checks
+before each call.  The bracket, the signed values at its ends and the
+scan step are returned as a certificate, with ``psi_lo > 0 >= psi_hi``: the first sign change lies in
 ``(bracket_lo, bracket_hi]``, and ``psi_hi`` is 0.0 where Psi vanishes
 on the end point.  The Psi functions themselves live in
 :data:`bohrkit.functionals.FAMILIES`.
@@ -169,7 +168,7 @@ def _bisect_values(prob: RadiusProblem, mids: np.ndarray, scaled: bool) -> list:
         return psi_eval(prob, mids).tolist()
     cuts = np.array([w._tail_cut(r) for r in mids.tolist()])
     out = np.empty(mids.size)
-    for cut in np.unique(cuts):
+    for cut in set(cuts.tolist()):
         out[cuts == cut] = psi_eval(prob, mids[cuts == cut])
     return out.tolist()
 
