@@ -17,10 +17,10 @@ reaches the step-by-step bracket in a few calls.  Each value equals the
 one-point value at its midpoint; under scaled-power weights that holds
 where the batch's points share one tail cut, which the solver checks
 before each call.  The bracket, the signed values at its ends and the
-scan step are returned as a certificate, with ``psi_lo > 0 >= psi_hi``: the first sign change lies in
-``(bracket_lo, bracket_hi]``, and ``psi_hi`` is 0.0 where Psi vanishes
-on the end point.  The Psi functions themselves live in
-:data:`bohrkit.functionals.FAMILIES`.
+scan step are returned as a certificate, with ``psi_lo > 0 >= psi_hi``:
+the first sign change lies in ``(bracket_lo, bracket_hi]``, and
+``psi_hi`` is 0.0 where Psi vanishes on the end point.  The Psi
+functions themselves live in :data:`bohrkit.functionals.FAMILIES`.
 """
 
 from __future__ import annotations

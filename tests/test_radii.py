@@ -536,8 +536,9 @@ class TestScaledProperty:
         assert psi(cert.bracket_lo) > 0 >= psi(cert.bracket_hi)
 
 
-# the most bisection calls any of criterion 7's 48 problems or criteria
-# 3/4's 120 takes, as measured, against 7-8 calls of five dyadic levels
+# bisection calls per solve: criterion 7's 48 problems and criteria 3/4's
+# 120 each take one to three predicted paths (measured), against 7-8 calls
+# of five dyadic levels each
 MAX_BISECT_CALLS = 4
 
 
@@ -591,6 +592,7 @@ def cut_change_problem():
 
 
 def criterion_7_problems():
+    """harmonic_problems() without their pytest marks."""
     return [param.values[0] for param in harmonic_problems()]
 
 
@@ -659,7 +661,8 @@ class TestBatchedBisection:
 
     @staticmethod
     def bisection_calls(monkeypatch, problems):
-        """The problems that take more than MAX_BISECT_CALLS bisection calls."""
+        """Each problem whose solve does not take 1..MAX_BISECT_CALLS
+        bisection calls, with its count."""
         calls = TestChunkedScan.record_calls(monkeypatch)
         over = []
         for pr in problems:
