@@ -34,7 +34,10 @@ shift, on a 7-point radius grid and at one scalar radius, under power
 weights and (for the weighted families) under c_n = 1/(n+1); the
 matching ``bound_for``, ``bohr_sum`` and ``a_refinement`` values; the
 Blaschke product's lacunary sums at r = 0.999; and the error raised for
-an unknown mode.
+an unknown mode.  For ``psi5_t6`` with m = q, which its theorem excludes,
+and for ``psi3`` on a member with a_0 != 0, the dump pins which check
+raises first: the radius, then the mode, then the family's parameters
+and the body's own Schwarz check.
 
 The Psi set: ``psi_eval`` of psi1-psi4 and classical_c under power
 weights, c_n = 1/(n+1) and each further scaled weight, at one scalar
@@ -263,6 +266,14 @@ def functional_lines() -> list[str]:
         lines.append(f"functional {fam} mode=bogus: "
                      + _show(lambda: evaluate_family(fam, blaschke, wt.power(),
                                                      params, R_SCALAR, "bogus")))
+    lacunary_bad = dataclasses.replace(params, m=params.q)
+    for r, mode in ((R_SCALAR, ENVELOPE), (1.5, ENVELOPE), (R_SCALAR, "bogus")):
+        lines.append(f"functional psi5_t6 m=q r={r!r} mode={mode}: "
+                     + _show(lambda: evaluate_family("psi5_t6", blaschke, wt.power(),
+                                                     lacunary_bad, r, mode)))
+    lines.append("functional psi3 mode=bogus plus: "
+                 + _show(lambda: evaluate_family("psi3", members["plus"], wt.power(),
+                                                 params, R_SCALAR, "bogus")))
     return lines
 
 
