@@ -9,9 +9,7 @@ certifies both validity below each radius and sharpness just above it.
 from .errors import (AccuracyError, BohrkitError, DomainError, NoRootError,
                      NotFalsifiableError, NoWitnessError, UsageError)
 from .functionals import (FunctionalParams, a_refinement, bohr_sum,
-                          bound_for, evaluate_family, functional_T1,
-                          functional_T2, functional_T3, functional_T4,
-                          functional_T5, functional_T6)
+                          bound_for, evaluate_family)
 from .radii import (RadiusProblem, RootCertificate, classical_crosscheck,
                     psi_eval, solve_radius)
 from .series import (BoundedFunction, blaschke, eval_derivative, evaluate,
@@ -31,10 +29,8 @@ __all__ = [
     "VerificationReport", "WeightSequence", "Witness", "a_refinement",
     "blaschke", "bohr_sum", "bound_for", "check_lemma_D",
     "check_lemma_coeff", "check_schwarz_pick", "classical_crosscheck",
-    "eval_derivative", "evaluate", "evaluate_family",
-    "from_json", "functional_T1", "functional_T2", "functional_T3",
-    "functional_T4", "functional_T5", "functional_T6", "moebius_minus",
-    "moebius_plus", "multiply_by_z", "power", "psi_eval", "random_blaschke",
-    "scaled_power", "schwarz_moebius", "sharpness_witness",
+    "eval_derivative", "evaluate", "evaluate_family", "from_json",
+    "moebius_minus", "moebius_plus", "multiply_by_z", "power", "psi_eval",
+    "random_blaschke", "scaled_power", "schwarz_moebius", "sharpness_witness",
     "solve_radius", "standard_families", "verify_below_radius",
 ]

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -169,36 +168,13 @@ def _require_schwarz(f):
         raise DomainError("this functional requires a Schwarz function (a_0 = 0)")
 
 
-def _functional(body, power=False):
-    """The public form ``functional(f, w, params, r, mode=ENVELOPE)`` of a
-    body on the weight block of w (power weights if ``power``) and r's 1-d
-    grid; a float for a scalar r.  ``_evaluator`` returns the block and
-    f -> body on it, for every f of truncation order <= order."""
-    def evaluator(w, params, rs, order, mode):
-        if mode not in (ENVELOPE, POINTWISE):
-            raise DomainError(f"mode must be {ENVELOPE!r} or {POINTWISE!r}")
-        blk = _Block(_POWER if power else w, rs, order)
-        return blk, lambda f: body(f, blk, params, mode)
-
-    def functional(f, w, params: FunctionalParams, r, mode: str = ENVELOPE):
-        return _on_grid(r, lambda rs: evaluator(w, params, rs, f.truncation_order, mode)[1](f))
-    # not functools.wraps: its __wrapped__ would make inspect.signature
-    # report the body's blk in place of the public w and r
-    functional.__name__ = functional.__qualname__ = body.__name__
-    functional.__doc__ = body.__doc__
-    functional._evaluator = evaluator
-    return functional
-
-
-@_functional
-def functional_T1(f, blk, params, mode):
+def _t1(f, blk, params, mode):
     """|f(w(z))|**p * phi_0 + majorant + refinement."""
     head = _head_modulus(f, params.m, blk.rs, mode) ** params.p * blk.rows[0]
     return head + _bohr_sum_arr(f, blk, 1) + _a_refinement_arr(f, blk)
 
 
-@_functional
-def functional_T2(f, blk, params, mode):
+def _t2(f, blk, params, mode):
     """|a_0|**p * phi_0 + majorant + refinement + |f(w(z)) - a_0|."""
     a0 = f.coeffs[0]
     a = abs(a0)
@@ -211,15 +187,13 @@ def functional_T2(f, blk, params, mode):
         + _a_refinement_arr(f, blk) + dev
 
 
-@_functional
-def functional_T3(f, blk, params, mode):
+def _t3(f, blk, params, mode):
     """|a_1|**p * phi_0 + sum (n+1)|a_{n+1}| w_n(r); needs a_0 = 0."""
     _require_schwarz(f)
     return abs(f.coeffs[1]) ** params.p * blk.rows[0] + _weighted_coeff_sum_arr(f, blk)
 
 
-@_functional
-def functional_T4(f, blk, params, mode):
+def _t4(f, blk, params, mode):
     """T3 plus the derivative deviation |f'(w(z)) - a_1|; needs a_0 = 0."""
     _require_schwarz(f)
     a1 = f.coeffs[1]
@@ -231,8 +205,7 @@ def functional_T4(f, blk, params, mode):
     return abs(a1) ** params.p * blk.rows[0] + _weighted_coeff_sum_arr(f, blk) + dev
 
 
-@partial(_functional, power=True)
-def functional_T5(f, blk, params, mode):
+def _t5(f, blk, params, mode):
     """|f(w(z))|**p + lambda * [majorant + refinement], power weights."""
     head = _head_modulus(f, params.m, blk.rs, mode) ** params.p
     return head + params.lam * (_bohr_sum_arr(f, blk, 1) + _a_refinement_arr(f, blk))
@@ -244,17 +217,14 @@ def _check_lacunary(params: FunctionalParams):
         raise DomainError("psi5_t6 needs q >= 2 and 0 < m < q")
 
 
-@partial(_functional, power=True)
-def functional_T6(f, blk, params, mode):
+def _t6(f, blk, params, mode):
     """|f(w(z))|**p + lambda * lacunary majorant over indices qk + m."""
-    _check_lacunary(params)
     head = _head_modulus(f, params.m, blk.rs, mode) ** params.p
     q = params.q
     return head + params.lam * _bohr_sum_arr(f, blk, q + params.m, q, "the lacunary sum")
 
 
-@partial(_functional, power=True)
-def functional_TD(f, blk, params, mode):
+def _td(f, blk, params, mode):
     """|f(z)| + lambda * lacunary majorant over indices nk, power weights."""
     n = params.n_lacunary
     return _head_modulus(f, 1, blk.rs, mode) + params.lam * _bohr_sum_arr(
@@ -266,7 +236,9 @@ class Family:
     """Everything bohrkit knows about one radius family.
 
     ``psi(params, w, rs, x)`` is the radius function on the grid ``rs``
-    with ``x = rs**m``, positive in the validity regime.  A ``weighted``
+    with ``x = rs**m``, positive in the validity regime.
+    ``functional(f, blk, params, mode)`` is the composite functional's
+    body on the weight block ``blk`` of a radius grid.  A ``weighted``
     family gives the problem's weights to Psi, to ``functional`` and to
     its bound phi_0(r); the others use power weights r**n throughout,
     where phi_0 = 1.  ``p`` pins the modulus power of a classical
@@ -288,48 +260,48 @@ FAMILIES: dict[str, Family] = {
     "psi1": Family(
         lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x) * w._phi0
                               - 2.0 * w._tail2(_N1, rs, False)[0]),
-        functional_T1, weighted=True, extremal="plus"),
+        _t1, weighted=True, extremal="plus"),
     "psi2": Family(
         lambda pm, w, rs, x: (0.5 * pm.p * w._phi0 - w._tail2(_N1, rs, False)[0]
                               - x / (1.0 - x)),
-        functional_T2, weighted=True, extremal="minus"),
+        _t2, weighted=True, extremal="minus"),
     "psi3": Family(
         lambda pm, w, rs, x: 0.5 * pm.p * w._phi0 - w._tail2(_N1, rs, True)[0],
-        functional_T3, weighted=True, extremal="schwarz"),
+        _t3, weighted=True, extremal="schwarz"),
     "psi4": Family(
         lambda pm, w, rs, x: (0.5 * pm.p * w._phi0 - w._tail2(_N1, rs, True)[0]
                               - x * (2.0 - x) / (1.0 - x) ** 2),
-        functional_T4, weighted=True, extremal="schwarz"),
+        _t4, weighted=True, extremal="schwarz"),
     "psi5_t5": Family(
         lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x)
                               - 2.0 * pm.lam * rs / (1.0 - rs)),
-        functional_T5, weighted=False, extremal="plus"),
+        _t5, weighted=False, extremal="plus"),
     # sign flipped relative to the source convention, which is positive
     # past the radius, so that every Psi is positive at 0
     "psi5_t6": Family(
         lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x) - 2.0 * pm.lam
                               * rs ** (pm.q + pm.m) / (1.0 - rs ** pm.q)),
-        functional_T6, weighted=False, extremal="plus", check=_check_lacunary),
+        _t6, weighted=False, extremal="plus", check=_check_lacunary),
     "classical_alpha": Family(
         lambda pm, w, rs, x: (1.0 - rs) * (1.0 - x) - 2.0 * rs * (1.0 + x),
-        functional_T1, weighted=False, extremal="plus", p=1.0),
+        _t1, weighted=False, extremal="plus", p=1.0),
     "classical_beta": Family(
         lambda pm, w, rs, x: 1.0 - 2.0 * rs - x,
-        functional_T1, weighted=False, extremal="plus", p=2.0),
+        _t1, weighted=False, extremal="plus", p=2.0),
     "classical_zeta": Family(
         lambda pm, w, rs, x: 1.0 - 3.0 * rs - x * (3.0 - 5.0 * rs),
-        functional_T2, weighted=False, extremal="minus", p=1.0),
+        _t2, weighted=False, extremal="minus", p=1.0),
     "classical_eta": Family(
         lambda pm, w, rs, x: 1.0 - 2.0 * rs - x * (2.0 - 3.0 * rs),
-        functional_T2, weighted=False, extremal="minus", p=2.0),
+        _t2, weighted=False, extremal="minus", p=2.0),
     # theorem C under general weights: twice psi3 at p = 1
     "classical_c": Family(
         lambda pm, w, rs, x: w._phi0 - 2.0 * w._tail2(_N1, rs, True)[0],
-        functional_T3, weighted=True, extremal="schwarz", p=1.0),
+        _t3, weighted=True, extremal="schwarz", p=1.0),
     "classical_d": Family(
         lambda pm, w, rs, x: (1.0 - rs - (2.0 * pm.lam + 1.0) * rs ** pm.n_lacunary
                               - (2.0 * pm.lam - 1.0) * rs ** (pm.n_lacunary + 1)),
-        functional_TD, weighted=False, extremal="plus"),
+        _td, weighted=False, extremal="plus"),
 }
 
 
@@ -345,9 +317,13 @@ def _family_evaluator(family, w, params, rs, order, mode):
     """evaluate_family's weight block on the grid rs and f -> its value
     there, for every f of truncation order <= ``order``."""
     fam = get_family(family)
+    if mode not in (ENVELOPE, POINTWISE):
+        raise DomainError(f"mode must be {ENVELOPE!r} or {POINTWISE!r}")
+    fam.check(params)
     if fam.p is not None:
         params = replace(params, p=fam.p)
-    return fam.functional._evaluator(w if fam.weighted else _POWER, params, rs, order, mode)
+    blk = _Block(w if fam.weighted else _POWER, rs, order)
+    return blk, lambda f: fam.functional(f, blk, params, mode)
 
 
 def evaluate_family(family: str, f, w, params: FunctionalParams, r,

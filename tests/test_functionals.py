@@ -1,14 +1,13 @@
-"""Building-block sums and the six composite functionals."""
+"""Building-block sums and the composite functionals, each reached
+through ``evaluate_family`` by the name of a family that uses it."""
 
 import numpy as np
 import pytest
 
 from bohrkit import (BoundedFunction, DomainError, FunctionalParams,
-                     a_refinement, bohr_sum, evaluate_family, functional_T1,
-                     functional_T2, functional_T3, functional_T4,
-                     functional_T5, functional_T6, moebius_minus, moebius_plus,
-                     multiply_by_z, power, random_blaschke, scaled_power,
-                     schwarz_moebius)
+                     a_refinement, bohr_sum, evaluate_family, moebius_minus,
+                     moebius_plus, multiply_by_z, power, random_blaschke,
+                     scaled_power, schwarz_moebius)
 from bohrkit.functionals import ENVELOPE, POINTWISE, bound_for
 
 PW = power()
@@ -88,13 +87,13 @@ class TestARefinement:
 class TestT1:
     def test_hand_value(self):
         params = FunctionalParams(m=1, p=1.0)
-        got = functional_T1(moebius_plus(0.0), PW, params, 0.2)
+        got = evaluate_family("psi1", moebius_plus(0.0), PW, params, 0.2)
         assert got == pytest.approx(0.45, abs=1e-13)
 
     def test_value_at_origin(self):
         for a, p in ((0.0, 1.0), (0.6, 1.0), (0.6, 0.5)):
-            got = functional_T1(moebius_plus(a), PW,
-                                FunctionalParams(p=p), 0.0)
+            got = evaluate_family("psi1", moebius_plus(a), PW,
+                                  FunctionalParams(p=p), 0.0)
             assert got == pytest.approx(a ** p, abs=1e-13)
 
     def test_approaches_bound_as_a_grows(self):
@@ -102,7 +101,7 @@ class TestT1:
         # by the sign of the radius function
         r = 0.2  # below the radius for m = p = 1
         params = FunctionalParams(m=1, p=1.0)
-        vals = [functional_T1(moebius_plus(a), PW, params, r)
+        vals = [evaluate_family("psi1", moebius_plus(a), PW, params, r)
                 for a in (0.9, 0.99, 0.999)]
         bound = bound_for("psi1", PW, r)
         gaps = [bound - v for v in vals]
@@ -114,26 +113,27 @@ class TestT2:
     def test_identity_function_value(self):
         r = 0.4
         want = r + (r * r + r ** 3 / (1 - r)) + r
-        got = functional_T2(moebius_plus(0.0), PW, FunctionalParams(), r)
+        got = evaluate_family("psi2", moebius_plus(0.0), PW, FunctionalParams(), r)
         assert got == pytest.approx(want, abs=1e-13)
 
     def test_deviation_block_closed_form(self):
         a, r, m = 0.5, 0.3, 2
         f = moebius_minus(a)
-        base = functional_T2(f, PW, FunctionalParams(m=m), r)
+        base = evaluate_family("psi2", f, PW, FunctionalParams(m=m), r)
         no_dev = (a + bohr_sum(f, PW, 1, r) + a_refinement(f, PW, r))
         assert base - no_dev == pytest.approx(
             (1 - a * a) * r ** m / (1 - a * r ** m), abs=1e-13)
 
     def test_value_at_origin(self):
-        got = functional_T2(moebius_minus(0.7), PW, FunctionalParams(p=2.0), 0.0)
+        got = evaluate_family("psi2", moebius_minus(0.7), PW,
+                              FunctionalParams(p=2.0), 0.0)
         assert got == pytest.approx(0.49, abs=1e-13)
 
 
 class TestT3:
     def test_zero_parameter_hand_value(self):
         # f(z) = -z^2: single term 2 * r
-        got = functional_T3(schwarz_moebius(0.0), PW, FunctionalParams(), 0.3)
+        got = evaluate_family("psi3", schwarz_moebius(0.0), PW, FunctionalParams(), 0.3)
         assert got == pytest.approx(0.6, abs=1e-13)
 
     def test_moebius_closed_form(self):
@@ -142,7 +142,7 @@ class TestT3:
         ns = np.arange(1, 200)
         want = a ** p + (1 - a * a) * float(
             ((ns + 1.0) * a ** (ns - 1.0) * r ** ns).sum())
-        got = functional_T3(schwarz_moebius(a), PW, FunctionalParams(p=p), r)
+        got = evaluate_family("psi3", schwarz_moebius(a), PW, FunctionalParams(p=p), r)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_first_order_series_is_head_only(self):
@@ -150,30 +150,31 @@ class TestT3:
         w = scaled_power([0.5, 0.25], rho=0.5, C=1.0)
         rs = np.array([0.0, 0.3, 0.6])
         for p in (0.5, 2.0):
-            got = functional_T3(moebius_plus(0.0), w, FunctionalParams(p=p), rs)
+            params = FunctionalParams(p=p)
+            got = evaluate_family("psi3", moebius_plus(0.0), w, params, rs)
             assert np.array_equal(got, np.full(3, 0.5))
-            assert functional_T3(moebius_plus(0.0), w, FunctionalParams(p=p), 0.3) == 0.5
+            assert evaluate_family("psi3", moebius_plus(0.0), w, params, 0.3) == 0.5
 
     def test_requires_schwarz_function(self):
         with pytest.raises(DomainError):
-            functional_T3(moebius_plus(0.3), PW, FunctionalParams(), 0.2)
+            evaluate_family("psi3", moebius_plus(0.3), PW, FunctionalParams(), 0.2)
 
 
 class TestT4:
     def test_zero_parameter_hand_value(self):
         r = 0.3
         want = 0.6 + r * (2 - r) / (1 - r) ** 2
-        got = functional_T4(schwarz_moebius(0.0), PW, FunctionalParams(), r)
+        got = evaluate_family("psi4", schwarz_moebius(0.0), PW, FunctionalParams(), r)
         assert got == pytest.approx(want, abs=1e-13)
 
     def test_requires_schwarz_function(self):
         with pytest.raises(DomainError):
-            functional_T4(moebius_plus(0.3), PW, FunctionalParams(), 0.2)
+            evaluate_family("psi4", moebius_plus(0.3), PW, FunctionalParams(), 0.2)
 
     def test_deviation_scales_with_head(self):
         r = 0.2
-        lo = functional_T4(schwarz_moebius(0.9), PW, FunctionalParams(), r)
-        hi = functional_T4(schwarz_moebius(0.1), PW, FunctionalParams(), r)
+        lo = evaluate_family("psi4", schwarz_moebius(0.9), PW, FunctionalParams(), r)
+        hi = evaluate_family("psi4", schwarz_moebius(0.1), PW, FunctionalParams(), r)
         # smaller |a_1| leaves more room in the derivative deviation
         assert hi - 0.1 > lo - 0.9 - 1e-12
 
@@ -188,11 +189,12 @@ class TestT5:
                     params = FunctionalParams(m=1, p=p, lam=lam)
                     want = ((a + r) / (1 + a * r)) ** p \
                         + lam * (1 - a * a) * r / (1 - r)
-                    got = functional_T5(moebius_plus(a), PW, params, r)
+                    got = evaluate_family("psi5_t5", moebius_plus(a), PW, params, r)
                     assert got == pytest.approx(want, abs=1e-11)
 
     def test_value_at_origin(self):
-        got = functional_T5(moebius_plus(0.5), PW, FunctionalParams(p=2.0), 0.0)
+        got = evaluate_family("psi5_t5", moebius_plus(0.5), PW,
+                              FunctionalParams(p=2.0), 0.0)
         assert got == pytest.approx(0.25, abs=1e-13)
 
 
@@ -204,27 +206,27 @@ class TestT6:
         ks = np.arange(1, 100)
         want = (a + r) / (1 + a * r) + lam * (1 - a * a) * float(
             (a ** (2.0 * ks) * r ** (2.0 * ks + 1)).sum())
-        got = functional_T6(moebius_plus(a), PW, params, r)
+        got = evaluate_family("psi5_t6", moebius_plus(a), PW, params, r)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            functional_T6(moebius_plus(0.3), PW,
-                          FunctionalParams(m=1, q=1), 0.2)
+            evaluate_family("psi5_t6", moebius_plus(0.3), PW,
+                            FunctionalParams(m=1, q=1), 0.2)
         with pytest.raises(DomainError):
-            functional_T6(moebius_plus(0.3), PW,
-                          FunctionalParams(m=2, q=2), 0.2)
+            evaluate_family("psi5_t6", moebius_plus(0.3), PW,
+                            FunctionalParams(m=2, q=2), 0.2)
 
     def test_lacunary_indices_beyond_truncation_order(self):
         # f(z) = z has T = 1 < q + m = 3: only the head term r**p is left
         rs = np.array([0.0, 0.3, 0.6])
         params = FunctionalParams(m=1, p=1.5, lam=2.0, q=2)
-        got = functional_T6(moebius_plus(0.0), PW, params, rs)
+        got = evaluate_family("psi5_t6", moebius_plus(0.0), PW, params, rs)
         assert np.array_equal(got, rs ** 1.5)
 
     def test_zero_radius(self):
-        got = functional_T6(moebius_plus(0.3), PW,
-                            FunctionalParams(m=1, q=2), 0.0)
+        got = evaluate_family("psi5_t6", moebius_plus(0.3), PW,
+                              FunctionalParams(m=1, q=2), 0.0)
         assert got == pytest.approx(0.3, abs=1e-13)
 
 
@@ -262,8 +264,8 @@ class TestModeAndMonotonicity:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(DomainError):
-            functional_T1(moebius_plus(0.3), PW, FunctionalParams(), 0.2,
-                          mode="exact")
+            evaluate_family("psi1", moebius_plus(0.3), PW, FunctionalParams(), 0.2,
+                            mode="exact")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(DomainError):
@@ -302,5 +304,13 @@ class TestParams:
 
     def test_scaled_weights_accepted(self):
         w = scaled_power(1.0 / (np.arange(32) + 1.0), rho=1.0, C=1.0)
-        got = functional_T1(moebius_plus(0.5), w, FunctionalParams(), 0.3)
+        got = evaluate_family("psi1", moebius_plus(0.5), w, FunctionalParams(), 0.3)
         assert got > 0.0
+
+
+def test_every_exported_name_resolves():
+    import bohrkit
+    missing = [name for name in bohrkit.__all__ if not hasattr(bohrkit, name)]
+    assert missing == []
+    assert "evaluate_family" in bohrkit.__all__
+    assert not any(name.startswith("functional_") for name in bohrkit.__all__)
