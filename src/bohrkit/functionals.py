@@ -101,17 +101,22 @@ def _guard(bound: float, what: str):
 
 class _Block:
     """w_n(rs) (row 0 is phi_0), the refinement's tail(2n + 1, rs) and the
-    guards' tails at max(rs), for each index kept up to truncation order."""
+    guards' tails at max(rs), for each index kept up to truncation order;
+    AccuracyError when the largest of them, the weighted tail from 0 at
+    max(rs), is past the double range."""
 
     def __init__(self, w, rs, order):
         self.w, self.rs, rmax = w, rs, float(rs.max())
         self.x = w.ratio(rmax)
         self.cut = _cutoff(self.x)
         top, half = min(order, self.cut), min(order, self.cut // 2 + 1)
+        with np.errstate(over="ignore"):
+            self.guard_tails = [w._tail2(np.arange(top + 2), np.array([rmax]), weighted)[:, 0]
+                                for weighted in (False, True)]
+        if not math.isfinite(self.guard_tails[1][0]):
+            raise AccuracyError(f"the weight tails at r = {rmax!r} overflow a double")
         self.rows = w._weight2(np.arange(max(top, 2 * half) + 1), rs)
         self.tails = w._tail2(2 * np.arange(1, half + 1) + 1, rs, weighted=False)
-        self.guard_tails = [w._tail2(np.arange(top + 2), np.array([rmax]), weighted)[:, 0]
-                            for weighted in (False, True)]
 
 
 def _bohr_sum_arr(f, blk, start, step=1, what="the weighted coefficient sum"):

@@ -179,8 +179,10 @@ class WeightSequence:
         xmax = self.rho * rmax
         if not 0.0 < xmax < 1.0:
             return L
-        cut = math.log(_NEGLIGIBLE * (1.0 - xmax) / max(self.C, _NEGLIGIBLE))
-        return min(L, max(1, math.ceil(cut / math.log(xmax)) + 8))
+        scale = _NEGLIGIBLE * (1.0 - xmax) / max(self.C, _NEGLIGIBLE)
+        if scale == 0.0:  # C above about 1e305: no term is silent
+            return L
+        return min(L, max(1, math.ceil(math.log(scale) / math.log(xmax)) + 8))
 
     def _tail2(self, Ns: np.ndarray, rs: np.ndarray, weighted: bool) -> np.ndarray:
         if self.kind == POWER:

@@ -64,10 +64,12 @@ WEIGHT_FILES = {
     "huge-int-rho": '{"kind": "scaled_power", "coeffs": [1], "rho": ' + "9" * 400 + "}",
     "huge-int-C": '{"kind": "scaled_power", "coeffs": [1], "C": ' + "9" * 400 + "}",
     "huge-int-coeffs": '{"kind": "scaled_power", "coeffs": [1, ' + "9" * 400 + "]}",
+    # a dominator so large that the tail cut's log argument underflows
+    "huge-C": '{"kind": "scaled_power", "coeffs": [1], "C": 1e307}',
 }
 # "@name" stands for that file (or directory, or missing path) in the test's
 # temporary directory
-VALID_WEIGHTS = ("power", "@valid", "@no-root", "@power")
+VALID_WEIGHTS = ("power", "@valid", "@no-root", "@power", "@huge-C")
 BAD_WEIGHTS = ("@missing", "@dir") + tuple(
     f"@{name}" for name in WEIGHT_FILES if f"@{name}" not in VALID_WEIGHTS)
 OUTPUT = (("-", "@out"), ("@missing/out.txt", "@dir"))
@@ -191,3 +193,20 @@ def test_every_bad_weight_file_is_one_usage_line(files, weights):
     code, lines = run(["radius", "--family", "psi1", "--weights", str(files / weights[1:])])
     assert code == cli.EXIT_USAGE
     assert len(lines) == 1 and lines[0].startswith("usage error: "), lines
+
+
+# the radius lies below 1e-13, so verify finds the population above phi_0
+# there; the sharpness window and the lemmas' fixed grid up to r = 0.9
+# reach tails no remainder bound can certify
+@pytest.mark.parametrize("argv, expected", [
+    (["radius", "--family", "psi1"], cli.EXIT_OK),
+    (["table", "--family", "psi1"], cli.EXIT_OK),
+    (["verify", "--family", "psi1", "--r-points", "8", "--blaschke", "2"],
+     cli.EXIT_VERIFICATION),
+    (["sharpness", "--family", "psi1"], cli.EXIT_ACCURACY),
+    (["check-lemmas", "--trials", "2"], cli.EXIT_ACCURACY),
+])
+def test_huge_dominator_ends_in_an_exit_code(files, argv, expected):
+    code, lines = run(argv + ["--weights", str(files / "huge-C")])
+    assert code == expected
+    assert len(lines) == (code != cli.EXIT_OK), lines

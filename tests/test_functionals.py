@@ -4,10 +4,10 @@ through ``evaluate_family`` by the name of a family that uses it."""
 import numpy as np
 import pytest
 
-from bohrkit import (BoundedFunction, DomainError, FunctionalParams,
-                     a_refinement, bohr_sum, evaluate_family, moebius_minus,
-                     moebius_plus, multiply_by_z, power, random_blaschke,
-                     scaled_power, schwarz_moebius)
+from bohrkit import (AccuracyError, BoundedFunction, DomainError,
+                     FunctionalParams, a_refinement, bohr_sum, evaluate_family,
+                     moebius_minus, moebius_plus, multiply_by_z, power,
+                     random_blaschke, scaled_power, schwarz_moebius)
 from bohrkit.functionals import ENVELOPE, POINTWISE, bound_for
 
 PW = power()
@@ -36,6 +36,11 @@ class TestBohrSum:
         assert bohr_sum(f, PW, 2, 0.5) == 0.0
         got = bohr_sum(f, PW, 2, np.array([0.0, 0.5, 0.9]))
         assert isinstance(got, np.ndarray) and np.array_equal(got, np.zeros(3))
+
+    def test_weight_tails_past_the_double_range_rejected(self):
+        w = scaled_power([1.0], C=1e307)
+        with pytest.raises(AccuracyError, match="overflow a double"):
+            bohr_sum(moebius_plus(0.3), w, 1, 0.9)
 
     def test_negative_start_rejected(self):
         with pytest.raises(DomainError):

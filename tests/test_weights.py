@@ -70,6 +70,12 @@ class TestTail:
         partial = float(((ns + 1.0) * 0.3 ** ns).sum())
         assert power().weighted_tail(1, 0.3) == pytest.approx(partial, abs=1e-12)
 
+    def test_huge_dominator_keeps_every_stored_term(self):
+        # the cut's log argument 1e-18 (1 - x) / C underflows to 0 past C ~ 1e305
+        w = scaled_power([1.0, 0.5], C=1e307)
+        assert w._tail_cut(0.5) == 2
+        assert w.tail(1, 0.5) == pytest.approx(0.25 + 1e307 * 0.25 / 0.5, rel=1e-15)
+
     def test_scaled_overestimates_partial_sums(self):
         w = scaled_power(1.0 / (np.arange(64) + 1.0), rho=1.0, C=1.0)
         for r in (0.2, 0.5, 0.8):
