@@ -180,7 +180,7 @@ class WeightSequence:
         if not 0.0 < xmax < 1.0:
             return L
         scale = _NEGLIGIBLE * (1.0 - xmax) / max(self.C, _NEGLIGIBLE)
-        if scale == 0.0:  # C above about 1e305: no term is silent
+        if scale == 0.0:  # C past about 2e305: no term is silent
             return L
         return min(L, max(1, math.ceil(math.log(scale) / math.log(xmax)) + 8))
 
