@@ -41,9 +41,6 @@ REMAINDER_TOL = 1e-12
 _CUT_TOL = 1e-18
 
 _POWER = wt.power()
-# the start index of the Psi bodies' tails, which read the weights' 2-d
-# internals on the grid psi_eval validated
-_N1 = np.array([1])
 
 ENVELOPE = "envelope"
 POINTWISE = "pointwise"
@@ -240,73 +237,76 @@ def _td(f, blk, params, mode):
 class Family:
     """Everything bohrkit knows about one radius family.
 
-    ``psi(params, w, rs, x)`` is the radius function on the grid ``rs``
-    with ``x = rs**m``, positive in the validity regime.
+    ``psi(params, w, rs, x, t)`` is the radius function on the grid
+    ``rs`` with ``x = rs**m``, positive in the validity regime; ``t`` is
+    the tail from index 1 that ``tail`` names: "plain" (sum phi_n), "n+1"
+    (sum (n+1) phi_n) or None (a closed form, passed t = None).
     ``functional(f, blk, params, mode)`` is the composite functional's
-    body on the weight block ``blk`` of a radius grid.  A ``weighted``
-    family gives the problem's weights to Psi, to ``functional`` and to
-    its bound phi_0(r); the others use power weights r**n throughout,
-    where phi_0 = 1.  ``p`` pins the modulus power of a classical
-    theorem.  ``extremal`` names the extremal family for sharpness
-    ("plus", "minus" or "schwarz"); Schwarz families are tested on
-    functions with a_0 = 0.  ``check`` rejects parameters the family's
-    theorem excludes.
+    body on the weight block ``blk`` of a radius grid.  A family with a
+    tail is ``weighted``: it gives the problem's weights to Psi, to
+    ``functional`` and to its bound phi_0(r); the others use power
+    weights r**n throughout, where phi_0 = 1.  ``p`` pins the modulus
+    power of a classical theorem.  ``extremal`` names the extremal family
+    for sharpness ("plus", "minus" or "schwarz"); Schwarz families are
+    tested on functions with a_0 = 0.  ``check`` rejects parameters the
+    family's theorem excludes.
     """
 
     psi: Callable
     functional: Callable
-    weighted: bool
     extremal: str
     p: float | None = None
     check: Callable = lambda params: None
+    tail: str | None = None
+
+    @property
+    def weighted(self) -> bool:
+        return self.tail is not None
 
 
 FAMILIES: dict[str, Family] = {
     "psi1": Family(
-        lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x) * w._phi0
-                              - 2.0 * w._tail2(_N1, rs, False)[0]),
-        _t1, weighted=True, extremal="plus"),
+        lambda pm, w, rs, x, t: pm.p * (1.0 - x) / (1.0 + x) * w._phi0 - 2.0 * t,
+        _t1, extremal="plus", tail="plain"),
     "psi2": Family(
-        lambda pm, w, rs, x: (0.5 * pm.p * w._phi0 - w._tail2(_N1, rs, False)[0]
-                              - x / (1.0 - x)),
-        _t2, weighted=True, extremal="minus"),
+        lambda pm, w, rs, x, t: 0.5 * pm.p * w._phi0 - t - x / (1.0 - x),
+        _t2, extremal="minus", tail="plain"),
     "psi3": Family(
-        lambda pm, w, rs, x: 0.5 * pm.p * w._phi0 - w._tail2(_N1, rs, True)[0],
-        _t3, weighted=True, extremal="schwarz"),
+        lambda pm, w, rs, x, t: 0.5 * pm.p * w._phi0 - t,
+        _t3, extremal="schwarz", tail="n+1"),
     "psi4": Family(
-        lambda pm, w, rs, x: (0.5 * pm.p * w._phi0 - w._tail2(_N1, rs, True)[0]
-                              - x * (2.0 - x) / (1.0 - x) ** 2),
-        _t4, weighted=True, extremal="schwarz"),
+        lambda pm, w, rs, x, t: 0.5 * pm.p * w._phi0 - t - x * (2.0 - x) / (1.0 - x) ** 2,
+        _t4, extremal="schwarz", tail="n+1"),
     "psi5_t5": Family(
-        lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x)
-                              - 2.0 * pm.lam * rs / (1.0 - rs)),
-        _t5, weighted=False, extremal="plus"),
+        lambda pm, w, rs, x, t: (pm.p * (1.0 - x) / (1.0 + x)
+                                 - 2.0 * pm.lam * rs / (1.0 - rs)),
+        _t5, extremal="plus"),
     # sign flipped relative to the source convention, which is positive
     # past the radius, so that every Psi is positive at 0
     "psi5_t6": Family(
-        lambda pm, w, rs, x: (pm.p * (1.0 - x) / (1.0 + x) - 2.0 * pm.lam
-                              * rs ** (pm.q + pm.m) / (1.0 - rs ** pm.q)),
-        _t6, weighted=False, extremal="plus", check=_check_lacunary),
+        lambda pm, w, rs, x, t: (pm.p * (1.0 - x) / (1.0 + x) - 2.0 * pm.lam
+                                 * rs ** (pm.q + pm.m) / (1.0 - rs ** pm.q)),
+        _t6, extremal="plus", check=_check_lacunary),
     "classical_alpha": Family(
-        lambda pm, w, rs, x: (1.0 - rs) * (1.0 - x) - 2.0 * rs * (1.0 + x),
-        _t1, weighted=False, extremal="plus", p=1.0),
+        lambda pm, w, rs, x, t: (1.0 - rs) * (1.0 - x) - 2.0 * rs * (1.0 + x),
+        _t1, extremal="plus", p=1.0),
     "classical_beta": Family(
-        lambda pm, w, rs, x: 1.0 - 2.0 * rs - x,
-        _t1, weighted=False, extremal="plus", p=2.0),
+        lambda pm, w, rs, x, t: 1.0 - 2.0 * rs - x,
+        _t1, extremal="plus", p=2.0),
     "classical_zeta": Family(
-        lambda pm, w, rs, x: 1.0 - 3.0 * rs - x * (3.0 - 5.0 * rs),
-        _t2, weighted=False, extremal="minus", p=1.0),
+        lambda pm, w, rs, x, t: 1.0 - 3.0 * rs - x * (3.0 - 5.0 * rs),
+        _t2, extremal="minus", p=1.0),
     "classical_eta": Family(
-        lambda pm, w, rs, x: 1.0 - 2.0 * rs - x * (2.0 - 3.0 * rs),
-        _t2, weighted=False, extremal="minus", p=2.0),
+        lambda pm, w, rs, x, t: 1.0 - 2.0 * rs - x * (2.0 - 3.0 * rs),
+        _t2, extremal="minus", p=2.0),
     # theorem C under general weights: twice psi3 at p = 1
     "classical_c": Family(
-        lambda pm, w, rs, x: w._phi0 - 2.0 * w._tail2(_N1, rs, True)[0],
-        _t3, weighted=True, extremal="schwarz", p=1.0),
+        lambda pm, w, rs, x, t: w._phi0 - 2.0 * t,
+        _t3, extremal="schwarz", p=1.0, tail="n+1"),
     "classical_d": Family(
-        lambda pm, w, rs, x: (1.0 - rs - (2.0 * pm.lam + 1.0) * rs ** pm.n_lacunary
-                              - (2.0 * pm.lam - 1.0) * rs ** (pm.n_lacunary + 1)),
-        _td, weighted=False, extremal="plus"),
+        lambda pm, w, rs, x, t: (1.0 - rs - (2.0 * pm.lam + 1.0) * rs ** pm.n_lacunary
+                                 - (2.0 * pm.lam - 1.0) * rs ** (pm.n_lacunary + 1)),
+        _td, extremal="plus"),
 }
 
 

@@ -6,25 +6,28 @@ fixed 1e-3 grid over [0, R_EDGE], sharpened by bisection to a bracket of
 width 1e-13.  Where a weighted family reads scaled-power weights, the grid
 is evaluated in chunks of 64 cells and the scan stops at the chunk holding
 the first sign change, so the points above the root are never evaluated;
-every other Psi is in closed form and is evaluated in one call.  The about
-34 bisection steps are predicted: one :func:`psi_eval` call holds the
-midpoints the bisection would visit if Psi changed sign at the bracket's
-regula-falsi guess, and the sequential bisection is replayed on their
-values for as long as each point is the step's own midpoint.  The first
-mispredicted step is still taken, the points after it are dropped, and
-the next call predicts again from the narrower bracket, so the solver
+every other Psi is in closed form and is evaluated in one call.  A chunk's
+weight tail depends on the weights and the grid alone, so the first solve
+to reach it keeps it, read-only, for later solves on the same weights.
+The about 34 bisection steps are predicted: one :func:`psi_eval` call
+holds the midpoints the bisection would visit if Psi changed sign at the
+bracket's regula-falsi guess, and the sequential bisection is replayed on
+their values for as long as each point is the step's own midpoint.  The
+first mispredicted step is still taken, the points after it are dropped,
+and the next call predicts again from the narrower bracket, so the solver
 reaches the step-by-step bracket in a few calls.  Each value equals the
 one-point value at its midpoint; under scaled-power weights that holds
 where the batch's points share one tail cut, which the solver checks
-before each call.  The bracket, the signed values at its ends and the
-scan step are returned as a certificate, with ``psi_lo > 0 >= psi_hi``:
-the first sign change lies in ``(bracket_lo, bracket_hi]``, and
-``psi_hi`` is 0.0 where Psi vanishes on the end point.  The Psi
-functions themselves live in :data:`bohrkit.functionals.FAMILIES`.
+before each call.  The bracket, the signed values at its ends and the scan
+step are returned as a certificate, with ``psi_lo > 0 >= psi_hi``: the
+first sign change lies in ``(bracket_lo, bracket_hi]``, and ``psi_hi`` is
+0.0 where Psi vanishes on the end point.  The Psi functions themselves
+live in :data:`bohrkit.functionals.FAMILIES`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +46,8 @@ _SCAN_CHUNK = 64
 # the scan grid 0, SCAN_STEP, ..., R_EDGE; arange stops below R_EDGE
 _SCAN_GRID = np.append(np.arange(0.0, wt.R_EDGE, SCAN_STEP), wt.R_EDGE)
 _SCAN_GRID.flags.writeable = False
+# per scaled-power weights instance, its scan-chunk tails by (tail, start)
+_SCAN_TAILS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -80,12 +85,27 @@ class RootCertificate:
     scan_step: float
 
 
+# Psi overflows quietly: a tail past the double range is +inf, as its terms
+# are >= 0, and Psi subtracts it from terms that stay finite there, so -inf
+# has the exact sign
+@np.errstate(over="ignore")
 def psi_eval(prob: RadiusProblem, r):
     """The family's radius function, positive in the validity regime."""
-    psi = FAMILIES[prob.family].psi
-    return _on_grid(r, lambda rs: psi(prob.params, prob.weights, rs, rs ** prob.params.m))
+    return _on_grid(r, lambda rs: _psi(prob, rs, None))
 
 
+def _psi(prob: RadiusProblem, rs: np.ndarray, start: int | None) -> np.ndarray:
+    """Psi on the validated grid rs; a scan chunk's tail is cached by its start."""
+    fam, w = FAMILIES[prob.family], prob.weights
+    tails = {} if start is None else _SCAN_TAILS.setdefault(w, {})
+    tail = tails.get((fam.tail, start))
+    if fam.tail and tail is None:
+        tail = tails[fam.tail, start] = w._tail2(np.array([1]), rs, fam.tail == "n+1")[0]
+        tail.flags.writeable = False
+    return fam.psi(prob.params, w, rs, rs ** prob.params.m, tail)
+
+
+@np.errstate(over="ignore")  # as psi_eval's, for the scan's own calls
 def solve_radius(prob: RadiusProblem) -> RootCertificate:
     """Certified minimal positive root of the family's Psi function.
 
@@ -111,7 +131,7 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     chunk = _SCAN_CHUNK if scaled else _SCAN_GRID.size - 1
     for start in range(0, _SCAN_GRID.size - 1, chunk):
         cells = _SCAN_GRID[start:start + chunk + 1]
-        vals = psi_eval(prob, cells)
+        vals = _psi(prob, cells, start) if scaled else psi_eval(prob, cells)
         if start == 0 and not vals[0] > 0.0:
             raise DomainError(f"{prob.family}: Psi(0) = {float(vals[0])!r} is not positive")
         flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0)[0]

@@ -66,10 +66,12 @@ WEIGHT_FILES = {
     "huge-int-coeffs": '{"kind": "scaled_power", "coeffs": [1, ' + "9" * 400 + "]}",
     # a dominator so large that the tail cut's log argument underflows
     "huge-C": '{"kind": "scaled_power", "coeffs": [1], "C": 1e307}',
+    # c_0 and C near the double maximum: Psi's tails pass the double range
+    "max-c0": '{"kind": "scaled_power", "coeffs": [1.7e308], "C": 1.7e308}',
 }
 # "@name" stands for that file (or directory, or missing path) in the test's
 # temporary directory
-VALID_WEIGHTS = ("power", "@valid", "@no-root", "@power", "@huge-C")
+VALID_WEIGHTS = ("power", "@valid", "@no-root", "@power", "@huge-C", "@max-c0")
 BAD_WEIGHTS = ("@missing", "@dir") + tuple(
     f"@{name}" for name in WEIGHT_FILES if f"@{name}" not in VALID_WEIGHTS)
 OUTPUT = (("-", "@out"), ("@missing/out.txt", "@dir"))
@@ -208,5 +210,24 @@ def test_every_bad_weight_file_is_one_usage_line(files, weights):
 ])
 def test_huge_dominator_ends_in_an_exit_code(files, argv, expected):
     code, lines = run(argv + ["--weights", str(files / "huge-C")])
+    assert code == expected
+    assert len(lines) == (code != cli.EXIT_OK), lines
+
+
+# classical_c's Psi, c_0 - 2 * tail, overflows below its root, and psi1,
+# psi3 and psi4 at p = 2 overflow inside the tail: radius and table exit 0
+# with no warning, and verify and sharpness, whose weight blocks cannot be
+# certified, print only their accuracy error
+@pytest.mark.parametrize("argv, expected", [
+    *((["radius", "--family", fam, "--p", "2"], cli.EXIT_OK)
+      for fam in ("psi1", "psi2", "psi3", "psi4", "classical_c")),
+    (["table", "--family", "classical_c"], cli.EXIT_OK),
+    (["table", "--family", "psi3", "--p", "1,2", "--m", "1,3"], cli.EXIT_OK),
+    (["verify", "--family", "classical_c", "--r-points", "8", "--blaschke", "2"],
+     cli.EXIT_ACCURACY),
+    (["sharpness", "--family", "classical_c"], cli.EXIT_ACCURACY),
+])
+def test_tails_past_the_double_range_print_no_warning(files, argv, expected):
+    code, lines = run(argv + ["--weights", str(files / "max-c0")])
     assert code == expected
     assert len(lines) == (code != cli.EXIT_OK), lines

@@ -1,6 +1,8 @@
 """Radius functions, certified roots, and classical cross-checks."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -213,13 +215,16 @@ class TestChunkedScan:
 
     @staticmethod
     def record_calls(monkeypatch):
+        """The grid of every Psi evaluation: psi_eval and the cached scan
+        of scaled-power weights both evaluate through radii._psi."""
         calls = []
+        psi = radii._psi
 
-        def recording_psi_eval(pr, r):
-            calls.append(np.atleast_1d(np.asarray(r, dtype=float)))
-            return psi_eval(pr, r)
+        def recording_psi(pr, rs, start):
+            calls.append(rs)
+            return psi(pr, rs, start)
 
-        monkeypatch.setattr(radii, "psi_eval", recording_psi_eval)
+        monkeypatch.setattr(radii, "_psi", recording_psi)
         return calls
 
     @staticmethod
@@ -270,6 +275,75 @@ class TestChunkedScan:
         assert np.array_equal(grid[:-1], np.arange(0.0, R_EDGE, radii.SCAN_STEP))
         assert (grid.size, grid[-1]) == (1001, R_EDGE)
         assert not grid.flags.writeable
+
+
+def scan_chunks():
+    """(start, cells) of every scan chunk under scaled-power weights."""
+    grid, chunk = scan_grid(), radii._SCAN_CHUNK
+    return [(start, grid[start:start + chunk + 1]) for start in range(0, grid.size - 1, chunk)]
+
+
+def fresh(w):
+    """A new instance equal to w, whose scan-tail cache is empty."""
+    return scaled_power(w.coeffs, rho=w.rho, C=w.C)
+
+
+# LEAN_WEIGHTS' scaled weights, a short list and a late root with rho < 1
+CACHED_WEIGHTS = [w for w in LEAN_WEIGHTS if w.kind == wt.SCALED_POWER] + [
+    scaled_power([1.0, 0.5, 0.25], rho=0.5, C=1.0), LATE]
+
+
+class TestScanTailCache:
+    @pytest.mark.parametrize("w", CACHED_WEIGHTS, ids=("harmonic", "rho0.9", "short", "late"))
+    @pytest.mark.parametrize("family", list(PUBLIC_PSI))
+    def test_cached_chunk_equals_psi_eval(self, family, w):
+        pr = RadiusProblem(family, FunctionalParams(m=2, p=1.5), fresh(w))
+        # the first pass fills the cache, the second reads it
+        for _ in range(2):
+            for start, cells in scan_chunks():
+                assert np.array_equal(radii._psi(pr, cells, start), psi_eval(pr, cells))
+
+    def test_certificates_do_not_depend_on_the_cache(self):
+        problems = [prob(fam, HARMONIC, m=m, p=p) for fam in PUBLIC_PSI
+                    for m, p in ((1, 0.5), (2, 2.0), (3, 1.25))]
+        cold = [solve_radius(replace(pr, weights=fresh(HARMONIC))) for pr in problems]
+        shared = fresh(HARMONIC)
+        # each solve after the problems before it filled part of the cache,
+        # then every solve again on the full cache, in the reverse order
+        assert [solve_radius(replace(pr, weights=shared)) for pr in problems] == cold
+        assert [solve_radius(replace(pr, weights=shared))
+                for pr in problems[::-1]] == cold[::-1]
+        assert cold == [sequential_certificate(pr) for pr in problems]
+
+    def test_cached_rows_are_read_only_and_never_returned(self):
+        w = fresh(HARMONIC)
+        for fam in PUBLIC_PSI:
+            solve_radius(prob(fam, w, p=2.0))
+        tails = radii._SCAN_TAILS[w]
+        assert {kind for kind, _ in tails} == {"plain", "n+1"}
+        assert len(tails) <= 2 * len(scan_chunks())
+        cells = dict(scan_chunks())
+        for (kind, start), row in tails.items():
+            assert not row.flags.writeable
+            public = (w.tail if kind == "plain" else w.weighted_tail)(1, cells[start])
+            assert np.array_equal(public, row)
+            assert public.flags.writeable and not np.shares_memory(public, row)
+
+    def test_cache_does_not_keep_the_weights(self):
+        w = fresh(HARMONIC)
+        solve_radius(prob("psi3", w, p=1.0))
+        gone = weakref.ref(w)
+        assert w in radii._SCAN_TAILS
+        del w
+        gc.collect()
+        assert gone() is None
+
+    def test_power_weights_and_closed_forms_bypass_the_cache(self):
+        scaled = fresh(HARMONIC)
+        solve_radius(prob("psi3", PW, p=1.0))
+        solve_radius(prob("psi5_t5", scaled))
+        assert PW not in radii._SCAN_TAILS
+        assert scaled not in radii._SCAN_TAILS
 
 
 class TestMonotonicity:
