@@ -7,6 +7,9 @@ Two kinds are supported:
 * ``scaled_power``: ``w_n(r) = c_n * r**n`` with a declared geometric
   dominator ``c_n <= C * rho**n``.  Beyond the stored coefficient list the
   dominator itself is used, so every tail is a certified overestimate.
+  The check is made in doubles with a relative slack of 1e-15; where a
+  coefficient uses the slack, C is raised to the smallest double for
+  which every ``c_n <= C * rho**n`` holds in doubles.
 
 Overestimating tails is the conservative direction: the radius equations
 consume tails negatively, so reported radii can only shrink.
@@ -103,10 +106,18 @@ class WeightSequence:
                 raise DomainError("rho must lie in (0, 1]")
             if self.C < 0.0:
                 raise DomainError("dominator constant must be nonnegative")
-            bound = self.C * self.rho ** np.arange(c.size)
-            if np.any(c > bound + 1e-12):
+            powers = self.rho ** np.arange(c.size)
+            # a relative slack of a few ulps, as a coefficient built as
+            # f*C*rho**n can round above the same product here
+            if np.any(c * (1.0 - 1e-15) > self.C * powers):
                 raise DomainError("coefficients exceed the declared dominator C*rho**n")
+            C = self.C
+            while np.any(c > C * powers):  # C rises to dominate in these products
+                C = math.nextafter(C, math.inf)
+                if C == math.inf:
+                    raise DomainError("the dominator C*rho**n overflows a double")
             object.__setattr__(self, "coeffs", c)
+            object.__setattr__(self, "C", C)
 
     # -- basic descriptors ------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Weight sequences: point values, tails, and the overestimate contract."""
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +216,38 @@ class TestValidation:
     def test_dominator_violation_rejected(self):
         with pytest.raises(DomainError):
             scaled_power([1.0, 2.0], rho=0.5, C=1.0)
+
+    @pytest.mark.parametrize("coeffs, rho, C", [
+        # c_n = 1e-12 lies far above 0.1**n past n = 12; an absolute slack of
+        # 1e-12 let it through, and tail(1, 0.9) came to 8.35e-12 against
+        # 9.0e-12 for the stored terms alone
+        ([1.0] + [1e-12] * 4095, 0.1, 1.0),
+        ([1.0, 1.0 + 1e-12], 1.0, 1.0),
+        ([0.0, 1e-13], 0.5, 0.0),
+    ], ids=("tiny-coeffs", "relative-1e-12", "zero-C"))
+    def test_excess_past_a_few_ulps_rejected(self, coeffs, rho, C):
+        with pytest.raises(DomainError, match="exceed the declared dominator"):
+            scaled_power(coeffs, rho=rho, C=C)
+
+    def test_ulp_excess_raises_the_dominator(self):
+        powers = 0.3 ** np.arange(64)
+        assert scaled_power(powers, rho=0.3, C=1.0).C == 1.0
+        c = powers.copy()
+        c[5] = np.nextafter(c[5], 1.0)
+        c[40] = np.nextafter(np.nextafter(c[40], 1.0), 1.0)
+        w = scaled_power(c, rho=0.3, C=1.0)
+        assert 1.0 < w.C <= 1.0 + 4 * sys.float_info.epsilon
+        # the smallest such double: C*rho**n dominates every c_n in floats
+        assert np.all(c <= w.C * powers)
+        assert np.any(c > math.nextafter(w.C, 0.0) * powers)
+        # the tail past the list reads the raised dominator
+        x = 0.3 * 0.9
+        assert w.tail(64, 0.9) == w.C * x ** 64 / (1.0 - x)
+
+    def test_dominator_past_the_double_range_rejected(self):
+        big = sys.float_info.max
+        with pytest.raises(DomainError, match="overflows a double"):
+            scaled_power([big, np.nextafter(0.5 * big, np.inf)], rho=0.5, C=big)
 
     def test_coefficient_cap(self):
         with pytest.raises(DomainError):
