@@ -13,8 +13,11 @@ Every float is written with ``repr``, which round-trips exactly.
 
 The problem set: the power-weight grid of criteria 3/4, the criterion-7
 grid under c_n = 1/(n+1) with 4096 coefficients, the classical families,
-further scaled weights (short lists, rho < 1), late roots near r = 1 and a
-weight whose Psi has no root.  The command set: ``radius``, ``table`` with
+further scaled weights (short lists, rho < 1), late roots near r = 1, a
+weight whose Psi has no root, and then some criterion-7 problems twice:
+on a fresh instance of c_n = 1/(n+1) and on the instance shared by the
+grid, so a cold scan-tail cache and a warm one give their certificates
+side by side.  The command set: ``radius``, ``table`` with
 power weights and with a scaled-weights JSON file (including ``psi5_t6``
 rows with m >= q, which are invalid), ``identity-check``, and small
 ``verify`` and ``sharpness`` runs for every family under power weights and
@@ -135,6 +138,15 @@ def problems() -> list[tuple[str, RadiusProblem]]:
                     add(f"scaled-{name}", fam, w, m=m, p=p)
         add(f"scaled-{name}", "classical_c", w)
     add("no-root", "psi1", wt.scaled_power(NO_ROOT_COEFFS, rho=0.5, C=1.0))
+    # criterion-7 problems again, each on a fresh instance equal to the
+    # shared one (its scan tails computed anew) and on the shared one (its
+    # scan tails cached by the solves above)
+    for m, p in ((1, 0.5), (3, 2.0)):
+        for fam in PSI:
+            add("harmonic-cold", fam, harmonic_weights(), m=m, p=p)
+            add("harmonic-warm", fam, harmonic, m=m, p=p)
+    add("harmonic-cold", "classical_c", harmonic_weights())
+    add("harmonic-warm", "classical_c", harmonic)
     return out
 
 
