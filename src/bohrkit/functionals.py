@@ -13,6 +13,23 @@ the kept range is bounded by the worst |a_n| there, the series' tail
 bound included.  The weight rows and tails all come from one block per
 (weights, radius grid), which each function slices to its kept range.
 
+Every body evaluates a whole population f_1..f_k at once and returns a
+k x len(rs) matrix, row i for f_i; a single function is the case k = 1.
+Members with the same kept length share one stacked product, in which
+numpy gives each member the gemv it would get alone, so a row does not
+depend on the rest of the population.  The refinement is
+
+    sum_n |a_n|^2 [w_2n/(1 + |a_0|) + tail(2n + 1)]
+        = (|a|^2 @ W2) / (1 + |a_0|) + |a|^2 @ T,
+
+two products of the squared moduli per member: with the rows W2 = w_2n,
+a strided view of the block's weight rows, and with the block's tails T
+= tail(2n + 1), stored from the highest n down so that these decaying
+terms, the larger part near the radius, are summed smallest first.  No
+n x len(rs) temporary is divided.  The guards run on the whole
+population too, and raise the error that evaluating the members one by
+one would raise first.
+
 The composite functionals come in two evaluation modes:
 
 * ``envelope``: the modulus terms |f(w(z))|, |f(w(z)) - a_0|, ... are
@@ -83,24 +100,67 @@ def _cutoff(x: float) -> int:
     return max(8, math.ceil(math.log(_CUT_TOL * (1.0 - x)) / math.log(x))) + 64
 
 
-def _trunc(f: BoundedFunction, n: int):
-    """The kept index min(T, n) plus the worst coefficient bound over
-    every index above it."""
-    n = min(f.truncation_order, n)
-    return n, max(f.tail_bound, float(np.abs(f.coeffs[n + 1:]).max(initial=0.0)))
+class _Population:
+    """The members f_0..f_(k-1) of one evaluation, which returns a row each.
+
+    ``mag`` holds every |a_n| in one flat array, member i's from
+    ``start[i]``, then a 0 that is the max of any empty suffix; ``a0``
+    holds each |a_0| by scalar abs, like the heads' other scalar terms
+    (numpy's vectorized complex abs and pow can round differently, and the
+    heads keep the scalar bits).  A failed check is not raised where it is found:
+    ``error`` keeps the one a member-by-member loop would raise, that of
+    the first failing member and its first failing check in body order,
+    and :func:`_run` raises it once the body is done.
+    """
+
+    def __init__(self, fs):
+        self.fs = fs
+        sizes = np.array([f.coeffs.size for f in fs], dtype=np.intp)
+        self.order = sizes - 1
+        self.start = np.zeros(len(fs) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=self.start[1:])
+        self.mag = np.abs(np.concatenate([f.coeffs for f in fs] + [[0.0]]))
+        self.tail_bound = np.array([f.tail_bound for f in fs])
+        self.a0 = np.array([abs(f.coeffs[0]) for f in fs])
+        self.failed, self.error = len(fs), None
+
+    def trunc(self, n: int):
+        """Each member's kept index min(T, n) and the worst bound on its
+        coefficients above that index, its tail bound included."""
+        n = np.minimum(self.order, n)
+        edges = np.empty(2 * len(n), dtype=np.intp)
+        edges[::2], edges[1::2] = self.start[:-1] + n + 1, self.start[1:]
+        top = np.maximum.reduceat(self.mag, edges)[::2]
+        return n, np.maximum(self.tail_bound, np.where(edges[::2] < edges[1::2], top, 0.0))
+
+    def check(self, bad, error):
+        """Keep error(i) for the first member i that fails this check,
+        unless an earlier member or an earlier check of i has failed."""
+        i = int(bad.argmax())
+        if bad[i] and i < self.failed:
+            self.failed, self.error = i, error(i)
 
 
-def _guard(bound: float, what: str):
-    if bound > REMAINDER_TOL:
-        raise AccuracyError(f"certified remainder {bound:.3g} of {what} "
-                            f"exceeds {REMAINDER_TOL}")
+def _run(fs, body):
+    """body's k x len(rs) value on the population fs, or the error that
+    evaluating its members one by one would raise first."""
+    pop = _Population(fs)
+    out = body(pop)
+    if pop.error is not None:
+        raise pop.error
+    return out
+
+
+def _guard(pop, bound, what: str):
+    pop.check(bound > REMAINDER_TOL, lambda i: AccuracyError(
+        f"certified remainder {bound[i]:.3g} of {what} exceeds {REMAINDER_TOL}"))
 
 
 class _Block:
-    """w_n(rs) (row 0 is phi_0), the refinement's tail(2n + 1, rs) and the
-    guards' tails at max(rs), for each index kept up to truncation order;
-    AccuracyError when the largest of them, the weighted tail from 0 at
-    max(rs), is past the double range."""
+    """w_n(rs) (row 0 is phi_0), the refinement's tail(2n + 1, rs) with
+    rows n = half, ..., 2, 1, and the guards' tails at max(rs), for each
+    index kept up to truncation order; AccuracyError when the largest of
+    them, the weighted tail from 0 at max(rs), is past the double range."""
 
     def __init__(self, w, rs, order):
         self.w, self.rs, rmax = w, rs, float(rs.max())
@@ -113,104 +173,137 @@ class _Block:
         if not math.isfinite(self.guard_tails[1][0]):
             raise AccuracyError(f"the weight tails at r = {rmax!r} overflow a double")
         self.rows = w._weight2(np.arange(max(top, 2 * half) + 1), rs)
-        self.tails = w._tail2(2 * np.arange(1, half + 1) + 1, rs, weighted=False)
+        self.tails = w._tail2(2 * np.arange(half, 0, -1) + 1, rs, weighted=False)
 
 
-def _bohr_sum_arr(f, blk, start, step=1, what="the weighted coefficient sum"):
+def _products(pop, keys, part, term=lambda mag, idx: mag):
+    """Row i: term(|a_j|, j) over the coefficient indices j of
+    part(keys[i]) = (indices, rows), times those rows.  Members with one
+    key share a stacked product, which hands each member the gemv a lone
+    vector gets, so a row is its one-member value bit for bit."""
+    groups = {}
+    for i, key in enumerate(keys.tolist()):
+        groups.setdefault(key, []).append(i)
+    out = None
+    for key, members in groups.items():
+        idx, rows = part(key)
+        terms = term(pop.mag[pop.start[members][:, None] + idx], idx)
+        if out is None:
+            out = np.empty((len(keys), rows.shape[1]))
+        out[members] = (terms[:, None, :] @ rows)[:, 0]
+    return out
+
+
+def _bohr_sum_arr(pop, blk, start, step=1, what="the weighted coefficient sum"):
     """sum of |a_n| w_n(r) over n = start, start + step, start + 2 step, ..."""
-    n_hi, U = _trunc(f, blk.cut)
-    _guard(U * blk.guard_tails[0][n_hi + 1], what)
-    return np.abs(f.coeffs[start:n_hi + 1:step]) @ blk.rows[start:n_hi + 1:step]
+    n_hi, U = pop.trunc(blk.cut)
+    _guard(pop, U * blk.guard_tails[0][n_hi + 1], what)
+    return _products(pop, n_hi, lambda n: (np.arange(start, n + 1, step),
+                                           blk.rows[start:n + 1:step]))
 
 
-def _a_refinement_arr(f, blk):
+def _a_refinement_arr(pop, blk):
     """Keeps n <= min(T, K//2 + 1) for the cut-off K, as the weights run to
-    index 2n; each n above is bounded by U^2 C [x^2n + x^(2n+1)/(1-x)]."""
+    index 2n; each n above is bounded by U^2 C [x^2n + x^(2n+1)/(1-x)].
+    The value is (|a|^2 @ w_2n) / (1 + |a_0|) + |a|^2 @ tail(2n + 1), the
+    tails summed from the highest kept n down."""
     x = blk.x
-    n_half, U = _trunc(f, blk.cut // 2 + 1)
-    _guard(U * U * blk.w.dominator * (x ** (2 * n_half + 2) / (1.0 - x * x)
-                                      + x ** (2 * n_half + 3) / ((1.0 - x) * (1.0 - x * x))),
-           "the quadratic refinement term")
-    blocks = blk.rows[2:2 * n_half + 1:2] / (1.0 + abs(f.coeffs[0])) + blk.tails[:n_half]
-    return (np.abs(f.coeffs[1:n_half + 1]) ** 2) @ blocks
+    n_half, U = pop.trunc(blk.cut // 2 + 1)
+    with np.errstate(over="ignore"):
+        _guard(pop, U * U * blk.w.dominator * (x ** (2 * n_half + 2) / (1.0 - x * x)
+                                               + x ** (2 * n_half + 3)
+                                               / ((1.0 - x) * (1.0 - x * x))),
+               "the quadratic refinement term")
+    w2 = _products(pop, n_half, lambda n: (np.arange(1, n + 1), blk.rows[2:2 * n + 1:2]),
+                   lambda mag, idx: mag ** 2)
+    tails = _products(pop, n_half, lambda n: (np.arange(n, 0, -1),
+                                              blk.tails[len(blk.tails) - n:]),
+                      lambda mag, idx: mag ** 2)
+    return w2 / (1.0 + pop.a0[:, None]) + tails
 
 
-def _weighted_coeff_sum_arr(f, blk):
+def _weighted_coeff_sum_arr(pop, blk):
     """sum_{n>=1} (n+1) |a_{n+1}| w_n(r) -- the derivative-type middle sum."""
-    n_hi, U = _trunc(f, blk.cut)
-    _guard(U * blk.guard_tails[1][max(n_hi, 1)], "the derivative coefficient sum")
-    top = min(n_hi, f.truncation_order - 1)
-    ns = np.arange(1, top + 1)
-    return ((ns + 1.0) * np.abs(f.coeffs[2:top + 2])) @ blk.rows[1:top + 1]
+    n_hi, U = pop.trunc(blk.cut)
+    _guard(pop, U * blk.guard_tails[1][np.maximum(n_hi, 1)], "the derivative coefficient sum")
+    return _products(pop, np.minimum(n_hi, pop.order - 1),
+                     lambda n: (np.arange(2, n + 2), blk.rows[1:n + 1]),
+                     lambda mag, idx: idx * mag)
 
 
 def bohr_sum(f: BoundedFunction, w: wt.WeightSequence, N: int, r):
     """The majorant series sum_{n>=N} |a_n| w_n(r)."""
     if N < 0:
         raise DomainError("start index must be nonnegative")
-    return _on_grid(r, lambda rs: _bohr_sum_arr(f, _Block(w, rs, f.truncation_order), N))
+    return _on_grid(r, lambda rs: _run([f], lambda pop: _bohr_sum_arr(
+        pop, _Block(w, rs, f.truncation_order), N))[0])
 
 
 def a_refinement(f: BoundedFunction, w: wt.WeightSequence, r):
     """The quadratic refinement sum_{n>=1} |a_n|^2 [w_2n/(1+|a_0|) + tail(2n+1)]."""
-    return _on_grid(r, lambda rs: _a_refinement_arr(f, _Block(w, rs, f.truncation_order)))
+    return _on_grid(r, lambda rs: _run([f], lambda pop: _a_refinement_arr(
+        pop, _Block(w, rs, f.truncation_order)))[0])
 
 
-def _head_modulus(f, m, rs, mode):
+def _abs_pow(pop, j, p):
+    """The column of |a_j|**p, each a scalar pow: numpy's array pow may
+    round differently."""
+    return np.array([abs(f.coeffs[j]) ** p for f in pop.fs])[:, None]
+
+
+def _head_modulus(pop, m, rs, mode):
     """|f(w(z))| on |z| = r: sharp envelope or the value at z = r."""
     x = rs ** m
     if mode == ENVELOPE:
-        a = abs(f.coeffs[0])
+        a = pop.a0[:, None]
         return (x + a) / (1.0 + a * x)
-    return np.abs(evaluate(f, x))
+    return np.array([np.abs(evaluate(f, x)) for f in pop.fs])
 
 
-def _require_schwarz(f):
-    if abs(f.coeffs[0]) > 1e-12:
-        raise DomainError("this functional requires a Schwarz function (a_0 = 0)")
+def _require_schwarz(pop):
+    pop.check(pop.a0 > 1e-12, lambda i: DomainError(
+        "this functional requires a Schwarz function (a_0 = 0)"))
 
 
-def _t1(f, blk, params, mode):
+def _t1(pop, blk, params, mode):
     """|f(w(z))|**p * phi_0 + majorant + refinement."""
-    head = _head_modulus(f, params.m, blk.rs, mode) ** params.p * blk.rows[0]
-    return head + _bohr_sum_arr(f, blk, 1) + _a_refinement_arr(f, blk)
+    head = _head_modulus(pop, params.m, blk.rs, mode) ** params.p * blk.rows[0]
+    return head + _bohr_sum_arr(pop, blk, 1) + _a_refinement_arr(pop, blk)
 
 
-def _t2(f, blk, params, mode):
+def _t2(pop, blk, params, mode):
     """|a_0|**p * phi_0 + majorant + refinement + |f(w(z)) - a_0|."""
-    a0 = f.coeffs[0]
-    a = abs(a0)
+    a = pop.a0[:, None]
     x = blk.rs ** params.m
     if mode == ENVELOPE:
         dev = (1.0 - a * a) * x / (1.0 - a * x)
     else:
-        dev = np.abs(evaluate(f, x) - a0)
-    return a ** params.p * blk.rows[0] + _bohr_sum_arr(f, blk, 1) \
-        + _a_refinement_arr(f, blk) + dev
+        dev = np.array([np.abs(evaluate(f, x) - f.coeffs[0]) for f in pop.fs])
+    return _abs_pow(pop, 0, params.p) * blk.rows[0] + _bohr_sum_arr(pop, blk, 1) \
+        + _a_refinement_arr(pop, blk) + dev
 
 
-def _t3(f, blk, params, mode):
+def _t3(pop, blk, params, mode):
     """|a_1|**p * phi_0 + sum (n+1)|a_{n+1}| w_n(r); needs a_0 = 0."""
-    _require_schwarz(f)
-    return abs(f.coeffs[1]) ** params.p * blk.rows[0] + _weighted_coeff_sum_arr(f, blk)
+    _require_schwarz(pop)
+    return _abs_pow(pop, 1, params.p) * blk.rows[0] + _weighted_coeff_sum_arr(pop, blk)
 
 
-def _t4(f, blk, params, mode):
+def _t4(pop, blk, params, mode):
     """T3 plus the derivative deviation |f'(w(z)) - a_1|; needs a_0 = 0."""
-    _require_schwarz(f)
-    a1 = f.coeffs[1]
+    _require_schwarz(pop)
     x = blk.rs ** params.m
     if mode == ENVELOPE:
-        dev = (1.0 - abs(a1) ** 2) * x * (2.0 - x) / (1.0 - x) ** 2
+        dev = (1.0 - _abs_pow(pop, 1, 2)) * x * (2.0 - x) / (1.0 - x) ** 2
     else:
-        dev = np.abs(eval_derivative(f, x) - a1)
-    return abs(a1) ** params.p * blk.rows[0] + _weighted_coeff_sum_arr(f, blk) + dev
+        dev = np.array([np.abs(eval_derivative(f, x) - f.coeffs[1]) for f in pop.fs])
+    return _abs_pow(pop, 1, params.p) * blk.rows[0] + _weighted_coeff_sum_arr(pop, blk) + dev
 
 
-def _t5(f, blk, params, mode):
+def _t5(pop, blk, params, mode):
     """|f(w(z))|**p + lambda * [majorant + refinement], power weights."""
-    head = _head_modulus(f, params.m, blk.rs, mode) ** params.p
-    return head + params.lam * (_bohr_sum_arr(f, blk, 1) + _a_refinement_arr(f, blk))
+    head = _head_modulus(pop, params.m, blk.rs, mode) ** params.p
+    return head + params.lam * (_bohr_sum_arr(pop, blk, 1) + _a_refinement_arr(pop, blk))
 
 
 def _check_lacunary(params: FunctionalParams):
@@ -219,18 +312,18 @@ def _check_lacunary(params: FunctionalParams):
         raise DomainError("psi5_t6 needs q >= 2 and 0 < m < q")
 
 
-def _t6(f, blk, params, mode):
+def _t6(pop, blk, params, mode):
     """|f(w(z))|**p + lambda * lacunary majorant over indices qk + m."""
-    head = _head_modulus(f, params.m, blk.rs, mode) ** params.p
+    head = _head_modulus(pop, params.m, blk.rs, mode) ** params.p
     q = params.q
-    return head + params.lam * _bohr_sum_arr(f, blk, q + params.m, q, "the lacunary sum")
+    return head + params.lam * _bohr_sum_arr(pop, blk, q + params.m, q, "the lacunary sum")
 
 
-def _td(f, blk, params, mode):
+def _td(pop, blk, params, mode):
     """|f(z)| + lambda * lacunary majorant over indices nk, power weights."""
     n = params.n_lacunary
-    return _head_modulus(f, 1, blk.rs, mode) + params.lam * _bohr_sum_arr(
-        f, blk, n, n, "the lacunary sum")
+    return _head_modulus(pop, 1, blk.rs, mode) + params.lam * _bohr_sum_arr(
+        pop, blk, n, n, "the lacunary sum")
 
 
 @dataclass(frozen=True)
@@ -241,8 +334,9 @@ class Family:
     ``rs`` with ``x = rs**m``, positive in the validity regime; ``t`` is
     the tail from index 1 that ``tail`` names: "plain" (sum phi_n), "n+1"
     (sum (n+1) phi_n) or None (a closed form, passed t = None).
-    ``functional(f, blk, params, mode)`` is the composite functional's
-    body on the weight block ``blk`` of a radius grid.  A family with a
+    ``functional(pop, blk, params, mode)`` is the composite functional's
+    body: one row per member of the population ``pop`` on the weight
+    block ``blk`` of a radius grid.  A family with a
     tail is ``weighted``: it gives the problem's weights to Psi, to
     ``functional`` and to its bound phi_0(r); the others use power
     weights r**n throughout, where phi_0 = 1.  ``p`` pins the modulus
@@ -319,8 +413,9 @@ def get_family(name: str) -> Family:
 
 
 def _family_evaluator(family, w, params, rs, order, mode):
-    """evaluate_family's weight block on the grid rs and f -> its value
-    there, for every f of truncation order <= ``order``."""
+    """evaluate_family's weight block on the grid rs and fs -> the
+    len(fs) x len(rs) values there, for every population fs of truncation
+    orders <= ``order``."""
     fam = get_family(family)
     if mode not in (ENVELOPE, POINTWISE):
         raise DomainError(f"mode must be {ENVELOPE!r} or {POINTWISE!r}")
@@ -328,7 +423,7 @@ def _family_evaluator(family, w, params, rs, order, mode):
     if fam.p is not None:
         params = replace(params, p=fam.p)
     blk = _Block(w if fam.weighted else _POWER, rs, order)
-    return blk, lambda f: fam.functional(f, blk, params, mode)
+    return blk, lambda fs: _run(fs, lambda pop: fam.functional(pop, blk, params, mode))
 
 
 def evaluate_family(family: str, f, w, params: FunctionalParams, r,
@@ -339,7 +434,7 @@ def evaluate_family(family: str, f, w, params: FunctionalParams, r,
     families with the p-case fixed by their theorem.
     """
     return _on_grid(r, lambda rs: _family_evaluator(
-        family, w, params, rs, f.truncation_order, mode)[1](f))
+        family, w, params, rs, f.truncation_order, mode)[1]([f])[0])
 
 
 def bound_for(family: str, w, r):

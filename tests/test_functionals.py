@@ -1,6 +1,8 @@
 """Building-block sums and the composite functionals, each reached
 through ``evaluate_family`` by the name of a family that uses it."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from bohrkit import (AccuracyError, BoundedFunction, DomainError,
                      FunctionalParams, a_refinement, bohr_sum, evaluate_family,
                      moebius_minus, moebius_plus, multiply_by_z, power,
                      random_blaschke, scaled_power, schwarz_moebius)
-from bohrkit.functionals import ENVELOPE, POINTWISE, bound_for
+from bohrkit.functionals import (ENVELOPE, POINTWISE, _Block, _family_evaluator,
+                                 bound_for)
 
 PW = power()
 
@@ -276,6 +279,113 @@ class TestModeAndMonotonicity:
         with pytest.raises(DomainError):
             evaluate_family("psi9", moebius_plus(0.3), PW,
                             FunctionalParams(), 0.2)
+
+
+HARMONIC = scaled_power(1.0 / (np.arange(4096) + 1.0), rho=1.0, C=1.0)
+UNIT = 2.0 ** -53
+
+
+def _kept_terms(f, w, rs):
+    """Exact Fractions of the terms each sum keeps, column by column, from
+    the same float moduli, weight rows and tails: the majorant's |a_n| w_n
+    and the refinement's |a_n|^2 w_2n / (1 + |a_0|) and |a_n|^2 tail(2n+1)."""
+    blk = _Block(w, rs, f.truncation_order)
+    n_hi = min(f.truncation_order, blk.cut)
+    n_half = min(f.truncation_order, blk.cut // 2 + 1)
+    mags = [Fraction(float(m)) for m in np.abs(f.coeffs)]
+    one_a0 = 1 + Fraction(float(abs(f.coeffs[0])))
+    half = len(blk.tails)  # rows n = half, ..., 1
+    majorant, refinement = [], []
+    for j in range(len(rs)):
+        majorant.append([mags[n] * Fraction(float(blk.rows[n, j]))
+                         for n in range(1, n_hi + 1)])
+        refinement.append([mags[n] ** 2 * Fraction(float(blk.rows[2 * n, j])) / one_a0
+                           for n in range(1, n_half + 1)]
+                          + [mags[n] ** 2 * Fraction(float(blk.tails[half - n, j]))
+                             for n in range(1, n_half + 1)])
+    return majorant, refinement
+
+
+def _assert_within_sum_bound(got, columns):
+    """|got - sum| <= (n + 4) u sum|terms| for the n exact terms of each
+    column (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+    for value, terms in zip(got, columns):
+        total = sum(terms, Fraction(0))
+        size = sum((abs(t) for t in terms), Fraction(0))
+        assert abs(Fraction(float(value)) - total) <= (len(terms) + 4) * Fraction(UNIT) * size
+
+
+class TestAccuracyOracle:
+    """The refinement and the psi1/psi2 functionals against an exact sum of
+    the terms they keep, with the head and deviation terms taken as the
+    floats the same formulas give."""
+
+    MEMBERS = (moebius_plus(0.0), moebius_plus(0.6), moebius_minus(0.95),
+               random_blaschke(3, 11), random_blaschke(7, 12))
+
+    @pytest.mark.parametrize("w", [PW, HARMONIC], ids=["power", "harmonic"])
+    def test_refinement(self, w):
+        rs = np.linspace(0.0, 0.8, 9)
+        for f in self.MEMBERS:
+            _, refinement = _kept_terms(f, w, rs)
+            _assert_within_sum_bound(a_refinement(f, w, rs), refinement)
+
+    @pytest.mark.parametrize("w", [PW, HARMONIC], ids=["power", "harmonic"])
+    @pytest.mark.parametrize("family", ["psi1", "psi2"])
+    def test_functional(self, family, w):
+        rs = np.linspace(0.0, 0.5, 6)
+        params = FunctionalParams(m=2, p=1.5)
+        phi0 = bound_for(family, w, rs)
+        for f in self.MEMBERS:
+            a = abs(f.coeffs[0])
+            x = rs ** params.m
+            if family == "psi1":
+                extra = [((x + a) / (1.0 + a * x)) ** params.p * phi0]
+            else:
+                extra = [a ** params.p * phi0, (1.0 - a * a) * x / (1.0 - a * x)]
+            majorant, refinement = _kept_terms(f, w, rs)
+            columns = [[Fraction(float(e[j])) for e in extra] + majorant[j] + refinement[j]
+                       for j in range(len(rs))]
+            _assert_within_sum_bound(evaluate_family(family, f, w, params, rs), columns)
+
+
+class TestPopulationErrors:
+    """A population raises the error its members, evaluated one by one,
+    would raise first: the first failing member's first failing check."""
+
+    @staticmethod
+    def _run(family, members, rs):
+        _, functional = _family_evaluator(family, HARMONIC, FunctionalParams(), rs,
+                                          max(f.truncation_order for f in members),
+                                          ENVELOPE)
+        return functional(members)
+
+    def test_first_failing_member_wins(self):
+        rs = np.linspace(0.0, 0.3, 5)
+        members = [schwarz_moebius(a) for a in (0.0, 0.3, 0.6, 0.2, 0.8, 0.5)]
+        members[3] = BoundedFunction(np.array([0.0, 0.5, 0.2]), 0.5)  # its tail bound fails
+        members[5] = moebius_plus(0.5)  # not a Schwarz function
+        with pytest.raises(AccuracyError) as alone:
+            evaluate_family("psi3", members[3], HARMONIC, FunctionalParams(), rs)
+        assert "derivative coefficient sum" in str(alone.value)
+        with pytest.raises(AccuracyError) as together:
+            self._run("psi3", members, rs)
+        assert str(together.value) == str(alone.value)
+        # a member's first check in body order wins: the Schwarz check
+        members[3] = BoundedFunction(np.array([0.5, 0.5, 0.2]), 0.5)
+        with pytest.raises(DomainError, match="Schwarz function"):
+            self._run("psi3", members, rs)
+
+    def test_each_member_guarded_at_its_own_bound(self):
+        rs = np.linspace(0.0, 0.3, 5)
+        members = [moebius_plus(0.3), BoundedFunction(np.array([0.0, 0.3]), 0.1),
+                   BoundedFunction(np.array([0.0, 0.3]), 0.4)]
+        with pytest.raises(AccuracyError) as alone:
+            evaluate_family("psi1", members[1], HARMONIC, FunctionalParams(), rs)
+        with pytest.raises(AccuracyError) as together:
+            self._run("psi1", members, rs)
+        assert str(together.value) == str(alone.value)
+        assert self._run("psi1", members[:1], rs).shape == (1, len(rs))
 
 
 class TestScalarInequality:

@@ -1,0 +1,53 @@
+"""The summary line ``tools/golden_diff.py`` prints after a diff."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "golden_diff.py"
+_SPEC = importlib.util.spec_from_file_location("golden_diff", _PATH)
+golden_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(golden_diff)
+summarize = golden_diff.summarize
+
+
+def test_identical_dumps_have_nothing_to_summarize():
+    lines = ["radius psi1: 0.25\n", "exit 0\n"]
+    assert summarize(lines, list(lines)) == (0, 0.0, 0)
+
+
+def test_float_only_lines_and_their_largest_relative_change():
+    before = ["head\n", "a: 1.0 2.5e-3\n", "b: [0.5, 3.0]\n", "tail\n"]
+    after = ["head\n", "a: 1.0 2.5000000000000005e-3\n", "b: [0.5000000000000001, 3.0]\n",
+             "tail\n"]
+    floats, largest, other = summarize(before, after)
+    assert (floats, other) == (2, 0)
+    assert largest == pytest.approx(2.220446049250313e-16, rel=1e-6)
+
+
+def test_anything_but_a_float_is_another_change():
+    before = ["status: verified 0.5\n", "exit 1\n", "psi5_t5-m1-p1.5 0.25\n", "same\n"]
+    after = ["status: violated 0.5\n", "exit 2\n", "psi5_t5-m1-p2.5 0.25\n", "same\n"]
+    # a word, an integer and a number inside a name are not float tokens
+    assert summarize(before, after) == (0, 0.0, 3)
+
+
+def test_lines_without_a_counterpart_count_as_other():
+    before = ["x 1.0\n", "y 2.0\n"]
+    after = ["x 1.5\n", "y 2.0\n", "z 3.0\n", "w 4.0\n"]
+    floats, largest, other = summarize(before, after)
+    assert (floats, other) == (1, 2)
+    assert largest == pytest.approx(1.0 / 3.0)
+
+
+def test_a_changed_token_count_is_another_change():
+    assert summarize(["v: 1.0 2.0\n"], ["v: 1.0\n"]) == (0, 0.0, 1)
+
+
+def test_non_finite_tokens():
+    floats, largest, other = summarize(["m 0.0\n", "n inf\n"], ["m 1e-300\n", "n inf\n"])
+    assert (floats, largest, other) == (1, 1.0, 0)
+    floats, largest, other = summarize(["n 1.0\n"], ["n inf\n"])
+    assert (floats, other) == (1, 0) and math.isinf(largest)

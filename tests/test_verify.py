@@ -14,7 +14,7 @@ from bohrkit import (BoundedFunction, DomainError, FunctionalParams,
 from bohrkit import verify
 from bohrkit import weights as wt
 from bohrkit.functionals import (ENVELOPE, FAMILIES, POINTWISE, _cutoff,
-                                 bound_for, evaluate_family)
+                                 _family_evaluator, bound_for, evaluate_family)
 from bohrkit.verify import standard_families
 
 PW = power()
@@ -138,6 +138,53 @@ class TestSharedWeightBlock:
                          for f in population)
             assert report.max_violation == public
 
+    @pytest.mark.parametrize("w", [PW, HARMONIC], ids=["power", "harmonic"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_row_equals_the_one_member_value(self, family, w):
+        pr = prob(family, w)
+        cert = solve_radius(pr)
+        population = standard_families(family, blaschke_count=3)
+        rs = np.linspace(0.0, cert.radius, 24)
+        weights = pr.weights if FAMILIES[family].weighted else PW
+        cut = _cutoff(weights.ratio(cert.radius))
+        orders = [f.truncation_order for f in population]
+        assert min(orders) < cut < max(orders)
+        for mode in (ENVELOPE, POINTWISE):
+            _, functional = _family_evaluator(family, pr.weights, pr.params, rs,
+                                              max(orders), mode)
+            rows = functional(population)
+            assert rows.shape == (len(population), len(rs))
+            for f, row in zip(population, rows):
+                assert np.array_equal(row, evaluate_family(family, f, pr.weights,
+                                                           pr.params, rs, mode))
+
+    @pytest.mark.parametrize("family", ["psi1", "psi4", "psi5_t6"])
+    def test_small_chunks_equal_one_pass(self, family, monkeypatch):
+        pr = prob(family, HARMONIC, m=1, q=2)
+        cert = solve_radius(pr)
+        population = standard_families(family, blaschke_count=7)
+        chunks = []
+        real = verify._family_evaluator
+
+        def recording(*args):
+            blk, functional = real(*args)
+
+            def run(fs):
+                chunks.append(functional(fs))
+                return chunks[-1]
+            return blk, run
+
+        monkeypatch.setattr(verify, "_family_evaluator", recording)
+        whole = verify_below_radius(pr, families=population, r_points=24, cert=cert)
+        (one_pass,) = chunks
+        for budget, size in ((24 * 5, 5), (1, 1)):
+            chunks.clear()
+            monkeypatch.setattr(verify, "_CHUNK_ELEMENTS", budget)
+            report = verify_below_radius(pr, families=population, r_points=24, cert=cert)
+            assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+            assert np.array_equal(np.vstack(chunks), one_pass)
+            assert report.max_violation == whole.max_violation
+
     def test_block_builds_do_not_grow_with_the_population(self, monkeypatch):
         pr = prob("psi1", HARMONIC)
         cert = solve_radius(pr)
@@ -245,11 +292,10 @@ class TestLemmaCoeff:
                                         int(rng.integers(0, 2 ** 31)))
                  for _ in range(25)]
         blk = verify._Block(PW, rs, max(f.truncation_order for f in pool))
-        slack = max(float(np.max(verify._bohr_sum_arr(f, blk, 1)
-                                 + verify._a_refinement_arr(f, blk)
-                                 - (1.0 - abs(f.coeffs[0]) ** 2) * PW.tail(1, rs)))
-                    for f in pool)
-        assert check_lemma_coeff(25, 7) == slack
+        lhs = verify._run(pool, lambda pop: verify._bohr_sum_arr(pop, blk, 1)
+                          + verify._a_refinement_arr(pop, blk))
+        rhs = np.array([1.0 - abs(f.coeffs[0]) ** 2 for f in pool])[:, None] * PW.tail(1, rs)
+        assert check_lemma_coeff(25, 7) == float(np.max(lhs - rhs))
 
 
 class TestLemmaD:

@@ -10,14 +10,19 @@ temporary directory next to a copy of the script, and the working tree
 runs the script in place, so the comparison needs no network and leaves
 ``.git`` untouched.  For each side it prints the ``src/bohrkit/*.py`` line
 count and the dump's line count and sha256, then a unified diff of the
-two dumps.  Exit code: 0 when the dumps are byte-identical, 1 when they
-differ, 2 when a side cannot be built or run.
+two dumps.  When they differ, a summary line follows the diff: how many
+changed lines differ only in float tokens, the largest relative change
+among those tokens, and how many changed lines differ in anything else
+(a line with no counterpart included).  Exit code: 0 when the dumps are
+byte-identical, 1 when they differ, 2 when a side cannot be built or run.
 """
 
 from __future__ import annotations
 
 import difflib
 import hashlib
+import math
+import re
 import shutil
 import subprocess
 import sys
@@ -46,6 +51,41 @@ def dump(root: Path) -> bytes:
                           stdout=subprocess.PIPE, check=True).stdout
 
 
+# a float as repr writes it: a point or an exponent, not part of a name
+_FLOAT = re.compile(r"(?<![\w.])-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|inf|nan)(?![\w.])")
+
+
+def _relative_change(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if math.isfinite(scale) and scale > 0.0 else math.inf
+
+
+def summarize(before: list[str], after: list[str]) -> tuple[int, float, int]:
+    """(lines that differ only in float tokens, the largest relative change
+    among their tokens, other changed lines) between two dumps' lines.  A
+    changed line is paired with the line at the same offset of the other
+    side's replaced block; a line without a counterpart counts as other."""
+    floats, largest, other = 0, 0.0, 0
+    matcher = difflib.SequenceMatcher(None, before, after, autojunk=False)
+    for tag, i0, i1, j0, j1 in matcher.get_opcodes():
+        if tag == "equal":
+            continue
+        pairs = list(zip(before[i0:i1], after[j0:j1]))
+        other += (i1 - i0) + (j1 - j0) - 2 * len(pairs)
+        for old, new in pairs:
+            old_tokens, new_tokens = _FLOAT.findall(old), _FLOAT.findall(new)
+            if (_FLOAT.sub("#", old) != _FLOAT.sub("#", new)
+                    or len(old_tokens) != len(new_tokens)):
+                other += 1
+                continue
+            floats += 1
+            largest = max([largest] + [_relative_change(float(a), float(b))
+                                       for a, b in zip(old_tokens, new_tokens)])
+    return floats, largest, other
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print("usage: golden_diff.py [REV]", file=sys.stderr)
@@ -68,10 +108,16 @@ def main(argv: list[str]) -> int:
         print(f"{name}: src/bohrkit/*.py {lines} lines; dump {newlines} lines, "
               f"sha256 {hashlib.sha256(out).hexdigest()}")
     (_, _, before), (_, _, after) = sides
+    before_lines = before.decode().splitlines(keepends=True)
+    after_lines = after.decode().splitlines(keepends=True)
     sys.stdout.writelines(difflib.unified_diff(
-        before.decode().splitlines(keepends=True), after.decode().splitlines(keepends=True),
-        fromfile=f"golden @ {rev}", tofile="golden @ working tree"))
-    return 0 if before == after else 1
+        before_lines, after_lines, fromfile=f"golden @ {rev}", tofile="golden @ working tree"))
+    if before == after:
+        return 0
+    floats, largest, other = summarize(before_lines, after_lines)
+    print(f"summary: {floats} changed lines differ only in float tokens "
+          f"(largest relative change {largest:.3g}); {other} changed lines differ otherwise")
+    return 1
 
 
 if __name__ == "__main__":
