@@ -68,7 +68,7 @@ MAX_TABLE_ROWS = 100_000
 _MAX_R_POINTS = 100_000
 # the most random Blaschke products one verify or check-lemmas run may build:
 # each holds at most 1494 complex128 coefficients (23 KiB), about 6 KiB drawn;
-# verify keeps its whole population, 12 MiB at 2000, check-lemmas one product
+# both runs keep their whole pool, 12 MiB at 2000
 _MAX_PRODUCTS = 2000
 # the largest identity-check grid: its lambda-family identity holds about five
 # grid x grid float64 arrays at once, 40 MB at 1000
@@ -126,12 +126,6 @@ def _int_in(lo: int, hi: float = math.inf):
 
 def _load_weights(spec: str) -> wt.WeightSequence:
     return wt.power() if spec == "power" else wt.from_json(spec)
-
-
-def _make_problem(family: str, w: wt.WeightSequence, m: int, p: float,
-                  lam: float, q: int, n: int) -> RadiusProblem:
-    params = FunctionalParams(m=m, p=p, lam=lam, q=q, n_lacunary=n)
-    return RadiusProblem(family, params, w)
 
 
 def _emit(text: str, path: str | None):
@@ -214,12 +208,11 @@ def _single(args, name, cast):
 
 def _problem_from_args(args) -> RadiusProblem:
     w = _load_weights(args.weights)
-    return _make_problem(args.family, w,
-                         _single(args, "m", _cast_int),
-                         _single(args, "p", float),
-                         _single(args, "lam", float),
-                         _single(args, "q", _cast_int),
-                         _single(args, "n", _cast_int))
+    params = FunctionalParams(m=_single(args, "m", _cast_int), p=_single(args, "p", float),
+                              lam=_single(args, "lam", float),
+                              q=_single(args, "q", _cast_int),
+                              n_lacunary=_single(args, "n", _cast_int))
+    return RadiusProblem(args.family, params, w)
 
 
 def _report(record: dict, ok: bool = True, why: str = ""):
@@ -259,7 +252,8 @@ def cmd_table(args):
     failures = 0
     for m, p, lam, q in grid:
         try:
-            cert = solve_radius(_make_problem(args.family, w, m, p, lam, q, n))
+            params = FunctionalParams(m=m, p=p, lam=lam, q=q, n_lacunary=n)
+            cert = solve_radius(RadiusProblem(args.family, params, w))
             cells = [_fmt(cert.radius), _fmt(cert.bracket_hi - cert.bracket_lo), "ok"]
         except (NoRootError, DomainError) as exc:
             cells = ["", "", "no-root" if isinstance(exc, NoRootError) else "invalid"]

@@ -27,8 +27,8 @@ a strided view of the block's weight rows, and with the block's tails T
 = tail(2n + 1), stored from the highest n down so that these decaying
 terms, the larger part near the radius, are summed smallest first.  No
 n x len(rs) temporary is divided.  The guards run on the whole
-population too, and raise the error that evaluating the members one by
-one would raise first.
+population too; :func:`_run` turns a failed one into the error that
+evaluating the members one by one would raise first.
 
 The composite functionals come in two evaluation modes:
 
@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from . import weights as wt
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, BohrkitError, DomainError
 from .series import BoundedFunction, eval_derivative, evaluate
 
 REMAINDER_TOL = 1e-12
@@ -107,10 +107,7 @@ class _Population:
     ``start[i]``, then a 0 that is the max of any empty suffix; ``a0``
     holds each |a_0| by scalar abs, like the heads' other scalar terms
     (numpy's vectorized complex abs and pow can round differently, and the
-    heads keep the scalar bits).  A failed check is not raised where it is found:
-    ``error`` keeps the one a member-by-member loop would raise, that of
-    the first failing member and its first failing check in body order,
-    and :func:`_run` raises it once the body is done.
+    heads keep the scalar bits).
     """
 
     def __init__(self, fs):
@@ -122,7 +119,6 @@ class _Population:
         self.mag = np.abs(np.concatenate([f.coeffs for f in fs] + [[0.0]]))
         self.tail_bound = np.array([f.tail_bound for f in fs])
         self.a0 = np.array([abs(f.coeffs[0]) for f in fs])
-        self.failed, self.error = len(fs), None
 
     def trunc(self, n: int):
         """Each member's kept index min(T, n) and the worst bound on its
@@ -133,27 +129,28 @@ class _Population:
         top = np.maximum.reduceat(self.mag, edges)[::2]
         return n, np.maximum(self.tail_bound, np.where(edges[::2] < edges[1::2], top, 0.0))
 
-    def check(self, bad, error):
-        """Keep error(i) for the first member i that fails this check,
-        unless an earlier member or an earlier check of i has failed."""
-        i = int(bad.argmax())
-        if bad[i] and i < self.failed:
-            self.failed, self.error = i, error(i)
-
 
 def _run(fs, body):
     """body's k x len(rs) value on the population fs, or the error that
-    evaluating its members one by one would raise first."""
-    pop = _Population(fs)
-    out = body(pop)
-    if pop.error is not None:
-        raise pop.error
-    return out
+    evaluating its members one by one would raise first.  A check raises
+    as soon as any member fails it, and a member's rows and guard bounds
+    do not depend on the rest of the population: so the members before
+    the last are then run alone, in order, and if none fails, the last
+    member alone failed and the population's error is its first."""
+    try:
+        return body(_Population(fs))
+    except BohrkitError as exc:
+        error = exc
+    for f in fs[:-1]:
+        body(_Population([f]))
+    raise error
 
 
-def _guard(pop, bound, what: str):
-    pop.check(bound > REMAINDER_TOL, lambda i: AccuracyError(
-        f"certified remainder {bound[i]:.3g} of {what} exceeds {REMAINDER_TOL}"))
+def _guard(bound, what: str):
+    bad = bound > REMAINDER_TOL
+    if bad.any():
+        raise AccuracyError(f"certified remainder {bound[bad.argmax()]:.3g} of {what} "
+                            f"exceeds {REMAINDER_TOL}")
 
 
 class _Block:
@@ -164,7 +161,7 @@ class _Block:
 
     def __init__(self, w, rs, order):
         self.w, self.rs, rmax = w, rs, float(rs.max())
-        self.x = w.ratio(rmax)
+        self.x = w.rho * rmax
         self.cut = _cutoff(self.x)
         top, half = min(order, self.cut), min(order, self.cut // 2 + 1)
         with np.errstate(over="ignore"):
@@ -197,7 +194,7 @@ def _products(pop, keys, part, term=lambda mag, idx: mag):
 def _bohr_sum_arr(pop, blk, start, step=1, what="the weighted coefficient sum"):
     """sum of |a_n| w_n(r) over n = start, start + step, start + 2 step, ..."""
     n_hi, U = pop.trunc(blk.cut)
-    _guard(pop, U * blk.guard_tails[0][n_hi + 1], what)
+    _guard(U * blk.guard_tails[0][n_hi + 1], what)
     return _products(pop, n_hi, lambda n: (np.arange(start, n + 1, step),
                                            blk.rows[start:n + 1:step]))
 
@@ -210,9 +207,8 @@ def _a_refinement_arr(pop, blk):
     x = blk.x
     n_half, U = pop.trunc(blk.cut // 2 + 1)
     with np.errstate(over="ignore"):
-        _guard(pop, U * U * blk.w.dominator * (x ** (2 * n_half + 2) / (1.0 - x * x)
-                                               + x ** (2 * n_half + 3)
-                                               / ((1.0 - x) * (1.0 - x * x))),
+        _guard(U * U * blk.w.C * (x ** (2 * n_half + 2) / (1.0 - x * x)
+                                  + x ** (2 * n_half + 3) / ((1.0 - x) * (1.0 - x * x))),
                "the quadratic refinement term")
     w2 = _products(pop, n_half, lambda n: (np.arange(1, n + 1), blk.rows[2:2 * n + 1:2]),
                    lambda mag, idx: mag ** 2)
@@ -225,7 +221,7 @@ def _a_refinement_arr(pop, blk):
 def _weighted_coeff_sum_arr(pop, blk):
     """sum_{n>=1} (n+1) |a_{n+1}| w_n(r) -- the derivative-type middle sum."""
     n_hi, U = pop.trunc(blk.cut)
-    _guard(pop, U * blk.guard_tails[1][np.maximum(n_hi, 1)], "the derivative coefficient sum")
+    _guard(U * blk.guard_tails[1][np.maximum(n_hi, 1)], "the derivative coefficient sum")
     return _products(pop, np.minimum(n_hi, pop.order - 1),
                      lambda n: (np.arange(2, n + 2), blk.rows[1:n + 1]),
                      lambda mag, idx: idx * mag)
@@ -261,8 +257,8 @@ def _head_modulus(pop, m, rs, mode):
 
 
 def _require_schwarz(pop):
-    pop.check(pop.a0 > 1e-12, lambda i: DomainError(
-        "this functional requires a Schwarz function (a_0 = 0)"))
+    if (pop.a0 > 1e-12).any():
+        raise DomainError("this functional requires a Schwarz function (a_0 = 0)")
 
 
 def _t1(pop, blk, params, mode):

@@ -10,7 +10,6 @@ as runnable property checks.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -22,12 +21,12 @@ from .errors import (DomainError, NoRootError, NotFalsifiableError,
 # evaluate_family is unused here but stays bound: perfbench's tracer and its
 # test patch and restore it in this module
 from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, _a_refinement_arr,  # noqa: F401
-                          _Block, _bohr_sum_arr, _family_evaluator, _run, bound_for,
-                          evaluate_family, get_family)
+                          _abs_pow, _Block, _bohr_sum_arr, _family_evaluator, _run,
+                          bound_for, evaluate_family, get_family)
 from .radii import RadiusProblem, RootCertificate, psi_eval, solve_radius
-from .series import (BLASCHKE_ORDER, T_MAX, BoundedFunction, eval_derivative,
-                     evaluate, moebius_minus, moebius_plus, multiply_by_z,
-                     random_blaschke, schwarz_moebius)
+from .series import (T_MAX, BoundedFunction, eval_derivative, evaluate,
+                     moebius_minus, moebius_plus, multiply_by_z, random_blaschke,
+                     schwarz_moebius)
 
 MOEBIUS_A_GRID = tuple(np.round(np.arange(0.0, 1.0, 0.05), 2)) + (0.99, 0.999)
 
@@ -48,6 +47,15 @@ _EXTREMAL_BUILDER = {
 def _draw_blaschke(rng) -> tuple[int, int]:
     """The degree and seed of the next random Blaschke product from rng."""
     return int(rng.integers(1, 9)), int(rng.integers(0, 2 ** 31))
+
+
+def _worst(values, members, r_points: int) -> float:
+    """The largest entry of values(chunk) over consecutive chunks of the
+    members, each of max(1, _CHUNK_ELEMENTS // r_points), so that a chunk
+    x r_points temporary stays under _CHUNK_ELEMENTS elements."""
+    chunk = max(1, _CHUNK_ELEMENTS // r_points)
+    return max(float(np.max(values(members[i:i + chunk])))
+               for i in range(0, len(members), chunk))
 
 
 def standard_families(family: str, seed: int = 42,
@@ -130,11 +138,10 @@ def verify_below_radius(prob: RadiusProblem,
 
     One weight block of the problem's weights on the radius grid serves
     every member, which slices it to its kept range.  The members are
-    evaluated a chunk at a time, each chunk's rows in one pass, with
-    every chunk x r_points temporary under _CHUNK_ELEMENTS elements; a
-    member's row does not depend on its chunk.  ``cert`` is the
-    problem's certificate when the caller has already solved it;
-    otherwise the problem is solved here.
+    evaluated in :func:`_worst`'s chunks, each chunk's rows in one pass; a
+    member's row does not depend on its chunk.  ``cert`` is the problem's
+    certificate when the caller has already solved it; otherwise the
+    problem is solved here.
     """
     if not margin >= 0.0:
         raise DomainError("margin must be nonnegative")
@@ -154,9 +161,7 @@ def verify_below_radius(prob: RadiusProblem,
     blk, functional = _family_evaluator(
         prob.family, prob.weights, prob.params, rs,
         max(f.truncation_order for f in families), mode)
-    chunk = max(1, _CHUNK_ELEMENTS // r_points)
-    worst = max(float(np.max(functional(families[i:i + chunk]) - blk.rows[0]))
-                for i in range(0, len(families), chunk))
+    worst = _worst(lambda fs: functional(fs) - blk.rows[0], families, r_points)
     return VerificationReport(
         family=prob.family, params=prob.params, mode=mode,
         radius=cert.radius, bracket=(cert.bracket_lo, cert.bracket_hi),
@@ -203,25 +208,24 @@ def check_lemma_coeff(trials: int = 1000, seed: int = 42,
                       w: wt.WeightSequence | None = None) -> float:
     """Max slack of majorant + refinement <= (1 - |a_0|^2) * tail(1, r)
     over Moebius members and random Blaschke products; expected <= 1e-9.
-    No product's truncation order exceeds BLASCHKE_ORDER, so the block is
-    sized before any is drawn and each is built and dropped in turn."""
+    The pool is built up front, as verify's is, and checked in the same
+    chunks on one weight block."""
     if trials < 1:
         raise DomainError("need at least one trial")
     if w is None:
         w = wt.power()
     rs = np.linspace(0.0, 0.9, 19)
     rng = np.random.default_rng(seed)
-    moebius = [moebius_plus(a) for a in MOEBIUS_A_GRID]
-    moebius += [moebius_minus(a) for a in (0.3, 0.7, 0.95)]
-    blk = _Block(w, rs, max([f.truncation_order for f in moebius] + [BLASCHKE_ORDER]))
-    products = (random_blaschke(*_draw_blaschke(rng)) for _ in range(trials))
+    pool = [moebius_plus(a) for a in MOEBIUS_A_GRID]
+    pool += [moebius_minus(a) for a in (0.3, 0.7, 0.95)]
+    pool += [random_blaschke(*_draw_blaschke(rng)) for _ in range(trials)]
+    blk = _Block(w, rs, max(f.truncation_order for f in pool))
     tail1 = w.tail(1, rs)
-    worst = -np.inf
-    for f in itertools.chain(moebius, products):
-        lhs = _run([f], lambda pop: _bohr_sum_arr(pop, blk, 1) + _a_refinement_arr(pop, blk))[0]
-        rhs = (1.0 - abs(f.coeffs[0]) ** 2) * tail1
-        worst = max(worst, float(np.max(lhs - rhs)))
-    return worst
+
+    def slack(fs):
+        return _run(fs, lambda pop: _bohr_sum_arr(pop, blk, 1) + _a_refinement_arr(pop, blk)
+                    - (1.0 - _abs_pow(pop, 0, 2)) * tail1)
+    return _worst(slack, pool, len(rs))
 
 
 # instance -> (radius family, N(r) at lambda = 1)

@@ -121,14 +121,6 @@ class WeightSequence:
 
     # -- basic descriptors ------------------------------------------------
 
-    def ratio(self, r: float) -> float:
-        """Geometric ratio bounding w_{n+1}/w_n from above at radius r."""
-        return self.rho * float(r)
-
-    @property
-    def dominator(self) -> float:
-        return self.C
-
     @property
     def _phi0(self) -> float:
         """w_0(r) = c_0 * r**0, which is c_0 at every r: 0.0 ** 0.0 is 1.0."""
@@ -171,13 +163,14 @@ class WeightSequence:
 
     def _weight2(self, ns: np.ndarray, rs: np.ndarray) -> np.ndarray:
         powers = np.power(rs[None, :], ns[:, None].astype(float))
-        return self._coeff_eff(ns)[:, None] * powers
+        powers *= self._coeff_eff(ns)[:, None]
+        return powers
 
     def _geom_tail(self, starts: np.ndarray, x: np.ndarray, weighted: bool) -> np.ndarray:
         """Tail of the dominating geometric series from the given start
         indices; starts broadcasts against x."""
         s = starts.astype(float)
-        lead = self.dominator * x ** s  # 0.0 ** 0.0 is 1.0: the term at x = 0
+        lead = self.C * x ** s  # 0.0 ** 0.0 is 1.0: the term at x = 0
         if weighted:
             return lead * ((s + 1.0) - s * x) / (1.0 - x) ** 2
         return lead / (1.0 - x)

@@ -1,0 +1,56 @@
+"""The per-metric verdict of ``tools/bench_pairs.py``'s summary."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_pairs  # noqa: E402  (it imports golden_diff from its own folder)
+
+SPECS = [{"name": "setup_s", "better": "lower", "bound": 0.25},
+         {"name": "items_per_s", "better": "higher", "bound": 0.25}]
+
+
+def pairs(parent, change, metric):
+    """One synthetic pair per value pair, with the other metric constant."""
+    def record(value):
+        metrics = {spec["name"]: {"value": 1.0} for spec in SPECS}
+        metrics[metric] = {"value": value}
+        return {"failed": 0, "metrics": metrics}
+    return [{bench_pairs.PARENT: record(p), bench_pairs.CHANGE: record(c)}
+            for p, c in zip(parent, change)]
+
+
+def verdict(parent, change, metric="setup_s"):
+    return bench_pairs.summarize(pairs(parent, change, metric), SPECS)[metric]["verdict"]
+
+
+TIGHT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+# quartiles 0.825 and 1.175 about a median of 1.0: a spread of 0.35
+WIDE = [0.6, 0.8, 0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 1.2, 1.4]
+
+
+def test_a_tight_parent_and_a_close_change_hold():
+    assert verdict(TIGHT, [v * 1.1 for v in TIGHT]) == "held"
+    assert verdict(TIGHT, [v * 0.9 for v in TIGHT], "items_per_s") == "held"
+    assert verdict([1.0], [1.1]) == "held"  # one pair: no spread
+
+
+@pytest.mark.parametrize("metric, factor", [("setup_s", 1.3), ("items_per_s", 0.7)])
+def test_a_median_past_the_bound_is_worse(metric, factor):
+    assert verdict(TIGHT, [v * factor for v in TIGHT], metric) == "worse"
+    assert verdict(WIDE, [v * factor for v in WIDE], metric) == "worse"
+
+
+@pytest.mark.parametrize("metric", ["setup_s", "items_per_s"])
+def test_a_wide_parent_leaves_an_overlapping_change_unresolved(metric):
+    assert verdict(WIDE, WIDE, metric) == "unresolved"
+    assert verdict(WIDE, [1.0] * len(WIDE), metric) == "unresolved"
+
+
+def test_a_change_that_beats_every_parent_run_holds_despite_the_spread():
+    assert verdict(WIDE, [0.5] * len(WIDE)) == "held"
+    assert verdict(WIDE, [1.5] * len(WIDE), "items_per_s") == "held"
+    # one change run inside the parent's range leaves it unresolved
+    assert verdict(WIDE, [0.5] * 9 + [0.7]) == "unresolved"

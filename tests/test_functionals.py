@@ -354,10 +354,9 @@ class TestPopulationErrors:
     would raise first: the first failing member's first failing check."""
 
     @staticmethod
-    def _run(family, members, rs):
+    def _run(family, members, rs, mode=ENVELOPE):
         _, functional = _family_evaluator(family, HARMONIC, FunctionalParams(), rs,
-                                          max(f.truncation_order for f in members),
-                                          ENVELOPE)
+                                          max(f.truncation_order for f in members), mode)
         return functional(members)
 
     def test_first_failing_member_wins(self):
@@ -386,6 +385,33 @@ class TestPopulationErrors:
             self._run("psi1", members, rs)
         assert str(together.value) == str(alone.value)
         assert self._run("psi1", members[:1], rs).shape == (1, len(rs))
+
+    def test_only_the_last_member_fails(self):
+        rs = np.linspace(0.0, 0.3, 5)
+        members = [moebius_plus(0.3), moebius_plus(0.6),
+                   BoundedFunction(np.array([0.0, 0.3]), 0.2)]
+        with pytest.raises(AccuracyError) as alone:
+            evaluate_family("psi1", members[-1], HARMONIC, FunctionalParams(), rs)
+        with pytest.raises(AccuracyError) as together:
+            self._run("psi1", members, rs)
+        assert str(together.value) == str(alone.value)
+
+    @pytest.mark.parametrize("family", ["psi1", "psi4"])
+    def test_pointwise_raises_the_first_lone_error(self, family):
+        rs = np.linspace(0.0, 0.3, 5)
+        members = [schwarz_moebius(0.3), BoundedFunction(np.array([0.0, 0.5, 0.2]), 0.3),
+                   schwarz_moebius(0.6), moebius_plus(0.5),
+                   BoundedFunction(np.array([0.0, 0.5, 0.2]), 0.1)]
+        errors = []
+        for f in members:
+            try:
+                evaluate_family(family, f, HARMONIC, FunctionalParams(), rs, POINTWISE)
+            except (AccuracyError, DomainError) as exc:
+                errors.append(exc)
+        first = errors[0]
+        with pytest.raises(type(first)) as together:
+            self._run(family, members, rs, POINTWISE)
+        assert str(together.value) == str(first)
 
 
 class TestScalarInequality:

@@ -1,7 +1,6 @@
 """Below-radius verification, sharpness witnesses, and lemma suites."""
 
 import json
-import weakref
 
 import numpy as np
 import pytest
@@ -126,7 +125,7 @@ class TestSharedWeightBlock:
         population = standard_families(family, blaschke_count=3)
         rs = np.linspace(0.0, cert.radius, 24)
         weights = pr.weights if FAMILIES[family].weighted else PW
-        cut = _cutoff(weights.ratio(cert.radius))
+        cut = _cutoff(weights.rho * cert.radius)
         orders = [f.truncation_order for f in population]
         assert min(orders) < cut < max(orders)
         for mode in (ENVELOPE, POINTWISE):
@@ -146,7 +145,7 @@ class TestSharedWeightBlock:
         population = standard_families(family, blaschke_count=3)
         rs = np.linspace(0.0, cert.radius, 24)
         weights = pr.weights if FAMILIES[family].weighted else PW
-        cut = _cutoff(weights.ratio(cert.radius))
+        cut = _cutoff(weights.rho * cert.radius)
         orders = [f.truncation_order for f in population]
         assert min(orders) < cut < max(orders)
         for mode in (ENVELOPE, POINTWISE):
@@ -266,22 +265,6 @@ class TestLemmaCoeff:
         with pytest.raises(DomainError):
             check_lemma_coeff(0)
 
-    def test_products_built_one_at_a_time(self, monkeypatch):
-        real = verify.random_blaschke
-        alive, most = [], 0
-
-        def tracked(degree, seed):
-            nonlocal most
-            f = real(degree, seed)
-            alive.append(weakref.ref(f))
-            most = max(most, sum(ref() is not None for ref in alive))
-            return f
-
-        monkeypatch.setattr(verify, "random_blaschke", tracked)
-        check_lemma_coeff(30, 42)
-        assert len(alive) == 30
-        assert most <= 2  # the product being built and the one just checked
-
     def test_same_slack_as_the_whole_pool(self):
         # the pool built up front, with the draws of the run itself
         rs = np.linspace(0.0, 0.9, 19)
@@ -296,6 +279,24 @@ class TestLemmaCoeff:
                           + verify._a_refinement_arr(pop, blk))
         rhs = np.array([1.0 - abs(f.coeffs[0]) ** 2 for f in pool])[:, None] * PW.tail(1, rs)
         assert check_lemma_coeff(25, 7) == float(np.max(lhs - rhs))
+
+    def test_small_chunks_equal_one_pass(self, monkeypatch):
+        sizes = []
+        real = verify._run
+
+        def recording(fs, body):
+            sizes.append(len(fs))
+            return real(fs, body)
+
+        monkeypatch.setattr(verify, "_run", recording)
+        whole = check_lemma_coeff(30, 7, HARMONIC)
+        pool = len(verify.MOEBIUS_A_GRID) + 3 + 30
+        assert sizes == [pool]
+        for budget, size in ((19 * 5, 5), (1, 1)):
+            sizes.clear()
+            monkeypatch.setattr(verify, "_CHUNK_ELEMENTS", budget)
+            assert check_lemma_coeff(30, 7, HARMONIC) == whole
+            assert sizes[:-1] == [size] * (len(sizes) - 1) and sum(sizes) == pool
 
 
 class TestLemmaD:

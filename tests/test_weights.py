@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,22 @@ class TestWeightAt:
                 assert f([1, 2], [0.1, 0.2, 0.3]).shape == (2, 3)
                 assert f([1], [0.5]).shape == (1, 1)
                 assert type(f(1, 0.5)) is float
+
+    @pytest.mark.parametrize("w", [power(), scaled_power(1.0 / (np.arange(40) + 1.0))],
+                             ids=["power", "scaled"])
+    def test_rows_built_in_one_matrix(self, w):
+        # the bits of the product coeff * powers, without a second row matrix;
+        # the scaled rows run past the stored list into the dominator
+        ns, rs = np.arange(60), np.linspace(0.0, 0.99, 20_000)
+        expected = w._coeff_eff(ns)[:, None] * np.power(rs[None, :], ns[:, None].astype(float))
+        tracemalloc.start()
+        try:
+            rows = w._weight2(ns, rs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rows, expected)
+        assert peak < 1.25 * rows.nbytes
 
 
 class TestTail:

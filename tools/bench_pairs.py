@@ -18,9 +18,16 @@ The JSON document on standard output holds ``pairs`` (each side's
 ``perfbench/out/result-*.json`` record as written), ``traced`` (each
 side's traced record per workload) and ``summary``: per gated workload
 and end-to-end metric, the quartiles of each side
-(``statistics.quantiles``, inclusive), the ratio of the medians and the
-number of pairs the working tree wins; it is written with
-``json.dump(indent=1)``.  Progress goes to standard error.  Exit code: 0
+(``statistics.quantiles``, inclusive), the ratio of the medians, the
+number of pairs the working tree wins and a ``verdict``:
+
+* ``worse``: the change's median is past the metric's bound in the bad
+  direction, as a fraction of the parent's median;
+* ``unresolved``: the parent's spread, (q3 - q1) / median, exceeds the
+  bound, and not every change run beats every parent run;
+* ``held``: anything else.
+
+It is written with ``json.dump(indent=1)``.  Progress goes to standard error.  Exit code: 0
 on success, 2 when a side cannot be unpacked or run.
 """
 
@@ -61,8 +68,21 @@ def run(side: Path, workload: str, seed: int, trace: int) -> dict:
             for path in sorted(out.glob(f"result-*-seed{seed}-trace{trace}.json"))}
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``held``: see the module docstring."""
+    if better == "higher":  # compare the negated values, where lower is better
+        parent, change = [-v for v in parent], [-v for v in change]
+    q1, med, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
+                   if len(parent) > 1 else parent * 3)
+    if statistics.median(change) - med > bound * abs(med):
+        return "worse"
+    if q3 - q1 > bound * abs(med) and not max(change) < min(parent):
+        return "unresolved"
+    return "held"
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Quartiles, median ratio and change wins per end-to-end metric."""
+    """Quartiles, median ratio, change wins and verdict per end-to-end metric."""
     out = {"pairs": len(pairs),
            "failed": [sum(p[side]["failed"] for p in pairs) for side in (PARENT, CHANGE)]}
     for spec in end_to_end:
@@ -79,6 +99,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         out[name]["change_over_parent_median"] = (statistics.median(vals[CHANGE])
                                                   / statistics.median(vals[PARENT]))
         out[name]["change_wins"] = wins
+        out[name]["verdict"] = verdict(vals[PARENT], vals[CHANGE], better, spec["bound"])
     return out
 
 
