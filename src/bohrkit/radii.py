@@ -15,14 +15,15 @@ bracket's regula-falsi guess, and the sequential bisection is replayed on
 their values for as long as each point is the step's own midpoint.  The
 first mispredicted step is still taken, the points after it are dropped,
 and the next call predicts again from the narrower bracket, so the solver
-reaches the step-by-step bracket in a few calls.  Each value equals the
-one-point value at its midpoint; under scaled-power weights that holds
-where the batch's points share one tail cut, which the solver checks
-before each call.  The bracket, the signed values at its ends and the scan
-step are returned as a certificate, with ``psi_lo > 0 >= psi_hi``: the
-first sign change lies in ``(bracket_lo, bracket_hi]``, and ``psi_hi`` is
-0.0 where Psi vanishes on the end point.  The Psi functions themselves
-live in :data:`bohrkit.functionals.FAMILIES`.
+reaches the step-by-step bracket in a few calls.  A scaled-power batch
+cuts its tail at its largest point, so a lower point may sum stored terms
+that its one-point cut treats as numerically silent; the tests pin the
+certificates to the step-by-step bisection's.  The bracket, the signed
+values at its ends and the scan step are returned as a certificate, with
+``psi_lo > 0 >= psi_hi``: the first sign change lies in
+``(bracket_lo, bracket_hi]``, and ``psi_hi`` is 0.0 where Psi vanishes on
+the end point.  The Psi functions themselves live in
+:data:`bohrkit.functionals.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -117,13 +118,11 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     every grid cell is examined.  Each bisection call evaluates the
     midpoints the bisection visits toward the regula-falsi guess
     ``lo - flo*(hi - lo)/(fhi - flo)`` of the current bracket and replays
-    the steps on them up to the first one whose sign the guess got wrong;
-    a scaled-power batch whose points do not share one tail cut is split
-    into calls that do.  Every step reads Psi at its own midpoint, so the
-    certificate is the one a step-by-step bisection gives.  Raises
-    :class:`DomainError` when Psi(0) is not positive and
-    :class:`NoRootError` when Psi keeps its sign on the whole evaluation
-    domain.
+    the steps on them up to the first one whose sign the guess got wrong.
+    Each path is one :func:`psi_eval` call, whose scaled-power tail is cut
+    at the path's largest point.  Raises :class:`DomainError` when Psi(0)
+    is not positive and :class:`NoRootError` when Psi keeps its sign on
+    the whole evaluation domain.
     """
     # a scaled-power tail costs in proportion to the largest r it is asked
     # for; a closed-form Psi costs one call whatever the grid
@@ -148,7 +147,7 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
         # the regula-falsi guess; the sequential steps replay on its values
         # while the path's next point is the step's own midpoint
         pts = _bisection_path(lo, hi, lo - flo * (hi - lo) / (fhi - flo))
-        for mid, fm in zip(pts.tolist(), _bisect_values(prob, pts, scaled)):
+        for mid, fm in zip(pts.tolist(), psi_eval(prob, pts).tolist()):
             if not (hi - lo > BRACKET_WIDTH and mid == 0.5 * (lo + hi)):
                 break
             # flo > 0 throughout, so this is the sign test, a NaN fm included
@@ -174,23 +173,6 @@ def _bisection_path(lo: float, hi: float, guess: float) -> np.ndarray:
         else:
             hi = mid
     return np.array(pts)
-
-
-def _bisect_values(prob: RadiusProblem, mids: np.ndarray, scaled: bool) -> list:
-    """Psi at each of the midpoints, in their order, each equal to its
-    value on a one-point grid.  A scaled-power tail cuts its sum at an
-    index set by the grid's largest r, so a batch is one call only where
-    the cut at its smallest and largest point agree (the cut is
-    nondecreasing in r > 0); otherwise the points of each cut are one
-    call.  Power weights and closed-form Psi always take one call."""
-    w = prob.weights
-    if not scaled or w._tail_cut(mids.min()) == w._tail_cut(mids.max()):
-        return psi_eval(prob, mids).tolist()
-    cuts = np.array([w._tail_cut(r) for r in mids.tolist()])
-    out = np.empty(mids.size)
-    for cut in set(cuts.tolist()):
-        out[cuts == cut] = psi_eval(prob, mids[cuts == cut])
-    return out.tolist()
 
 
 def classical_crosscheck(m: int, p_case: int):

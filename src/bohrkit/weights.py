@@ -170,10 +170,14 @@ class WeightSequence:
         """Tail of the dominating geometric series from the given start
         indices; starts broadcasts against x."""
         s = starts.astype(float)
-        lead = self.C * x ** s  # 0.0 ** 0.0 is 1.0: the term at x = 0
+        lead = x ** s  # 0.0 ** 0.0 is 1.0: the term at x = 0
+        lead *= self.C  # in place, as below, to hold fewer tails-sized arrays
         if weighted:
-            return lead * ((s + 1.0) - s * x) / (1.0 - x) ** 2
-        return lead / (1.0 - x)
+            lead *= (s + 1.0) - s * x
+            lead /= (1.0 - x) ** 2
+        else:
+            lead /= 1.0 - x
+        return lead
 
     def _tail_cut(self, rmax: float) -> int:
         """How many stored terms a scaled-power tail sums on a grid whose

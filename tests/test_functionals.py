@@ -1,6 +1,7 @@
 """Building-block sums and the composite functionals, each reached
 through ``evaluate_family`` by the name of a family that uses it."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -447,6 +448,19 @@ class TestParams:
         w = scaled_power(1.0 / (np.arange(32) + 1.0), rho=1.0, C=1.0)
         got = evaluate_family("psi1", moebius_plus(0.5), w, FunctionalParams(), 0.3)
         assert got > 0.0
+
+
+def test_power_block_peak_is_its_rows_and_tails():
+    # the geometric tails are built in place while the rows are alive, so
+    # the block holds no second tails-sized array at its peak
+    rs = np.linspace(0.0, 0.33, 100_000)
+    tracemalloc.start()
+    try:
+        blk = _Block(PW, rs, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (blk.rows.nbytes + blk.tails.nbytes)
 
 
 def test_every_exported_name_resolves():

@@ -702,17 +702,23 @@ class TestBatchedBisection:
         assert (cert.bracket_hi, cert.psi_hi) == (end, 0.0)
         assert cert == sequential_certificate(pr)
 
-    def test_cut_change_splits_the_batch(self, monkeypatch):
+    def test_each_path_is_one_call(self, monkeypatch):
+        # a path spanning two tail cuts is still one Psi call, cut at the
+        # path's largest point; test_certificate_equals_sequential pins the
+        # certificate of this problem
         calls = TestChunkedScan.record_calls(monkeypatch)
-        pr = cut_change_problem()
-        cert = solve_radius(pr)
-        lo, hi = TestChunkedScan.root_cell(cert)
-        cuts = [{HARMONIC._tail_cut(r) for r in pts} for pts in calls
-                if np.all((lo < pts) & (pts < hi))]
-        # each call holds one cut, and some batch spans two
-        assert all(len(c) == 1 for c in cuts)
-        assert len(set.union(*cuts)) > 1
-        assert cert == sequential_certificate(pr)
+        paths, bisection_path = [], radii._bisection_path
+
+        def recording_path(lo, hi, guess):
+            paths.append(bisection_path(lo, hi, guess))
+            return paths[-1]
+
+        monkeypatch.setattr(radii, "_bisection_path", recording_path)
+        solve_radius(cut_change_problem())
+        bisect = [pts for pts in calls if not np.isin(pts, scan_grid()).all()]
+        assert len(bisect) == len(paths) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(bisect, paths))
+        assert any(len({HARMONIC._tail_cut(r) for r in pts}) > 1 for pts in bisect)
 
     @pytest.mark.parametrize("w", LEAN_WEIGHTS, ids=("power", "harmonic", "rho0.9"))
     @pytest.mark.parametrize("family", list(FAMILIES))

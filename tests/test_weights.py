@@ -89,6 +89,18 @@ class TestTail:
         partial = float(((ns + 1.0) * 0.3 ** ns).sum())
         assert power().weighted_tail(1, 0.3) == pytest.approx(partial, abs=1e-12)
 
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_geometric_tail_keeps_its_bits(self, weighted):
+        # the in-place tail multiplies and divides in the order of the
+        # expression C x^s ((s + 1) - s x) / (1 - x)^2, resp. C x^s / (1 - x)
+        w = scaled_power([1.0, 0.5], rho=0.7, C=1.3)
+        s = np.arange(0.0, 40.0)[:, None]
+        x = np.linspace(0.0, 0.999, 101)[None, :]
+        lead = w.C * x ** s
+        expected = (lead * ((s + 1.0) - s * x) / (1.0 - x) ** 2 if weighted
+                    else lead / (1.0 - x))
+        assert np.array_equal(w._geom_tail(s.astype(int), x, weighted), expected)
+
     def test_huge_dominator_keeps_every_stored_term(self):
         # the cut's log argument 1e-18 (1 - x) / C underflows to 0 past C ~ 1e305
         w = scaled_power([1.0, 0.5], C=1e307)
