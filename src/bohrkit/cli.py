@@ -254,7 +254,8 @@ def cmd_table(args):
         try:
             params = FunctionalParams(m=m, p=p, lam=lam, q=q, n_lacunary=n)
             cert = solve_radius(RadiusProblem(args.family, params, w))
-            cells = [_fmt(cert.radius), _fmt(cert.bracket_hi - cert.bracket_lo), "ok"]
+            # the radius in full: rounded to 15 digits it may read above the root
+            cells = [repr(cert.radius), _fmt(cert.bracket_hi - cert.bracket_lo), "ok"]
         except (NoRootError, DomainError) as exc:
             cells = ["", "", "no-root" if isinstance(exc, NoRootError) else "invalid"]
             log.info("row (%s, %s, %s, %s) %s: %s", m, p, lam, q, cells[2], exc)

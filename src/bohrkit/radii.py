@@ -1,11 +1,12 @@
 """Radius-defining functions and certified minimal positive roots.
 
 Each family's Psi function is arranged so that Psi(0) > 0, and the solver
-checks that it is.  The reported radius is the first sign change on a
-fixed 1e-3 grid over [0, R_EDGE], sharpened by bisection to a bracket of
-width 1e-13.  Where a weighted family reads scaled-power weights, the grid
-is evaluated in chunks of 64 cells and the scan stops at the chunk holding
-the first sign change, so the points above the root are never evaluated;
+checks that it is.  The first sign change on a fixed 1e-3 grid over
+[0, R_EDGE] is sharpened by bisection to a bracket of width 1e-13, whose
+lower end is the reported radius.  Where a weighted family reads
+scaled-power weights, the grid is evaluated in chunks of 64 cells and the
+scan stops at the chunk holding the first sign change, so the points
+above the root are never evaluated;
 every other Psi is in closed form and is evaluated in one call.  A chunk's
 weight tail depends on the weights and the grid alone, so the first solve
 to reach it keeps it, read-only, for later solves on the same weights.
@@ -75,7 +76,9 @@ class RootCertificate:
     lies in ``(bracket_lo, bracket_hi]``.  ``psi_hi`` is exactly 0.0 where
     Psi vanishes on the end point (power ``psi2`` at m = 1, p = 1 has
     ``bracket_hi = 0.2``), so the two signs are not always strictly opposite.
-    Both values are Psi as evaluated in double precision.
+    Both values are Psi as evaluated in double precision.  ``radius`` is
+    ``bracket_lo``, the bracket's conservative end: it lies below the root
+    wherever the two signs are exact.
     """
 
     radius: float
@@ -155,7 +158,7 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
                 lo, flo = mid, fm
             else:
                 hi, fhi = mid, fm
-    return RootCertificate(0.5 * (lo + hi), lo, hi, flo, fhi, SCAN_STEP)
+    return RootCertificate(lo, lo, hi, flo, fhi, SCAN_STEP)
 
 
 def _bisection_path(lo: float, hi: float, guess: float) -> np.ndarray:

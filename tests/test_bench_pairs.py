@@ -1,4 +1,4 @@
-"""The per-metric verdict of ``tools/bench_pairs.py``'s summary."""
+"""The per-metric verdict and the traced counts of ``tools/bench_pairs.py``'s summary."""
 
 import sys
 from pathlib import Path
@@ -54,3 +54,22 @@ def test_a_change_that_beats_every_parent_run_holds_despite_the_spread():
     assert verdict(WIDE, [1.5] * len(WIDE), "items_per_s") == "held"
     # one change run inside the parent's range leaves it unresolved
     assert verdict(WIDE, [0.5] * 9 + [0.7]) == "unresolved"
+
+
+def traced_record(above):
+    """A traced perfbench record whose radius_above_oracle check reads above."""
+    return {"metrics": {"host.calib_ms": {"value": 9.0, "unit": "ms"},
+                        "check.radius_above_oracle": {"value": above, "unit": "count"}}}
+
+
+def test_radius_above_oracle_is_read_from_every_traced_workload():
+    traced = {"seed": 41,
+              bench_pairs.PARENT: {"certify_power": traced_record(60),
+                                   "table_sweep": traced_record(885)},
+              bench_pairs.CHANGE: {"certify_power": traced_record(0),
+                                   "table_sweep": traced_record(3),
+                                   "lemma_suites": {"metrics": {}}}}
+    assert bench_pairs.above_oracle(traced) == {
+        "certify_power": {bench_pairs.PARENT: 60, bench_pairs.CHANGE: 0},
+        "lemma_suites": {bench_pairs.PARENT: None, bench_pairs.CHANGE: None},
+        "table_sweep": {bench_pairs.PARENT: 885, bench_pairs.CHANGE: 3}}

@@ -142,7 +142,7 @@ class TestSolveRadius:
         for problem in (prob("psi2", PW, m=2, p=1.5), prob("psi2", PW, m=1, p=1.0)):
             cert = solve_radius(problem)
             assert cert.bracket_hi - cert.bracket_lo <= 1e-13
-            assert cert.bracket_lo <= cert.radius <= cert.bracket_hi
+            assert cert.radius == cert.bracket_lo
             assert cert.psi_lo > 0.0 >= cert.psi_hi
             assert 0.0 < cert.radius < 1.0
 
@@ -639,7 +639,7 @@ def sequential_certificate(pr):
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-    return radii.RootCertificate(0.5 * (lo + hi), lo, hi, flo, fhi, radii.SCAN_STEP)
+    return radii.RootCertificate(lo, lo, hi, flo, fhi, radii.SCAN_STEP)
 
 
 def chunk_boundary_problem(chunks, cell_offset):

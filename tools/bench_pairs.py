@@ -27,6 +27,11 @@ number of pairs the working tree wins and a ``verdict``:
   bound, and not every change run beats every parent run;
 * ``held``: anything else.
 
+``summary`` also holds ``radius_above_oracle``: for every workload of the
+traced run, each side's traced ``check.radius_above_oracle`` value, the
+number of certificates whose radius lies above perfbench's oracle (None
+where a side has no such value).
+
 It is written with ``json.dump(indent=1)``.  Progress goes to standard error.  Exit code: 0
 on success, 2 when a side cannot be unpacked or run.
 """
@@ -103,6 +108,15 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def above_oracle(traced: dict) -> dict:
+    """Each side's traced ``check.radius_above_oracle`` value per workload."""
+    workloads = sorted(set(traced[PARENT]) | set(traced[CHANGE]))
+    return {workload: {side: traced[side].get(workload, {}).get("metrics", {})
+                       .get("check.radius_above_oracle", {}).get("value")
+                       for side in (PARENT, CHANGE)}
+            for workload in workloads}
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev")
@@ -137,6 +151,7 @@ def main(argv: list[str]) -> int:
             traced = {"seed": TRACE_SEED}
             for side in (PARENT, CHANGE):
                 traced[side] = run(sides[side], "all", TRACE_SEED, 1)
+            summary["radius_above_oracle"] = above_oracle(traced)
     except subprocess.CalledProcessError as exc:
         print(f"bench_pairs: {' '.join(map(str, exc.cmd))} exited {exc.returncode}",
               file=sys.stderr)
