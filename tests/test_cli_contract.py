@@ -198,9 +198,8 @@ def test_every_bad_weight_file_is_one_usage_line(files, weights):
 
 
 # the radius is the bracket's lower end, 0.0, where verify finds every
-# member within phi_0 (the midpoint 2.9e-14 lay above the root, and verify
-# found a violation there); the sharpness window and the lemmas' fixed grid
-# up to r = 0.9 reach tails no remainder bound can certify
+# member within phi_0; the sharpness window and the lemmas' fixed grid up
+# to r = 0.9 reach tails no remainder bound can certify
 @pytest.mark.parametrize("argv, expected", [
     (["radius", "--family", "psi1"], cli.EXIT_OK),
     (["table", "--family", "psi1"], cli.EXIT_OK),
