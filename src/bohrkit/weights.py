@@ -198,19 +198,22 @@ class WeightSequence:
         x = self.rho * rs
         L_eff = self._tail_cut(float(rs.max()))
         n = np.arange(L_eff)
-        M = self.coeffs[:L_eff, None] * np.power(rs[None, :], n[:, None].astype(float))
+        # row L_eff stays 0: a start past the cut keeps the geometric tail alone
+        M = np.zeros((L_eff + 1, rs.size))
+        np.power(rs[None, :], n[:, None].astype(float), out=M[:L_eff])
+        M[:L_eff] *= self.coeffs[:L_eff, None]
         if weighted:
-            M = M * (n + 1.0)[:, None]
+            M[:L_eff] *= (n + 1.0)[:, None]
         if Ns.size == 1 < rs.size:
             # the one suffix row the cumsum below gives, added in its order
-            head = np.add.reduce(M[Ns[0]:][::-1])[None]
+            head = np.add.reduce(M[Ns[0]:L_eff][::-1])[None]
         else:
-            suffix = np.zeros((L_eff + 1, rs.size))
-            suffix[:L_eff] = np.cumsum(M[::-1], axis=0)[::-1]
-            # suffix[L_eff] is 0: a start past the cut keeps the geometric tail alone
-            head = suffix[np.minimum(Ns, L_eff)]
-        starts = np.maximum(Ns, L_eff)[:, None]
-        return head + self._geom_tail(starts, x[None, :], weighted)
+            # the suffix sums, in place on the reversed rows
+            np.cumsum(M[L_eff - 1::-1], axis=0, out=M[L_eff - 1::-1])
+            head = M[np.minimum(Ns, L_eff)]
+        del M
+        head += self._geom_tail(np.maximum(Ns, L_eff)[:, None], x[None, :], weighted)
+        return head
 
 
 def power() -> WeightSequence:

@@ -463,6 +463,20 @@ def test_power_block_peak_is_its_rows_and_tails():
     assert peak <= 1.1 * (blk.rows.nbytes + blk.tails.nbytes)
 
 
+def test_scaled_block_peak_is_near_its_rows_and_tails():
+    # the scaled tails' term matrix takes its suffix sums in place and is
+    # freed before the geometric tails are added, so at most one term
+    # matrix and one tails-sized array live beside the rows
+    rs = np.linspace(0.0, 0.33, 50_000)
+    tracemalloc.start()
+    try:
+        blk = _Block(HARMONIC, rs, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * (blk.rows.nbytes + blk.tails.nbytes)
+
+
 def test_every_exported_name_resolves():
     import bohrkit
     missing = [name for name in bohrkit.__all__ if not hasattr(bohrkit, name)]
