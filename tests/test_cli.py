@@ -138,6 +138,15 @@ class TestUsageErrors:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--m", ""), "empty value list"),
+        (("--p", "1..x"), "bad range '1..x'"),
+        (("--m", "1,2"), "--m takes one value here"),
+    ], ids=["empty-list", "range-bound-not-a-number", "two-values"])
+    def test_value_list_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, "radius", "--family", "psi1", *argv)
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
     def test_bad_value_list(self, capsys):
         code, _, _ = run(capsys, "radius", "--family", "psi1", "--p", "abc")
         assert code == 1

@@ -444,6 +444,14 @@ class TestParams:
         with pytest.raises(DomainError):
             FunctionalParams(m=0)
 
+    def test_q_positive_integer(self):
+        with pytest.raises(DomainError, match="q must be a positive integer"):
+            FunctionalParams(q=0)
+
+    def test_lacunary_step_positive_integer(self):
+        with pytest.raises(DomainError, match="n must be a positive integer"):
+            FunctionalParams(n_lacunary=0)
+
     def test_scaled_weights_accepted(self):
         w = scaled_power(1.0 / (np.arange(32) + 1.0), rho=1.0, C=1.0)
         got = evaluate_family("psi1", moebius_plus(0.5), w, FunctionalParams(), 0.3)

@@ -51,3 +51,28 @@ def test_non_finite_tokens():
     assert (floats, largest, other) == (1, 1.0, 0)
     floats, largest, other = summarize(["n 1.0\n"], ["n inf\n"])
     assert (floats, other) == (1, 0) and math.isinf(largest)
+
+
+first_tokens = golden_diff.first_tokens
+
+
+def test_changed_lines_counted_by_first_token():
+    before = ["functional a 1.0\n", "functional b 2.0\n", "bohr_sum c 3.0\n",
+              "same 4.0\n", '  "max_derivative_slack": 1e-16,\n']
+    after = ["functional a 1.5\n", "functional b 2.5\n", "bohr_sum c 3.5\n",
+             "same 4.0\n", '  "max_derivative_slack": 2e-16,\n']
+    # most frequent first; a JSON key loses its quotes and colon
+    assert first_tokens(before, after) == "functional 2, bohr_sum 1, max_derivative_slack 1"
+
+
+def test_first_token_counts_add_up_to_the_summary():
+    before = ["x 1.0\n", "y 2.0\n", "same\n"]
+    after = ["x 1.5\n", "y 2.0\n", "z 3.0\n", "z 4.0\n", "same\n"]
+    floats, _, other = summarize(before, after)
+    counts = first_tokens(before, after)
+    assert counts == "z 2, x 1"
+    assert sum(int(part.split()[1]) for part in counts.split(", ")) == floats + other
+
+
+def test_identical_dumps_have_no_first_tokens():
+    assert first_tokens(["a 1.0\n"], ["a 1.0\n"]) == ""

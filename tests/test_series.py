@@ -117,6 +117,8 @@ class TestBlaschke:
             random_blaschke(17, 1)
         with pytest.raises(DomainError):
             blaschke([0.95])
+        with pytest.raises(DomainError, match="need between 1 and 16 zeros"):
+            blaschke([])
 
     @pytest.mark.parametrize("zeros", [[math.nan], [0.3, complex(0.1, math.nan)]])
     def test_nan_zero_rejected(self, zeros):
@@ -297,6 +299,10 @@ class TestBoundedFunction:
     def test_schwarz_pick_bound_enforced(self):
         with pytest.raises(DomainError):
             BoundedFunction(np.array([0.9, 0.5]), 0.0)
+
+    def test_one_coefficient_rejected(self):
+        with pytest.raises(DomainError, match="T >= 1"):
+            BoundedFunction([0.5], 0.0)
 
     def test_tail_bound_range(self):
         with pytest.raises(DomainError):

@@ -1,12 +1,13 @@
 """Below-radius verification, sharpness witnesses, and lemma suites."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from bohrkit import (BoundedFunction, DomainError, FunctionalParams,
-                     NoRootError, RadiusProblem, a_refinement, bohr_sum,
+                     NoRootError, NotFalsifiableError, NoWitnessError, RadiusProblem, a_refinement, bohr_sum,
                      check_lemma_D, check_lemma_coeff, check_schwarz_pick,
                      moebius_plus, power, scaled_power, sharpness_witness,
                      solve_radius, verify_below_radius)
@@ -52,6 +53,14 @@ class TestVerifyBelowRadius:
             verify_below_radius(prob("psi1", PW), margin=-0.1)
         with pytest.raises(DomainError):
             verify_below_radius(prob("psi1", PW), margin=0.9)
+
+    def test_radius_points_validation(self):
+        with pytest.raises(DomainError, match="at least one radius point"):
+            verify_below_radius(prob("psi1", PW), r_points=0, blaschke_count=1)
+
+    def test_negative_blaschke_count_rejected(self):
+        with pytest.raises(DomainError, match="count must be nonnegative"):
+            standard_families("psi1", blaschke_count=-1)
 
     def test_report_serialization(self):
         report = verify_below_radius(prob("psi5_t5", lam=2.0), r_points=16,
@@ -235,6 +244,24 @@ class TestSharpnessWitness:
         pr = prob("psi1", PW)
         with pytest.raises(DomainError, match="spacing of doubles"):
             sharpness_witness(pr, 1e-300)
+
+    def test_nonnegative_psi_past_the_radius_not_falsifiable(self):
+        # a certificate whose radius lies far below the root: Psi > 0 at R + delta
+        pr = prob("psi1", PW)
+        cert = dataclasses.replace(solve_radius(pr), radius=0.0)
+        with pytest.raises(NotFalsifiableError, match="Psi is nonnegative"):
+            sharpness_witness(pr, 0.01, cert)
+
+    def test_past_the_evaluation_domain(self):
+        pr = prob("psi1", PW)
+        cert = dataclasses.replace(solve_radius(pr), radius=0.99999)
+        with pytest.raises(DomainError, match="leaves the evaluation domain"):
+            sharpness_witness(pr, 0.01, cert)
+
+    def test_no_witness_within_the_step_limit(self, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_WITNESS_STEPS", 0)
+        with pytest.raises(NoWitnessError, match="no witness found"):
+            sharpness_witness(prob("psi1", PW), 0.01)
 
     def test_no_root_propagates(self):
         w = scaled_power(np.r_[1.0, np.zeros(63)], rho=0.5, C=1.0)

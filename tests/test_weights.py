@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,21 @@ class TestValidation:
     def test_weighted_tail_needs_positive_start(self):
         with pytest.raises(DomainError):
             power().weighted_tail(0, 0.5)
+
+    @pytest.mark.parametrize("N", [math.inf, -math.inf, 1e300, 2.0 ** 63, [1.0, 1e19],
+                                   2 ** 70, -(2 ** 70), [1, 2 ** 70]],
+                             ids=["inf", "-inf", "1e300", "2.0**63", "list-1e19",
+                                  "2**70", "-2**70", "list-2**70"])
+    @pytest.mark.parametrize("w", [power(), scaled_power([1.0, 0.5], rho=0.9, C=1.0)],
+                             ids=["power", "scaled"])
+    def test_index_past_int64_rejected(self, w, N):
+        # a float index past int64 would cast with a warning, and numpy keeps
+        # a Python int past it as an object, which raised OverflowError
+        for call in (w.weight_at, w.tail, w.weighted_tail):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="index"):
+                    call(N, 0.5)
 
     @pytest.mark.parametrize("fields", [
         {"coeffs": [1], "rho": 10 ** 400},

@@ -13,14 +13,18 @@ count and the dump's line count and sha256, then a unified diff of the
 two dumps.  When they differ, a summary line follows the diff: how many
 changed lines differ only in float tokens, the largest relative change
 among those tokens, and how many changed lines differ in anything else
-(a line with no counterpart included).  Exit code: 0 when the dumps are
+(a line with no counterpart included), and a line that counts the changed
+lines by their first token, most frequent first (``functional 82,
+bohr_sum 20, ...``), which shows at a glance where a diff lies.  Exit code: 0 when the dumps are
 byte-identical, 1 when they differ, 2 when a side cannot be built or run.
 """
 
 from __future__ import annotations
 
+import collections
 import difflib
 import hashlib
+import itertools
 import math
 import re
 import shutil
@@ -62,28 +66,41 @@ def _relative_change(a: float, b: float) -> float:
     return abs(a - b) / scale if math.isfinite(scale) and scale > 0.0 else math.inf
 
 
-def summarize(before: list[str], after: list[str]) -> tuple[int, float, int]:
-    """(lines that differ only in float tokens, the largest relative change
-    among their tokens, other changed lines) between two dumps' lines.  A
-    changed line is paired with the line at the same offset of the other
-    side's replaced block; a line without a counterpart counts as other."""
-    floats, largest, other = 0, 0.0, 0
+def _changes(before: list[str], after: list[str]):
+    """Each changed line between two dumps' lines as (old, new).  A changed
+    line is paired with the line at the same offset of the other side's
+    replaced block; a line without a counterpart comes with None."""
     matcher = difflib.SequenceMatcher(None, before, after, autojunk=False)
     for tag, i0, i1, j0, j1 in matcher.get_opcodes():
-        if tag == "equal":
+        if tag != "equal":
+            yield from itertools.zip_longest(before[i0:i1], after[j0:j1])
+
+
+def summarize(before: list[str], after: list[str]) -> tuple[int, float, int]:
+    """(lines that differ only in float tokens, the largest relative change
+    among their tokens, other changed lines) between two dumps' lines; a
+    line without a counterpart counts as other."""
+    floats, largest, other = 0, 0.0, 0
+    for old, new in _changes(before, after):
+        old_tokens, new_tokens = _FLOAT.findall(old or ""), _FLOAT.findall(new or "")
+        if (old is None or new is None or _FLOAT.sub("#", old) != _FLOAT.sub("#", new)
+                or len(old_tokens) != len(new_tokens)):
+            other += 1
             continue
-        pairs = list(zip(before[i0:i1], after[j0:j1]))
-        other += (i1 - i0) + (j1 - j0) - 2 * len(pairs)
-        for old, new in pairs:
-            old_tokens, new_tokens = _FLOAT.findall(old), _FLOAT.findall(new)
-            if (_FLOAT.sub("#", old) != _FLOAT.sub("#", new)
-                    or len(old_tokens) != len(new_tokens)):
-                other += 1
-                continue
-            floats += 1
-            largest = max([largest] + [_relative_change(float(a), float(b))
-                                       for a, b in zip(old_tokens, new_tokens)])
+        floats += 1
+        largest = max([largest] + [_relative_change(float(a), float(b))
+                                   for a, b in zip(old_tokens, new_tokens)])
     return floats, largest, other
+
+
+def first_tokens(before: list[str], after: list[str]) -> str:
+    """The changed lines counted by their first word, most frequent first,
+    as ``functional 82, bohr_sum 20``; a JSON key loses its quotes and
+    colon.  The counts add up to summarize's two line counts."""
+    counts = collections.Counter(
+        (line.split() or [""])[0].strip('",:')
+        for line in (old if old is not None else new for old, new in _changes(before, after)))
+    return ", ".join(f"{token} {count}" for token, count in counts.most_common())
 
 
 def main(argv: list[str]) -> int:
@@ -117,6 +134,7 @@ def main(argv: list[str]) -> int:
     floats, largest, other = summarize(before_lines, after_lines)
     print(f"summary: {floats} changed lines differ only in float tokens "
           f"(largest relative change {largest:.3g}); {other} changed lines differ otherwise")
+    print(f"by first token: {first_tokens(before_lines, after_lines)}")
     return 1
 
 
