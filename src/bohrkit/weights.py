@@ -196,7 +196,6 @@ class WeightSequence:
     def _tail2(self, Ns: np.ndarray, rs: np.ndarray, weighted: bool) -> np.ndarray:
         if self.kind == POWER:
             return self._geom_tail(Ns[:, None], rs[None, :], weighted)
-        x = self.rho * rs
         L_eff = self._tail_cut(float(rs.max()))
         n = np.arange(L_eff)
         # row L_eff stays 0: a start past the cut keeps the geometric tail alone
@@ -209,11 +208,10 @@ class WeightSequence:
             # the one suffix row the cumsum below gives, added in its order
             head = np.add.reduce(M[Ns[0]:L_eff][::-1])[None]
         else:
-            # the suffix sums, in place on the reversed rows
             np.cumsum(M[L_eff - 1::-1], axis=0, out=M[L_eff - 1::-1])
             head = M[np.minimum(Ns, L_eff)]
         del M
-        head += self._geom_tail(np.maximum(Ns, L_eff)[:, None], x[None, :], weighted)
+        head += self._geom_tail(np.maximum(Ns, L_eff)[:, None], self.rho * rs[None, :], weighted)
         return head
 
 
