@@ -5,9 +5,9 @@ certified bound on every discarded coefficient, so downstream sums can
 account for truncation honestly.  The extremal families used in the
 sharpness arguments (disk automorphisms and their Schwarz variant) have
 closed-form coefficients; finite Blaschke products provide randomizable
-members for property testing.  A Blaschke product is cut where Cauchy's
-estimate bounds every later coefficient by 1e-25, and that bound, padded
-for the rounding of float log and exp, is its tail bound.
+members for property testing.  A Blaschke product, built by a recurrence,
+is cut where Cauchy's estimate bounds every later coefficient by 1e-25,
+and that bound, padded for float log and exp, is its tail bound.
 """
 
 from __future__ import annotations
@@ -103,19 +103,6 @@ def schwarz_moebius(a: float) -> BoundedFunction:
     return _moebius(a, -1.0, 1, "schwarz_moebius")
 
 
-def _blaschke_factor(zero: complex, length: int) -> np.ndarray:
-    """At most length Taylor coefficients of (zero - z) / (1 - conj(zero) z),
-    trimmed where the geometric decay makes further terms numerically silent."""
-    mag = abs(zero)
-    if mag == 0.0:
-        return np.array([0.0, -1.0], dtype=complex)
-    length = min(length, max(2, math.ceil(math.log(_BLASCHKE_TAIL_TARGET) / math.log(mag)) + 2))
-    c = np.empty(length, dtype=complex)
-    c[0] = zero
-    c[1:] = (mag * mag - 1.0) * np.conj(zero) ** np.arange(length - 1, dtype=float)
-    return c
-
-
 def _blaschke_cut(mags: np.ndarray) -> tuple[int, float]:
     """The order T at which a Blaschke product with zero moduli mags is cut,
     and a bound on each coefficient above T: on |z| = R < 1/max(mags),
@@ -133,10 +120,13 @@ def _blaschke_cut(mags: np.ndarray) -> tuple[int, float]:
 
 def blaschke(zeros, rotation: complex = 1.0) -> BoundedFunction:
     """Finite Blaschke product with the given zeros and unimodular rotation,
-    cut at the first order T <= BLASCHKE_ORDER whose Cauchy bound over 49
-    radii R is at most 1e-25.  That bound is its tail bound: float log and
-    exp are assumed to err by a few ulps, which moves its exponent by under
-    1e-10 (as 1 - |z_k| R >= 0.002), and the exponent is raised by 1e-6."""
+    exactly b_0..b_T for the first order T <= BLASCHKE_ORDER whose Cauchy
+    bound over 49 radii R is at most 1e-25.  That bound is its tail bound:
+    float log and exp are assumed to err by a few ulps, which moves its
+    exponent by under 1e-10 (as 1 - |z_k| R >= 0.002), and the exponent is
+    raised by 1e-6.  From b = rotation, each zero z_k takes b to
+    (z_k - z) b, then solves b_n += conj(z_k) b_(n-1) by doubling in
+    log2(T) vector passes (Kogge and Stone, IEEE Trans. Comput. C-22, 1973)."""
     zeros = np.asarray(zeros, dtype=complex)
     if zeros.ndim != 1 or not 1 <= zeros.size <= MAX_BLASCHKE_DEGREE:
         raise DomainError(f"need between 1 and {MAX_BLASCHKE_DEGREE} zeros")
@@ -147,10 +137,16 @@ def blaschke(zeros, rotation: complex = 1.0) -> BoundedFunction:
         raise DomainError("rotation must be nonzero and finite")
     rot /= abs(rot)
     T, tail = _blaschke_cut(np.abs(zeros))
-    prod = np.array([1.0 + 0.0j])
+    b = np.zeros(T + 1, dtype=complex)
+    b[0] = rot
     for zero in zeros:
-        prod = np.convolve(prod, _blaschke_factor(zero, T + 1))[: T + 1]
-    return BoundedFunction(rot * prod, tail, f"blaschke(deg={zeros.size})")
+        b[1:] = zero * b[1:] - b[:-1]  # (zero - z) b, from the old b
+        b[0] *= zero
+        c, k = np.conj(zero), 1
+        while k <= T:  # b_n += c b_(n-1) for every n, as a doubling scan
+            b[k:] += c * b[:-k]
+            c, k = c * c, 2 * k
+    return BoundedFunction(b, tail, f"blaschke(deg={zeros.size})")
 
 
 def random_blaschke(degree: int, seed: int) -> BoundedFunction:

