@@ -13,10 +13,11 @@ count and the dump's line count and sha256, then a unified diff of the
 two dumps.  When they differ, a summary line follows the diff: how many
 changed lines differ only in float tokens, the largest relative change
 among those tokens, and how many changed lines differ in anything else
-(a line with no counterpart included), and a line that counts the changed
+(a line with no counterpart included).  A last line counts the changed
 lines by their first token, most frequent first (``functional 82,
-bohr_sum 20, ...``), which shows at a glance where a diff lies.  Exit code: 0 when the dumps are
-byte-identical, 1 when they differ, 2 when a side cannot be built or run.
+bohr_sum 20, ...``), to show at a glance where a diff lies.  Exit code: 0
+when the dumps are byte-identical, 1 when they differ, 2 when a side
+cannot be built or run.
 """
 
 from __future__ import annotations
@@ -97,9 +98,8 @@ def first_tokens(before: list[str], after: list[str]) -> str:
     """The changed lines counted by their first word, most frequent first,
     as ``functional 82, bohr_sum 20``; a JSON key loses its quotes and
     colon.  The counts add up to summarize's two line counts."""
-    counts = collections.Counter(
-        (line.split() or [""])[0].strip('",:')
-        for line in (old if old is not None else new for old, new in _changes(before, after)))
+    counts = collections.Counter(((old or new).split() or [""])[0].strip('",:')
+                                 for old, new in _changes(before, after))
     return ", ".join(f"{token} {count}" for token, count in counts.most_common())
 
 
