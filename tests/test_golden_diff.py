@@ -1,4 +1,4 @@
-"""The summary line ``tools/golden_diff.py`` prints after a diff."""
+"""The summary lines ``tools/golden_diff.py`` prints after a diff."""
 
 import importlib.util
 import math
@@ -11,6 +11,7 @@ _SPEC = importlib.util.spec_from_file_location("golden_diff", _PATH)
 golden_diff = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(golden_diff)
 summarize = golden_diff.summarize
+first_tokens = golden_diff.first_tokens
 
 
 def test_identical_dumps_have_nothing_to_summarize():
@@ -51,9 +52,6 @@ def test_non_finite_tokens():
     assert (floats, largest, other) == (1, 1.0, 0)
     floats, largest, other = summarize(["n 1.0\n"], ["n inf\n"])
     assert (floats, other) == (1, 0) and math.isinf(largest)
-
-
-first_tokens = golden_diff.first_tokens
 
 
 def test_changed_lines_counted_by_first_token():
