@@ -49,11 +49,25 @@ def test_a_wide_parent_leaves_an_overlapping_change_unresolved(metric):
     assert verdict(WIDE, [1.0] * len(WIDE), metric) == "unresolved"
 
 
-def test_a_change_that_beats_every_parent_run_holds_despite_the_spread():
-    assert verdict(WIDE, [0.5] * len(WIDE)) == "held"
-    assert verdict(WIDE, [1.5] * len(WIDE), "items_per_s") == "held"
-    # one change run inside the parent's range leaves it unresolved
-    assert verdict(WIDE, [0.5] * 9 + [0.7]) == "unresolved"
+def test_a_change_that_beats_every_parent_run_is_better_despite_the_spread():
+    # its median is then past the parent's q3 - q1 too
+    assert verdict(WIDE, [0.5] * len(WIDE)) == "better"
+    assert verdict(WIDE, [1.5] * len(WIDE), "items_per_s") == "better"
+    # change runs inside the parent's range that lose 2 of 10 pairs leave
+    # it unresolved
+    assert verdict(WIDE, [0.7, 0.9] + [0.5] * 8) == "unresolved"
+
+
+def test_a_change_past_the_parent_spread_in_nine_of_ten_pairs_is_better():
+    assert verdict(TIGHT, [v * 1.3 for v in TIGHT], "items_per_s") == "better"
+    assert verdict(TIGHT, [v * 0.7 for v in TIGHT]) == "better"
+    # wins every pair, but the medians differ by less than the parent's q3 - q1
+    assert verdict(WIDE, [v * 1.1 for v in WIDE], "items_per_s") == "unresolved"
+    # 8 of 10 wins, a tie counting for neither side
+    assert verdict(TIGHT, [v * 1.3 for v in TIGHT[:8]] + [0.5, TIGHT[9]],
+                   "items_per_s") == "held"
+    # fewer than ten pairs claim no gain
+    assert verdict(TIGHT[:5], [v * 1.3 for v in TIGHT[:5]], "items_per_s") == "held"
 
 
 def traced_record(above):

@@ -23,6 +23,9 @@ number of pairs the working tree wins and a ``verdict``:
 
 * ``worse``: the change's median is past the metric's bound in the bad
   direction, as a fraction of the parent's median;
+* ``better``: of at least ten pairs, the change wins nine tenths or more,
+  a tie counting for neither side, and its median beats the parent's by
+  more than the parent's q3 - q1;
 * ``unresolved``: the parent's spread, (q3 - q1) / median, exceeds the
   bound, and not every change run beats every parent run;
 * ``held``: anything else.
@@ -74,13 +77,17 @@ def run(side: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
-    """``worse``, ``unresolved`` or ``held``: see the module docstring."""
+    """``worse``, ``better``, ``unresolved`` or ``held``: see the module docstring."""
     if better == "higher":  # compare the negated values, where lower is better
         parent, change = [-v for v in parent], [-v for v in change]
     q1, med, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
                    if len(parent) > 1 else parent * 3)
     if statistics.median(change) - med > bound * abs(med):
         return "worse"
+    wins = sum(c < p for p, c in zip(parent, change))
+    if len(parent) >= 10 and 10 * wins >= 9 * len(parent) \
+            and med - statistics.median(change) > q3 - q1:
+        return "better"
     if q3 - q1 > bound * abs(med) and not max(change) < min(parent):
         return "unresolved"
     return "held"
