@@ -5,13 +5,14 @@ Every sum over the series coefficients is truncated adaptively and the
 discarded mass is bounded through the weight sequence's geometric
 dominator; an :class:`~bohrkit.errors.AccuracyError` is raised whenever
 the certified remainder cannot be pushed below 1e-12.  A sum keeps the
-indices n <= min(T, K), with T the series' truncation order and K the
-cut-off of the weights' geometric ratio at the largest r (the derivative
-sum, which reads a_{n+1}, keeps n < T); the quadratic refinement, whose
-weights run to index 2n, keeps n <= min(T, K//2 + 1).  Every index above
-the kept range is bounded by the worst |a_n| there, the series' tail
-bound included.  The weight rows and tails all come from one block per
-(weights, radius grid), which each function slices to its kept range.
+indices n <= min(T, K), with T the series' truncation order and K 8 past
+the first index where the dominator's tail C x^K / (1 - x), x = rho
+max(r), falls to 1e-18 (the derivative sum, which reads a_{n+1}, keeps
+n < T); the quadratic refinement, whose weights run to index 2n, keeps
+n <= min(T, K//2 + 1).  Every index above the kept range is bounded by
+the worst |a_n| there, the series' tail bound included.  The weight rows
+and tails all come from one block per (weights, radius grid), which each
+function slices to its kept range.
 
 Every body evaluates a whole population f_1..f_k at once and returns a
 k x len(rs) matrix, row i for f_i; a single function is the case k = 1.
@@ -78,8 +79,8 @@ class FunctionalParams:
             raise DomainError("m must be a positive integer")
         if not 0.0 < self.p <= 2.0:
             raise DomainError("p must lie in (0, 2]")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise DomainError("lambda must be a positive finite number")
+        if not (self.lam > 0.0 and math.isfinite(2.0 * self.lam + 1.0)):  # Psi reads 2 lam + 1
+            raise DomainError("lambda must be positive, with 2*lambda + 1 finite")
         if not isinstance(self.q, (int, np.integer)) or self.q < 1:
             raise DomainError("q must be a positive integer")
         if not isinstance(self.n_lacunary, (int, np.integer)) or self.n_lacunary < 1:
@@ -93,11 +94,12 @@ def _on_grid(r, compute):
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
-def _cutoff(x: float) -> int:
-    """Smallest useful truncation index for geometric ratio x, padded."""
+def _cutoff(x: float, C: float) -> int:
+    """First K >= 8 with C x^K/(1 - x) <= _CUT_TOL, plus 8; in logs: _CUT_TOL/C can underflow."""
     if x <= 0.0:
         return 8
-    return max(8, math.ceil(math.log(_CUT_TOL * (1.0 - x)) / math.log(x))) + 64
+    b = math.log(_CUT_TOL * (1.0 - x)) - math.log(max(C, _CUT_TOL))
+    return max(8, math.ceil(b / math.log(x))) + 8
 
 
 class _Population:
@@ -162,7 +164,7 @@ class _Block:
     def __init__(self, w, rs, order):
         self.w, self.rs, rmax = w, rs, float(rs.max())
         self.x = w.rho * rmax
-        self.cut = _cutoff(self.x)
+        self.cut = _cutoff(self.x, w.C)
         top, half = min(order, self.cut), min(order, self.cut // 2 + 1)
         with np.errstate(over="ignore"):
             self.guard_tails = [w._tail2(np.arange(top + 2), np.array([rmax]), weighted)[:, 0]

@@ -230,3 +230,11 @@ def test_tails_past_the_double_range_print_no_warning(files, argv, expected):
     code, lines = run(argv + ["--weights", str(files / "max-c0")])
     assert code == expected
     assert len(lines) == (code != cli.EXIT_OK), lines
+
+
+# 2 * lambda + 1 overflows: inf * 0 would make Psi(0) NaN, with warnings
+@pytest.mark.parametrize("family", ["psi5_t5", "psi5_t6", "classical_d"])
+def test_lambda_whose_double_overflows_is_one_usage_line(family):
+    code, lines = run(["radius", "--family", family, "--lambda", "1e308"])
+    assert code == cli.EXIT_USAGE
+    assert len(lines) == 1 and lines[0].startswith("usage error: lambda"), lines

@@ -2,6 +2,7 @@
 through ``evaluate_family`` by the name of a family that uses it."""
 
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ from bohrkit import (AccuracyError, BoundedFunction, DomainError,
                      FunctionalParams, a_refinement, bohr_sum, evaluate_family,
                      moebius_minus, moebius_plus, multiply_by_z, power,
                      random_blaschke, scaled_power, schwarz_moebius)
-from bohrkit.functionals import (ENVELOPE, POINTWISE, _Block, _family_evaluator,
-                                 bound_for)
+from bohrkit.functionals import (_CUT_TOL, ENVELOPE, POINTWISE, _Block, _cutoff,
+                                 _family_evaluator, bound_for)
 
 PW = power()
 
@@ -91,6 +92,28 @@ class TestARefinement:
         f = BoundedFunction(coeffs, 0.0)
         want = a * a * (r ** (2 * n) + r ** (2 * n + 1) / (1 - r))
         assert a_refinement(f, PW, r) == pytest.approx(want, rel=1e-12)
+
+
+class TestCutoff:
+    @pytest.mark.parametrize("C", [1e-3, 1.0, 1e6, 1e20, 1e307])
+    @pytest.mark.parametrize("x", [0.01, 0.33, 0.9, 0.999])
+    def test_first_index_whose_dominated_tail_is_silent_plus_8(self, x, C):
+        def silent(K):  # C x^K / (1 - x) <= _CUT_TOL, exact to 60 digits
+            with localcontext() as ctx:
+                ctx.prec = 60
+                return Decimal(C) * Decimal(x) ** K <= Decimal(_CUT_TOL) * (1 - Decimal(x))
+        K = _cutoff(x, C) - 8
+        assert K >= 8 and silent(K)
+        assert K == 8 or not silent(K - 1)
+
+    @pytest.mark.parametrize("r", [0.6, 0.9])
+    @pytest.mark.parametrize("C", [1e12, 1e20])
+    def test_large_dominator_is_certified(self, C, r):
+        # a cut blind to C leaves remainders above 1e-12 here
+        w = scaled_power([1.0, 0.5], rho=0.9, C=C)
+        got = evaluate_family("psi1", moebius_plus(0.999), w, FunctionalParams(),
+                              np.linspace(0.0, r, 5))
+        assert np.isfinite(got).all()
 
 
 class TestT1:
@@ -435,7 +458,8 @@ class TestParams:
         with pytest.raises(DomainError):
             FunctionalParams(lam=0.0)
 
-    @pytest.mark.parametrize("lam", (float("nan"), float("inf")))
+    # 2 * 1e308 + 1 overflows, and Psi reads 2 lambda + 1
+    @pytest.mark.parametrize("lam", (float("nan"), float("inf"), 1e308))
     def test_lambda_finite(self, lam):
         with pytest.raises(DomainError):
             FunctionalParams(lam=lam)
@@ -474,7 +498,8 @@ def test_power_block_peak_is_its_rows_and_tails():
 def test_scaled_block_peak_is_near_its_rows_and_tails():
     # the scaled tails' term matrix takes its suffix sums in place and is
     # freed before the geometric tails are added, so at most one term
-    # matrix and one tails-sized array live beside the rows
+    # matrix, of _tail_cut + 1 rows, and one tails-sized array live beside
+    # the rows
     rs = np.linspace(0.0, 0.33, 50_000)
     tracemalloc.start()
     try:
@@ -482,7 +507,8 @@ def test_scaled_block_peak_is_near_its_rows_and_tails():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * (blk.rows.nbytes + blk.tails.nbytes)
+    terms = (HARMONIC._tail_cut(0.33) + 1) * rs.size * 8
+    assert peak <= 1.1 * (blk.rows.nbytes + blk.tails.nbytes + terms)
 
 
 def test_every_exported_name_resolves():

@@ -134,7 +134,7 @@ class TestSharedWeightBlock:
         population = standard_families(family, blaschke_count=3)
         rs = np.linspace(0.0, cert.radius, 24)
         weights = pr.weights if FAMILIES[family].weighted else PW
-        cut = _cutoff(weights.rho * cert.radius)
+        cut = _cutoff(weights.rho * cert.radius, weights.C)
         orders = [f.truncation_order for f in population]
         assert min(orders) < cut < max(orders)
         for mode in (ENVELOPE, POINTWISE):
@@ -154,7 +154,7 @@ class TestSharedWeightBlock:
         population = standard_families(family, blaschke_count=3)
         rs = np.linspace(0.0, cert.radius, 24)
         weights = pr.weights if FAMILIES[family].weighted else PW
-        cut = _cutoff(weights.rho * cert.radius)
+        cut = _cutoff(weights.rho * cert.radius, weights.C)
         orders = [f.truncation_order for f in population]
         assert min(orders) < cut < max(orders)
         for mode in (ENVELOPE, POINTWISE):
