@@ -164,11 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("radius", help="compute one certified radius")
     _add_param_flags(sp, multi=False)
-    sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("table", help="sweep a parameter grid to CSV")
     _add_param_flags(sp, multi=True)
-    sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("verify", help="check the inequality below the radius")
     _add_param_flags(sp, multi=False)
@@ -179,23 +177,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--blaschke", type=_int_in(0, _MAX_PRODUCTS), default=100,
                     help="number of random Blaschke products")
     sp.add_argument("--seed", type=_int_in(0), default=42)
-    sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("sharpness", help="search a witness above the radius")
     _add_param_flags(sp, multi=False)
     sp.add_argument("--delta", type=float, default=0.01)
-    sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("check-lemmas", help="run the three lemma suites")
     sp.add_argument("--trials", type=_int_in(1, _MAX_PRODUCTS), default=1000)
     sp.add_argument("--seed", type=_int_in(0), default=42)
     sp.add_argument("--weights", default="power")
-    sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("identity-check",
                         help="closed-form identities and classical cross-checks")
     sp.add_argument("--grid", type=_int_in(1, _MAX_IDENTITY_GRID), default=50)
-    sp.add_argument("--output", default=None)
+    for sp in sub.choices.values():  # every subcommand's last flag
+        sp.add_argument("--output", default=None)
     return parser
 
 

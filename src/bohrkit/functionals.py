@@ -180,11 +180,9 @@ def _products(pop, keys, part, term=lambda mag, idx: mag):
     part(keys[i]) = (indices, rows), times those rows.  Members with one
     key share a stacked product, which hands each member the gemv a lone
     vector gets, so a row is its one-member value bit for bit."""
-    groups = {}
-    for i, key in enumerate(keys.tolist()):
-        groups.setdefault(key, []).append(i)
     out = None
-    for key, members in groups.items():
+    for key in dict.fromkeys(keys.tolist()):  # first-seen order
+        members = np.flatnonzero(keys == key)
         idx, rows = part(key)
         terms = term(pop.mag[pop.start[members][:, None] + idx], idx)
         if out is None:

@@ -191,23 +191,15 @@ def classical_crosscheck(m: int, p_case: int):
     if p_case not in (1, 2):
         raise DomainError("p_case must be 1 or 2")
     pw = wt.power()
-    p = float(p_case)
-    pairs = [("classical_alpha" if p_case == 1 else "classical_beta", "psi1"),
-             ("classical_zeta" if p_case == 1 else "classical_eta", "psi2")]
-    out = []
-    for classical, psi in pairs:
-        params = FunctionalParams(m=m, p=p)
-        rc = solve_radius(RadiusProblem(classical, params)).radius
-        rp = solve_radius(RadiusProblem(psi, params, pw)).radius
-        out.append((classical, rc, rp))
+    params = FunctionalParams(m=m, p=float(p_case))
+    pairs = [("classical_alpha" if p_case == 1 else "classical_beta", params, "psi1", params),
+             ("classical_zeta" if p_case == 1 else "classical_eta", params, "psi2", params)]
     if m == 1 and p_case == 1:
         # theorem C's radius equation is the p = 1 specialization (its first
         # functional term carries |a_1| to the first power)
-        rc = solve_radius(RadiusProblem("classical_c", FunctionalParams(), pw)).radius
-        rp = solve_radius(RadiusProblem("psi3", FunctionalParams(p=1.0), pw)).radius
-        out.append(("classical_c", rc, rp))
-        params = FunctionalParams(m=1, p=1.0, lam=1.0, n_lacunary=1)
-        rc = solve_radius(RadiusProblem("classical_d", params)).radius
-        rp = solve_radius(RadiusProblem("psi5_t5", params)).radius
-        out.append(("classical_d", rc, rp))
-    return out
+        pairs.append(("classical_c", FunctionalParams(), "psi3", FunctionalParams(p=1.0)))
+        d_params = FunctionalParams(m=1, p=1.0, lam=1.0, n_lacunary=1)
+        pairs.append(("classical_d", d_params, "psi5_t5", d_params))
+    return [(classical, solve_radius(RadiusProblem(classical, c_params, pw)).radius,
+             solve_radius(RadiusProblem(psi, psi_params, pw)).radius)
+            for classical, c_params, psi, psi_params in pairs]

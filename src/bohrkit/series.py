@@ -181,6 +181,12 @@ def _eval_cutoff(f: BoundedFunction, amax: float) -> int:
     return min(size, max(2, cut))
 
 
+def _power_sum(c: np.ndarray, zs: np.ndarray, z):
+    """sum_n c_n zs**n as c @ zs**arange(len(c)); a complex for a scalar z."""
+    vals = c @ np.power(zs[None, :], np.arange(c.size, dtype=float)[:, None])
+    return complex(vals[0]) if np.ndim(z) == 0 else vals
+
+
 def evaluate(f: BoundedFunction, z):
     """Series value of f at z (scalar or 1-d array), |z| <= 1 - 1e-6.
 
@@ -188,18 +194,11 @@ def evaluate(f: BoundedFunction, z):
     numerically silent terms dropped below 1e-19.
     """
     zs = _eval_points(z)
-    n_eff = _eval_cutoff(f, float(np.abs(zs).max()))
-    powers = np.power(zs[None, :], np.arange(n_eff, dtype=float)[:, None])
-    vals = f.coeffs[:n_eff] @ powers
-    return complex(vals[0]) if np.ndim(z) == 0 else vals
+    return _power_sum(f.coeffs[:_eval_cutoff(f, float(np.abs(zs).max()))], zs, z)
 
 
 def eval_derivative(f: BoundedFunction, z):
     """Series value of f' at z via coefficient differentiation."""
     zs = _eval_points(z)
     n_eff = max(2, _eval_cutoff(f, float(np.abs(zs).max())))
-    ns = np.arange(1, n_eff, dtype=float)
-    powers = np.power(zs[None, :], (ns - 1.0)[:, None])
-    vals = (ns * f.coeffs[1:n_eff]) @ powers
-    return complex(vals[0]) if np.ndim(z) == 0 else vals
-
+    return _power_sum(np.arange(1.0, n_eff) * f.coeffs[1:n_eff], zs, z)

@@ -215,10 +215,8 @@ def check_lemma_coeff(trials: int = 1000, seed: int = 42,
     if w is None:
         w = wt.power()
     rs = np.linspace(0.0, 0.9, 19)
-    rng = np.random.default_rng(seed)
-    pool = [moebius_plus(a) for a in MOEBIUS_A_GRID]
-    pool += [moebius_minus(a) for a in (0.3, 0.7, 0.95)]
-    pool += [random_blaschke(*_draw_blaschke(rng)) for _ in range(trials)]
+    pool = standard_families("psi1", seed, trials)  # moebius_plus on the a-grid first
+    pool[len(MOEBIUS_A_GRID):len(MOEBIUS_A_GRID)] = [moebius_minus(a) for a in (0.3, 0.7, 0.95)]
     blk = _Block(w, rs, max(f.truncation_order for f in pool))
     tail1 = w.tail(1, rs)
 

@@ -150,16 +150,13 @@ class WeightSequence:
     # -- 2-d internals (shape: len(ns) x len(rs)) -------------------------
 
     def _coeff_eff(self, ns: np.ndarray) -> np.ndarray:
-        """Effective series coefficient: stored value inside the list, the
-        dominator bound beyond it."""
-        if self.kind == POWER:
-            return np.ones(ns.shape)
-        L = self.coeffs.size
-        inside = ns < L
-        out = np.where(inside, self.coeffs[np.minimum(ns, L - 1)], 0.0)
-        beyond = ~inside
-        if beyond.any():
-            out = out + np.where(beyond, self.C * self.rho ** ns.astype(float), 0.0)
+        """Effective series coefficient: the dominator bound C * rho**n,
+        replaced by the stored value inside the list.  Power weights store
+        none, and their C * 1.0**n is exactly 1.0."""
+        out = self.C * self.rho ** ns.astype(float)
+        if self.coeffs is not None:
+            inside = ns < self.coeffs.size
+            out[inside] = self.coeffs[ns[inside]]
         return out
 
     def _weight2(self, ns: np.ndarray, rs: np.ndarray) -> np.ndarray:
