@@ -25,12 +25,27 @@ values at its ends and the scan step are returned as a certificate, with
 ``(bracket_lo, bracket_hi]``, and ``psi_hi`` is 0.0 where Psi vanishes on
 the end point.  The Psi functions themselves live in
 :data:`bohrkit.functionals.FAMILIES`.
+
+Each family's Psi decreases on [0, its root], so Psi > 0 at a point
+shows Psi > 0 below it (the tests check these lemmas numerically):
+
+* psi1-psi4, psi5_t5, psi5_t6, classical_alpha, classical_beta and
+  classical_c: phi_0 is constant, and every tail and closed-form term it
+  subtracts rises with r, for any c_n >= 0;
+* classical_zeta: Psi' = -3 + r^(m-1) (5(m+1) r - 3m) <= 0 on [0, 0.6],
+  and its root lies below 1/3, as Psi(1/3) = -(4/3) (1/3)^m;
+* classical_eta: Psi' = -2 + r^(m-1) (3(m+1) r - 2m) <= 0 on [0, 2/3],
+  and its root lies below 1/2, as Psi(1/2) = -(1/2)^(m+1);
+* classical_d: Psi' <= -1 + r^(n-1) (1 - 2 lambda (2n + 1)) < 0 on [0, 1)
+  for every lambda > 0;
+* under scaled-power weights the cut Psi is at most the Psi of all the
+  stored terms, as the dominator dominates every coefficient past the cut.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +69,8 @@ _SCAN_TAILS = weakref.WeakKeyDictionary()
 
 @dataclass(frozen=True)
 class RadiusProblem:
-    """One radius family plus its parameters and (where used) weights."""
+    """One radius family plus its parameters and (where used) weights; a
+    classical family's params carry the p its theorem pins."""
 
     family: str
     params: FunctionalParams = FunctionalParams()
@@ -65,6 +81,8 @@ class RadiusProblem:
         if fam.weighted and self.weights is None:
             raise DomainError(f"family {self.family} needs a weight sequence")
         fam.check(self.params)
+        if fam.p is not None:
+            object.__setattr__(self, "params", replace(self.params, p=fam.p))
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,15 @@ def test_a_change_past_the_parent_spread_in_nine_of_ten_pairs_is_better():
     assert verdict(TIGHT[:5], [v * 1.3 for v in TIGHT[:5]], "items_per_s") == "held"
 
 
+@pytest.mark.parametrize("metric, wins", [("setup_s", 2), ("items_per_s", 3)])
+def test_change_wins_counts_the_pairs_the_change_beats(metric, wins):
+    # setup_s is lower-is-better and items_per_s higher-is-better; the tie
+    # at 3.0 counts for neither side
+    parent, change = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.5, 2.5, 3.0, 3.5, 6.0, 7.0]
+    summary = bench_pairs.summarize(pairs(parent, change, metric), SPECS)
+    assert summary[metric]["change_wins"] == wins
+
+
 def traced_record(above):
     """A traced perfbench record whose radius_above_oracle check reads above."""
     return {"metrics": {"host.calib_ms": {"value": 9.0, "unit": "ms"},

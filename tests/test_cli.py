@@ -42,6 +42,13 @@ class TestRadius:
         code, out, _ = run(capsys, "radius", "--family", "psi1", "--p", "2")
         assert json.loads(out)["radius"] == pytest.approx(1 / 3, abs=1e-10)
 
+    @pytest.mark.parametrize("family, p", [("classical_beta", 2.0), ("classical_eta", 2.0),
+                                           ("classical_alpha", 1.0), ("classical_zeta", 1.0),
+                                           ("psi1", 0.5), ("classical_d", 0.5)])
+    def test_reports_the_p_a_classical_theorem_pins(self, capsys, family, p):
+        code, out, _ = run(capsys, "radius", "--family", family, "--p", "0.5")
+        assert code == 0 and json.loads(out)["p"] == p
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, out, _ = run(capsys, "radius", "--family", "classical_d",
@@ -69,6 +76,13 @@ class TestTable:
         assert len(lines) == 4
         radii = [float(line.split(",")[5]) for line in lines[1:]]
         assert radii == sorted(radii)
+
+    def test_p_column_is_the_requested_grid_point(self, capsys):
+        # classical_beta's theorem pins p = 2: every row has its radius
+        code, out, _ = run(capsys, "table", "--family", "classical_beta", "--p", "0.5,1")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert code == 0 and [row[2] for row in rows] == ["0.5", "1"]
+        assert rows[0][5] == rows[1][5]
 
     def test_lambda_sweep_with_fixture(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "psi5_t5",
@@ -300,6 +314,11 @@ class TestSuites:
                            "--r-points", "32", "--blaschke", "5")
         assert code == 0
         assert json.loads(out)["status"] == "verified"
+
+    def test_verify_reports_the_pinned_p(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "classical_eta", "--p", "0.5",
+                           "--r-points", "8", "--blaschke", "2")
+        assert code == 0 and json.loads(out)["problem"]["p"] == 2.0
 
     def test_sharpness(self, capsys):
         code, out, _ = run(capsys, "sharpness", "--family", "psi1",

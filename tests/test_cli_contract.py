@@ -238,3 +238,9 @@ def test_lambda_whose_double_overflows_is_one_usage_line(family):
     code, lines = run(["radius", "--family", family, "--lambda", "1e308"])
     assert code == cli.EXIT_USAGE
     assert len(lines) == 1 and lines[0].startswith("usage error: lambda"), lines
+
+
+def test_empty_parameter_grid_is_one_usage_line():
+    # 1e300 + 0.5 * step rounds to 1e300, so the range holds no value
+    code, lines = run(["table", "--family", "psi1", "--p", "1e300..1e300:1"])
+    assert (code, lines) == (cli.EXIT_USAGE, ["usage error: empty parameter grid"])

@@ -175,6 +175,13 @@ class TestSolveRadius:
         with pytest.raises(DomainError):
             RadiusProblem("psi1")
 
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_params_carry_the_pinned_p(self, family):
+        params = FunctionalParams(m=2, p=0.5, lam=1.5, q=3)
+        pinned = FAMILIES[family].p
+        got = RadiusProblem(family, params, PW).params
+        assert got == (params if pinned is None else replace(params, p=pinned))
+
 
 def scan_grid():
     return radii._SCAN_GRID
@@ -471,20 +478,28 @@ EXACT_PSI = {
 
 def power_problems():
     """The power-weight and classical problems of the golden dump, each a
-    pytest param; the one whose bracket misses the exact root is xfail."""
+    pytest param; the one whose bracket misses the exact root is xfail.
+    An id names the requested parameters, not the p a classical theorem
+    pins in the problem."""
     out = []
+
+    def add(family, w=None, **kw):
+        out.append((prob(family, w, **kw), FunctionalParams(**kw)))
+
     for m in (1, 2, 3):
         for p in (0.5, 1.0, 1.5, 2.0):
-            out += [prob(fam, PW, m=m, p=p) for fam in ("psi1", "psi2", "psi3", "psi4")]
+            for fam in ("psi1", "psi2", "psi3", "psi4"):
+                add(fam, PW, m=m, p=p)
             for lam in (0.5, 1.0, 2.0):
-                out += [prob("psi5_t5", m=m, p=p, lam=lam),
-                        prob("psi5_t6", m=m, p=p, lam=lam, q=m + 1)]
+                add("psi5_t5", m=m, p=p, lam=lam)
+                add("psi5_t6", m=m, p=p, lam=lam, q=m + 1)
     for m in range(1, 9):
-        out += [prob(fam, m=m) for fam in ("classical_alpha", "classical_beta",
-                                           "classical_zeta", "classical_eta")]
-    out.append(prob("classical_c", PW))
+        for fam in ("classical_alpha", "classical_beta", "classical_zeta", "classical_eta"):
+            add(fam, m=m)
+    add("classical_c", PW)
     for lam in (0.5, 1.0, 2.0):
-        out += [prob("classical_d", lam=lam, n_lacunary=n) for n in (1, 2, 3)]
+        for n in (1, 2, 3):
+            add("classical_d", lam=lam, n_lacunary=n)
     # the exact root is r = 1/5; the grid point 0.2 is the double just
     # above it, where the rounded Psi is +2.2e-16 but the exact Psi is
     # -9.3e-17, so the bracket (0.2, 0.2 + 5.8e-14] lies above the root
@@ -494,7 +509,7 @@ def power_problems():
     return [pytest.param(problem, marks=[xfail] if problem == misses_root else [],
                          id=(f"{problem.family}-m{pm.m}-p{pm.p}-lam{pm.lam}"
                              f"-q{pm.q}-n{pm.n_lacunary}"))
-            for problem in out for pm in [problem.params]]
+            for problem, pm in out]
 
 
 def exact_scaled_weights(w, r):
@@ -769,3 +784,39 @@ class TestBatchedBisection:
         except (NoRootError, DomainError):
             return
         assert cert == sequential_certificate(problem)
+
+
+def monotone_problems():
+    """Criteria 3/4's and 7's problems and the classical families."""
+    return [param.values[0] for param in power_problems()] + criterion_7_problems()
+
+
+class TestMonotoneLemmas:
+    """The monotonicity lemmas of the radii module docstring."""
+
+    @pytest.mark.parametrize("pr", monotone_problems(),
+                             ids=lambda pr: f"{pr.family}-{pr.weights and pr.weights.kind}")
+    def test_psi_decreases_up_to_bracket_lo(self, pr):
+        lo = solve_radius(pr).bracket_lo
+        grid = scan_grid()
+        pts = np.unique(np.append(grid[grid <= lo], lo))
+        assert np.all(np.diff(psi_eval(pr, pts)) < 0.0)
+
+    @pytest.mark.parametrize("family, edge, past_root, slope", [
+        ("classical_zeta", 0.6, 1.0 / 3.0,
+         lambda m, r: -3.0 + r ** (m - 1) * (5.0 * (m + 1) * r - 3.0 * m)),
+        ("classical_eta", 2.0 / 3.0, 0.5,
+         lambda m, r: -2.0 + r ** (m - 1) * (3.0 * (m + 1) * r - 2.0 * m)),
+    ], ids=("zeta", "eta"))
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_classical_slope_is_not_positive_past_the_root(self, family, edge, past_root,
+                                                           slope, m):
+        rs = np.linspace(0.0, edge, 6001)
+        assert np.all(slope(m, rs) <= 0.0)
+        # the stated Psi' is the derivative of the family's Psi
+        pr, h = prob(family, m=m), 1e-6
+        mids = rs[1:-1]
+        central = (psi_eval(pr, mids + h) - psi_eval(pr, mids - h)) / (2.0 * h)
+        assert np.allclose(central, slope(m, mids), rtol=0.0, atol=1e-6)
+        # and the root lies inside [0, edge]
+        assert psi_eval(pr, past_root) < 0.0 and solve_radius(pr).bracket_hi < past_root

@@ -11,7 +11,7 @@ import pytest
 
 from bohrkit import DomainError, from_json, power, scaled_power
 from bohrkit.radii import _SCAN_GRID, _bisection_path
-from bohrkit.weights import R_EDGE, WeightSequence
+from bohrkit.weights import R_EDGE, WeightSequence, _as_r
 
 
 def brute_tail(w, N, r, terms=10_000, weighted=False):
@@ -35,6 +35,13 @@ class TestWeightAt:
     def test_scaled_point_value(self):
         w = scaled_power(np.arange(1.0, 65.0), rho=1.0, C=64.0)
         assert w.weight_at(2, 0.5) == pytest.approx(0.75, abs=1e-15)
+
+    @pytest.mark.parametrize("w", [power(), scaled_power([1.0, 0.5, 0.25], rho=0.9)],
+                             ids=["power", "scaled"])
+    def test_whole_float_index_is_the_integer(self, w):
+        for f in (w.weight_at, w.tail, w.weighted_tail):
+            assert f(2.0, 0.5) == f(2, 0.5)
+            assert np.array_equal(f([1.0, 3.0], 0.5), f([1, 3], 0.5))
 
     def test_broadcast_shapes(self):
         for w in (power(), scaled_power([1.0, 0.5], rho=0.9)):
@@ -238,6 +245,16 @@ class TestValidation:
     def test_radius_above_edge_rejected(self):
         with pytest.raises(DomainError):
             power().tail(1, 1.0)
+
+    def test_empty_radius_grid_rejected(self):
+        with pytest.raises(DomainError, match="empty radius grid"):
+            _as_r([])
+        with pytest.raises(DomainError, match="empty radius grid"):
+            power().tail(1, [])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(DomainError, match="unknown weight kind 'bogus'"):
+            WeightSequence("bogus")
 
     def test_negative_coefficients_rejected(self):
         with pytest.raises(DomainError):

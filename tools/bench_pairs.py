@@ -35,6 +35,11 @@ traced run, each side's traced ``check.radius_above_oracle`` value, the
 number of certificates whose radius lies above perfbench's oracle (None
 where a side has no such value).
 
+The traced record is one run per side, so each of its per-layer figures
+is a single sample: it shows where the time goes, but it cannot tell a
+change from run-to-run noise.  Compare per-layer times only with repeated,
+alternating runs of the calls concerned.
+
 It is written with ``json.dump(indent=1)``.  Progress goes to standard error.  Exit code: 0
 on success, 2 when a side cannot be unpacked or run.
 """
@@ -76,15 +81,20 @@ def run(side: Path, workload: str, seed: int, trace: int) -> dict:
             for path in sorted(out.glob(f"result-*-seed{seed}-trace{trace}.json"))}
 
 
+def change_wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs whose change value beats the parent's; a tie counts for neither side."""
+    return sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+
+
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
     """``worse``, ``better``, ``unresolved`` or ``held``: see the module docstring."""
+    wins = change_wins(parent, change, better)
     if better == "higher":  # compare the negated values, where lower is better
         parent, change = [-v for v in parent], [-v for v in change]
     q1, med, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
                    if len(parent) > 1 else parent * 3)
     if statistics.median(change) - med > bound * abs(med):
         return "worse"
-    wins = sum(c < p for p, c in zip(parent, change))
     if len(parent) >= 10 and 10 * wins >= 9 * len(parent) \
             and med - statistics.median(change) > q3 - q1:
         return "better"
@@ -101,8 +111,6 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         name, better = spec["name"], spec["better"]
         vals = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                 for side in (PARENT, CHANGE)}
-        wins = sum((c < p) if better == "lower" else (c > p)
-                   for p, c in zip(vals[PARENT], vals[CHANGE]))
         out[name] = {"better": better, "bound": spec["bound"]}
         for side in (PARENT, CHANGE):
             v = vals[side]
@@ -110,7 +118,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
                 statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3)
         out[name]["change_over_parent_median"] = (statistics.median(vals[CHANGE])
                                                   / statistics.median(vals[PARENT]))
-        out[name]["change_wins"] = wins
+        out[name]["change_wins"] = change_wins(vals[PARENT], vals[CHANGE], better)
         out[name]["verdict"] = verdict(vals[PARENT], vals[CHANGE], better, spec["bound"])
     return out
 
