@@ -5,12 +5,12 @@ Two kinds are supported:
 * ``scaled_power``: ``w_n(r) = c_n * r**n`` with a declared geometric
   dominator ``c_n <= C * rho**n``.  Beyond the stored coefficient list the
   dominator itself is used, so every tail is a certified overestimate.
-* ``power``: the classical basis ``w_n(r) = r**n``, which is the scaled
-  rule with rho = C = 1 and nothing stored.  Its tails take the dominator's
-  exact closed forms.
   The check is made in doubles with a relative slack of 1e-15; where a
   coefficient uses the slack, C is raised to the smallest double for
   which every ``c_n <= C * rho**n`` holds in doubles.
+* ``power``: the classical basis ``w_n(r) = r**n``, which is the scaled
+  rule with rho = C = 1 and nothing stored.  Its tails take the dominator's
+  exact closed forms.
 
 Overestimating tails is the conservative direction: the radius equations
 consume tails negatively, so reported radii can only shrink.

@@ -794,8 +794,9 @@ def monotone_problems():
 class TestMonotoneLemmas:
     """The monotonicity lemmas of the radii module docstring."""
 
-    @pytest.mark.parametrize("pr", monotone_problems(),
-                             ids=lambda pr: f"{pr.family}-{pr.weights and pr.weights.kind}")
+    @pytest.mark.parametrize("pr", monotone_problems(), ids=lambda pr: (
+        f"{pr.family}-{pr.weights and pr.weights.kind}-m{pr.params.m}-p{pr.params.p}"
+        f"-lam{pr.params.lam}-q{pr.params.q}-n{pr.params.n_lacunary}"))
     def test_psi_decreases_up_to_bracket_lo(self, pr):
         lo = solve_radius(pr).bracket_lo
         grid = scan_grid()
@@ -809,8 +810,7 @@ class TestMonotoneLemmas:
          lambda m, r: -2.0 + r ** (m - 1) * (3.0 * (m + 1) * r - 2.0 * m)),
     ], ids=("zeta", "eta"))
     @pytest.mark.parametrize("m", range(1, 9))
-    def test_classical_slope_is_not_positive_past_the_root(self, family, edge, past_root,
-                                                           slope, m):
+    def test_zeta_and_eta_slopes_are_not_positive(self, family, edge, past_root, slope, m):
         rs = np.linspace(0.0, edge, 6001)
         assert np.all(slope(m, rs) <= 0.0)
         # the stated Psi' is the derivative of the family's Psi
