@@ -11,12 +11,16 @@ every other Psi is in closed form and is evaluated in one call.  A chunk's
 weight tail depends on the weights and the grid alone, so the first solve
 to reach it keeps it, read-only, for later solves on the same weights.
 The about 34 bisection steps are predicted: one :func:`psi_eval` call
-holds the midpoints the bisection would visit if Psi changed sign at the
-bracket's regula-falsi guess, and the sequential bisection is replayed on
-their values for as long as each point is the step's own midpoint.  The
-first mispredicted step is still taken, the points after it are dropped,
-and the next call predicts again from the narrower bracket, so the solver
-reaches the step-by-step bracket in a few calls.  A scaled-power batch
+holds the midpoints the bisection would visit if Psi changed sign at a
+guess, and the sequential bisection is replayed on their values for as
+long as each point is the step's own midpoint.  The first guess is the
+zero of the polynomial in Psi through the six scan values nearest the
+sign change (inverse interpolation, as in Brent's method), at no Psi
+call; where those values are not finite and strictly decreasing it is
+the cell's regula-falsi guess.  A mispredicted step is still taken, the
+points after it are dropped, and the next call aims at the regula-falsi
+guess of the narrower bracket; each criterion-7 root takes one call, as
+the guess only sets how many calls a solve makes.  A scaled-power batch
 cuts its tail at its largest point, so a lower point may sum stored terms
 that its one-point cut treats as numerically silent; the tests pin the
 certificates to the step-by-step bisection's.  The bracket, the signed
@@ -44,6 +48,7 @@ shows Psi > 0 below it (the tests check these lemmas numerically):
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, replace
 
@@ -136,10 +141,11 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     family reads scaled-power weights the grid goes in chunks of
     ``_SCAN_CHUNK`` cells and the scan stops in the first chunk whose
     values change sign; consecutive chunks share their boundary point, so
-    every grid cell is examined.  Each bisection call evaluates the
-    midpoints the bisection visits toward the regula-falsi guess
-    ``lo - flo*(hi - lo)/(fhi - flo)`` of the current bracket and replays
-    the steps on them up to the first one whose sign the guess got wrong.
+    every grid cell is examined.  The first bisection call evaluates the
+    midpoints the bisection visits toward :func:`_seed_guess`, each later
+    one toward the regula-falsi guess ``lo - flo*(hi - lo)/(fhi - flo)``
+    of the current bracket, and replays the steps on them up to the first
+    one whose sign the guess got wrong.
     Each path is one :func:`psi_eval` call, whose scaled-power tail is cut
     at the path's largest point.  Raises :class:`DomainError` when Psi(0)
     is not positive and :class:`NoRootError` when Psi keeps its sign on
@@ -163,11 +169,12 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     i = int(flip[0])
     lo, hi = float(cells[i]), float(cells[i + 1])
     flo, fhi = float(vals[i]), float(vals[i + 1])
+    guess = _seed_guess(cells, vals, i)
     while hi - lo > BRACKET_WIDTH:
         # one call holds the path the bisection takes if Psi changes sign at
-        # the regula-falsi guess; the sequential steps replay on its values
-        # while the path's next point is the step's own midpoint
-        pts = _bisection_path(lo, hi, lo - flo * (hi - lo) / (fhi - flo))
+        # the guess; the sequential steps replay on its values while the
+        # path's next point is the step's own midpoint
+        pts = _bisection_path(lo, hi, guess)
         for mid, fm in zip(pts.tolist(), psi_eval(prob, pts).tolist()):
             if not (hi - lo > BRACKET_WIDTH and mid == 0.5 * (lo + hi)):
                 break
@@ -176,7 +183,21 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
                 lo, flo = mid, fm
             else:
                 hi, fhi = mid, fm
+        guess = lo - flo * (hi - lo) / (fhi - flo)  # regula falsi after a miss
     return RootCertificate(lo, lo, hi, flo, fhi, SCAN_STEP)
+
+
+def _seed_guess(cells: np.ndarray, vals: np.ndarray, i: int) -> float:
+    """The zero of the polynomial x(Psi) through the six scan points
+    nearest the flip cell i, points i-2 .. i+3 moved inside the chunk
+    (inverse Lagrange interpolation), or the cell's regula-falsi guess
+    where those six values are not finite and strictly decreasing."""
+    k = min(max(i - 2, 0), vals.size - 6)
+    xs, ys = cells[k:k + 6].tolist(), vals[k:k + 6].tolist()
+    if all(map(math.isfinite, ys)) and all(a > b for a, b in zip(ys, ys[1:])):
+        return sum(x * math.prod(y / (y - yx) for y in ys if y != yx) for x, yx in zip(xs, ys))
+    lo, hi, flo, fhi = xs[i - k], xs[i - k + 1], ys[i - k], ys[i - k + 1]
+    return lo - flo * (hi - lo) / (fhi - flo)
 
 
 def _bisection_path(lo: float, hi: float, guess: float) -> np.ndarray:
