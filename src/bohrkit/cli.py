@@ -204,7 +204,9 @@ def _single(args, name, cast):
 
 def _problem_from_args(args) -> RadiusProblem:
     w = _load_weights(args.weights)
-    params = FunctionalParams(m=_single(args, "m", _cast_int), p=_single(args, "p", float),
+    # a classical family takes the p its theorem pins, whatever --p says
+    p = _single(args, "p", float)
+    params = FunctionalParams(m=_single(args, "m", _cast_int), p=FAMILIES[args.family].p or p,
                               lam=_single(args, "lam", float),
                               q=_single(args, "q", _cast_int),
                               n_lacunary=_single(args, "n", _cast_int))
@@ -245,11 +247,13 @@ def cmd_table(args):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["family", "m", "p", "lambda", "q", "radius",
                      "bracket_width", "status"])
-    failures = 0
+    failures, certs = 0, {}  # by params: a classical family's rows share the pinned p
     for m, p, lam, q in grid:
         try:
-            params = FunctionalParams(m=m, p=p, lam=lam, q=q, n_lacunary=n)
-            cert = solve_radius(RadiusProblem(args.family, params, w))
+            params = FunctionalParams(m=m, p=FAMILIES[args.family].p or p, lam=lam, q=q,
+                                      n_lacunary=n)
+            cert = certs[params] = certs.get(params) or solve_radius(
+                RadiusProblem(args.family, params, w))
             # the radius in full: rounded to 15 digits it may read above the root
             cells = [repr(cert.radius), _fmt(cert.bracket_hi - cert.bracket_lo), "ok"]
         except (NoRootError, DomainError) as exc:

@@ -49,6 +49,22 @@ class TestRadius:
         code, out, _ = run(capsys, "radius", "--family", family, "--p", "0.5")
         assert code == 0 and json.loads(out)["p"] == p
 
+    @pytest.mark.parametrize("command", ("radius", "verify", "sharpness"))
+    def test_pinned_p_ignores_an_out_of_range_p(self, capsys, command):
+        # classical_beta's theorem pins p = 2; --p 3 is not checked against (0, 2]
+        reports = []
+        for p in ("3", "2"):
+            code, out, _ = run(capsys, command, "--family", "classical_beta", "--p", p)
+            assert code == 0
+            reports.append({k: v for k, v in json.loads(out).items() if k != "elapsed"})
+        assert reports[0] == reports[1]
+        if command != "sharpness":  # whose report names no p
+            assert (reports[0].get("problem") or reports[0])["p"] == 2.0
+
+    def test_pinned_p_still_parses_p(self, capsys):
+        code, out, err = run(capsys, "radius", "--family", "classical_beta", "--p", "two")
+        assert (code, out) == (1, "") and err.startswith("usage error:")
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, out, _ = run(capsys, "radius", "--family", "classical_d",
@@ -83,6 +99,18 @@ class TestTable:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert code == 0 and [row[2] for row in rows] == ["0.5", "1"]
         assert rows[0][5] == rows[1][5]
+
+    def test_pinned_p_solved_once(self, capsys, monkeypatch):
+        # four rows of one problem: the table keeps its certificate by the
+        # pinned params, and an out-of-range p row reads the same radius
+        solves, solve_radius = [], cli.solve_radius
+        monkeypatch.setattr(cli, "solve_radius", lambda pr: solves.append(pr) or solve_radius(pr))
+        code, out, _ = run(capsys, "table", "--family", "classical_beta", "--p", "0.5..2:0.5")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert code == 0 and len(rows) == 4 and len(solves) == 1
+        assert {row[5] for row in rows} == {repr(solve_radius(solves[0]).radius)}
+        code, out, _ = run(capsys, "table", "--family", "classical_beta", "--p", "2,3")
+        assert code == 0 and out.count(",ok\n") == 2 and len(solves) == 2
 
     def test_lambda_sweep_with_fixture(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "psi5_t5",
