@@ -785,9 +785,9 @@ class TestBatchedBisection:
         assert cert == sequential_certificate(problem)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "psi_lo cancels catastrophically near 1e295, and np.power's bits "
-        "depend on the array's shape: the batch reads 2.1974e295 where one "
-        "point reads 2.1994e295"))
+        "psi_lo near 2e295 is a difference of terms near 1e308 whose np.power "
+        "bits depend on the array's shape: the batch reads 2.1974e295 where "
+        "one point reads 2.1994e295"))
     def test_huge_weights_certificate_equals_sequential(self):
         pr = prob("psi3", scaled_power([1.7e308, 1e308], rho=1.0, C=1.7e308), m=1, p=2.0)
         assert solve_radius(pr) == sequential_certificate(pr)
