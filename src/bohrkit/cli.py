@@ -63,8 +63,8 @@ _FAILURES = {
 # the most values one range, and the most rows one table, may have; both
 # counts are worked out from the numbers before anything is built
 MAX_TABLE_ROWS = 100_000
-# the most radius points one verify run may use: its weight block and every
-# functional value hold one column per point
+# the most radius points one verify run may use: in pointwise mode its weight
+# block and every functional value hold one column per point
 _MAX_R_POINTS = 100_000
 # the most random Blaschke products one verify or check-lemmas run may build:
 # each holds at most 1494 complex128 coefficients (23 KiB), about 6 KiB drawn;
@@ -267,10 +267,8 @@ def cmd_table(args):
 
 def cmd_verify(args):
     prob = _problem_from_args(args)
-    report = verify_below_radius(prob, r_points=args.r_points,
-                                 margin=args.margin, mode=args.mode,
-                                 seed=args.seed,
-                                 blaschke_count=args.blaschke)
+    report = verify_below_radius(prob, r_points=args.r_points, margin=args.margin,
+                                 mode=args.mode, seed=args.seed, blaschke_count=args.blaschke)
     return _report(report.to_dict(), report.verified,
                    f"max violation {report.max_violation:.3g} at family {prob.family}")
 

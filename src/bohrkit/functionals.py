@@ -41,6 +41,16 @@ The composite functionals come in two evaluation modes:
   the extremal families.
 
 Envelope mode dominates pointwise mode for every disk self-map.
+
+*Lemma (monotonicity).*  In envelope mode every functional is
+nondecreasing in r on [0, 1), while its bound phi_0 = c_0 is constant.
+Each is a sum of nonnegative terms, with factors |a_n|, lambda, ... free
+of r, and each term rises with r: every weight c_n r^n and every tail;
+the head ((x + a)/(1 + a x))^p, a = |a_0| <= 1, whose base has the
+derivative (1 - a^2)/(1 + a x)^2 in x = r^m; and the deviations
+(1 - a^2) x/(1 - a x) and (1 - |a_1|^2) x (2 - x)/(1 - x)^2, the last
+(1 - |a_1|^2) [1/(1 - x)^2 - 1].  So on [0, R] the worst violation is at R.
+No such lemma holds in pointwise mode: |f(r^m)| need not rise with r.
 """
 
 from __future__ import annotations

@@ -6,15 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from bohrkit import (BoundedFunction, DomainError, FunctionalParams,
+from bohrkit import (AccuracyError, BoundedFunction, DomainError, FunctionalParams,
                      NoRootError, NotFalsifiableError, NoWitnessError, RadiusProblem, a_refinement, bohr_sum,
                      check_lemma_D, check_lemma_coeff, check_schwarz_pick,
-                     moebius_plus, power, scaled_power, sharpness_witness,
+                     moebius_plus, power, psi_eval, scaled_power, sharpness_witness,
                      solve_radius, verify_below_radius)
 from bohrkit import verify
 from bohrkit import weights as wt
 from bohrkit.functionals import (ENVELOPE, FAMILIES, POINTWISE, _cutoff,
                                  _family_evaluator, bound_for, evaluate_family)
+from bohrkit.series import T_MAX
 from bohrkit.verify import standard_families
 
 PW = power()
@@ -183,15 +184,24 @@ class TestSharedWeightBlock:
             return blk, run
 
         monkeypatch.setattr(verify, "_family_evaluator", recording)
-        whole = verify_below_radius(pr, families=population, r_points=24, cert=cert)
-        (one_pass,) = chunks
-        for budget, size in ((24 * 5, 5), (1, 1)):
+        default = verify._CHUNK_ELEMENTS
+        # envelope mode evaluates one radius, so its chunk budget counts one column
+        for mode, columns in ((ENVELOPE, 1), (POINTWISE, 24)):
             chunks.clear()
-            monkeypatch.setattr(verify, "_CHUNK_ELEMENTS", budget)
-            report = verify_below_radius(pr, families=population, r_points=24, cert=cert)
-            assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
-            assert np.array_equal(np.vstack(chunks), one_pass)
-            assert report.max_violation == whole.max_violation
+            monkeypatch.setattr(verify, "_CHUNK_ELEMENTS", default)
+            whole = verify_below_radius(pr, families=population, r_points=24, mode=mode,
+                                        cert=cert)
+            (one_pass,) = chunks
+            assert one_pass.shape == (len(population), columns)
+            for budget, size in ((columns * 5, 5), (1, 1)):
+                chunks.clear()
+                monkeypatch.setattr(verify, "_CHUNK_ELEMENTS", budget)
+                report = verify_below_radius(pr, families=population, r_points=24,
+                                             mode=mode, cert=cert)
+                assert len(chunks) == -(-len(population) // size)
+                assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+                assert np.array_equal(np.vstack(chunks), one_pass)
+                assert report.max_violation == whole.max_violation
 
     def test_block_builds_do_not_grow_with_the_population(self, monkeypatch):
         pr = prob("psi1", HARMONIC)
@@ -213,6 +223,166 @@ class TestSharedWeightBlock:
             assert report.verified
             counts.append(sorted(calls))
         assert counts[0] == counts[1] and counts[0]
+
+
+def _criterion_problems():
+    """Every family's problems in the acceptance criteria 3/4 (power
+    weights) and 7 (harmonic weights), and every classical family at
+    m = 1..3."""
+    out = {family: [] for family in FAMILIES}
+    for m in (1, 2, 3):
+        for p in (0.5, 1.0, 1.5, 2.0):
+            for family in ("psi1", "psi2", "psi3", "psi4"):
+                out[family] += [prob(family, PW, m=m, p=p), prob(family, HARMONIC, m=m, p=p)]
+            for lam in (0.5, 1.0, 2.0):
+                out["psi5_t5"].append(prob("psi5_t5", m=m, p=p, lam=lam))
+                out["psi5_t6"].append(prob("psi5_t6", m=m, p=p, lam=lam, q=m + 1))
+        for family in out:
+            if family.startswith("classical"):
+                out[family].append(prob(family, PW, m=m))
+        out["classical_c"].append(prob("classical_c", HARMONIC, m=m))
+    return out
+
+
+CRITERION_PROBLEMS = _criterion_problems()
+
+
+class TestEnvelopeMonotone:
+    """The monotonicity lemma of the ``functionals`` docstring: in envelope
+    mode every member's functional rises with r and its bound phi_0 is
+    constant, so verify's one evaluation at R - margin finds the worst
+    violation of the whole radius grid."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_rise_and_the_top_holds_the_grid_maximum(self, family):
+        population = standard_families(family, blaschke_count=4)
+        assert verify.MOEBIUS_A_GRID[20:] == (0.99, 0.999)
+        # a = 0, 0.25, 0.5, 0.75, 0.99 and 0.999, then four Blaschke products
+        sample = population[:21:5] + population[21:]
+        for pr in CRITERION_PROBLEMS[family]:
+            cert = solve_radius(pr)
+            rs = np.linspace(0.0, cert.radius, 256)
+            _, functional = _family_evaluator(family, pr.weights, pr.params, rs,
+                                              max(f.truncation_order for f in sample), ENVELOPE)
+            rows = functional(sample)
+            assert (np.diff(rows, axis=1) >= 0.0).all(), pr
+            bound = bound_for(family, pr.weights, rs)
+            assert (bound == bound[0]).all()
+            report = verify_below_radius(pr, families=sample, cert=cert)
+            assert report.r_grid_size == 256 and report.trials == len(sample) * 256
+            # the top column, one ulp or so off as a one-point block sums its tails in
+            # another order, is the grid's maximum
+            ulp = np.spacing(np.abs(rows[:, -1]).max())
+            assert abs(report.max_violation - float(np.max(rows - bound))) <= 2 * ulp, pr
+
+    @pytest.mark.parametrize("r_points", [1, 2, 256])
+    def test_envelope_evaluates_the_top_radius_alone(self, r_points, monkeypatch):
+        pr = prob("psi1", HARMONIC)
+        cert = solve_radius(pr)
+        grids = []
+        real = verify._family_evaluator
+
+        def recording(family, w, params, rs, order, mode):
+            grids.append(rs)
+            return real(family, w, params, rs, order, mode)
+
+        monkeypatch.setattr(verify, "_family_evaluator", recording)
+        reports = [verify_below_radius(pr, r_points=r_points, margin=0.01, mode=mode,
+                                       cert=cert, blaschke_count=2)
+                   for mode in (ENVELOPE, POINTWISE)]
+        top = cert.radius - 0.01
+        assert grids[0].tolist() == [top]
+        assert np.array_equal(grids[1], np.linspace(0.0, top, r_points))
+        assert grids[1][-1] == (top if r_points > 1 else 0.0)
+        for report in reports:
+            assert report.r_grid_size == r_points
+            assert report.trials == report.n_functions * r_points
+
+
+def _one_by_one_witness(pr, delta, cert):
+    """The witness search with one candidate per pass."""
+    r = cert.radius + delta
+    if float(psi_eval(pr, r)) >= 0.0:
+        raise NotFalsifiableError("vacuous")
+    bound = float(bound_for(pr.family, pr.weights, r))
+    build = verify._EXTREMAL_BUILDER[FAMILIES[pr.family].extremal]
+    _, functional = _family_evaluator(pr.family, pr.weights, pr.params, np.array([r]),
+                                      T_MAX + 1, POINTWISE)
+    for k in range(1, verify.MAX_WITNESS_STEPS + 1):
+        a = 1.0 - 2.0 ** -k
+        val = float(functional([build(a)])[0, 0])
+        if val > bound + verify.WITNESS_EXCESS_TOL:
+            return verify.Witness(a=a, r=r, excess=val - bound)
+    raise NoWitnessError("none")
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except (NotFalsifiableError, NoWitnessError, DomainError) as exc:
+        return type(exc)
+
+
+class TestBatchedWitness:
+    """sharpness_witness evaluates its candidates four per pass; the witness
+    and every error must be the one-by-one search's."""
+
+    @staticmethod
+    def cases(family):
+        """Each problem with its certificate, one lowered by 0.03 (Psi > 0
+        at R + delta for a small delta) and one at 0.99 (R + delta past the
+        domain), each at delta = 0.02 and 0.05."""
+        for pr in CRITERION_PROBLEMS[family]:
+            cert = solve_radius(pr)
+            for radius in (cert.radius, max(0.0, cert.radius - 0.03), 0.99):
+                for delta in (0.02, 0.05):
+                    yield pr, delta, dataclasses.replace(cert, radius=radius)
+
+    @pytest.mark.parametrize("steps", [40, 5, 2])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_same_outcome_as_one_by_one(self, family, steps, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_WITNESS_STEPS", steps)
+        for case in self.cases(family):
+            assert (_outcome(sharpness_witness, *case)
+                    == _outcome(_one_by_one_witness, *case)), case
+
+    def test_every_outcome_occurs(self, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_WITNESS_STEPS", 2)
+        outcomes = {type(o) if isinstance(o, verify.Witness) else o
+                    for family in FAMILIES for case in self.cases(family)
+                    for o in [_outcome(sharpness_witness, *case)]}
+        assert outcomes == {verify.Witness, NotFalsifiableError, NoWitnessError, DomainError}
+
+    def _poisoned(self, monkeypatch, k_bad):
+        """psi2 at m = 1, p = 2, whose witness is a = 1 - 2**-2, with the
+        candidate 1 - 2**-k_bad replaced by a member that fails a guard."""
+        real = verify.moebius_minus
+        poison = BoundedFunction(np.array([0.5, 0.5]), 1.0)
+        built = []
+
+        def building(a):
+            built.append(a)
+            return poison if a == 1.0 - 2.0 ** -k_bad else real(a)
+
+        monkeypatch.setitem(verify._EXTREMAL_BUILDER, "minus", building)
+        pr = prob("psi2", PW, m=1, p=2.0)
+        return pr, solve_radius(pr), built
+
+    def test_witness_before_a_failing_candidate_is_returned(self, monkeypatch):
+        pr, cert, built = self._poisoned(monkeypatch, 3)
+        witness = sharpness_witness(pr, 0.02, cert)
+        assert witness.a == 0.75
+        # the pass over k = 1..4 raised and was replayed up to the witness
+        assert built == [0.5, 0.75, 0.875, 0.9375, 0.5, 0.75]
+        assert witness == _one_by_one_witness(pr, 0.02, cert)
+
+    def test_failing_candidate_before_the_witness_raises(self, monkeypatch):
+        pr, cert, _ = self._poisoned(monkeypatch, 1)
+        with pytest.raises(AccuracyError) as batched:
+            sharpness_witness(pr, 0.02, cert)
+        with pytest.raises(AccuracyError) as alone:
+            _one_by_one_witness(pr, 0.02, cert)
+        assert str(batched.value) == str(alone.value)
 
 
 class TestSharpnessWitness:
