@@ -8,10 +8,10 @@ certifies both validity below each radius and sharpness just above it.
 
 from .errors import (AccuracyError, BohrkitError, DomainError, NoRootError,
                      NotFalsifiableError, NoWitnessError, UsageError)
-from .functionals import (FunctionalParams, a_refinement, bohr_sum,
-                          bound_for, evaluate_family)
-from .radii import (RadiusProblem, RootCertificate, classical_crosscheck,
-                    psi_eval, solve_radius)
+from .functionals import (FunctionalParams, RadiusProblem, a_refinement,
+                          bohr_sum, bound_for, evaluate_family)
+from .radii import (RootCertificate, classical_crosscheck, psi_eval,
+                    solve_radius)
 from .series import (BoundedFunction, blaschke, eval_derivative, evaluate,
                      moebius_minus, moebius_plus, multiply_by_z,
                      random_blaschke, schwarz_moebius)

@@ -202,15 +202,16 @@ def _single(args, name, cast):
     return vals[0]
 
 
-def _problem_from_args(args) -> RadiusProblem:
-    w = _load_weights(args.weights)
+def _problem(family, w, m, p, lam, q, n) -> RadiusProblem:
     # a classical family takes the p its theorem pins, whatever --p says
-    p = _single(args, "p", float)
-    params = FunctionalParams(m=_single(args, "m", _cast_int), p=FAMILIES[args.family].p or p,
-                              lam=_single(args, "lam", float),
-                              q=_single(args, "q", _cast_int),
-                              n_lacunary=_single(args, "n", _cast_int))
-    return RadiusProblem(args.family, params, w)
+    return RadiusProblem(family, FunctionalParams(m=m, p=FAMILIES[family].p or p, lam=lam,
+                                                  q=q, n_lacunary=n), w)
+
+
+def _problem_from_args(args) -> RadiusProblem:
+    return _problem(args.family, _load_weights(args.weights), p=_single(args, "p", float),
+                    m=_single(args, "m", _cast_int), lam=_single(args, "lam", float),
+                    q=_single(args, "q", _cast_int), n=_single(args, "n", _cast_int))
 
 
 def _report(record: dict, ok: bool = True, why: str = ""):
@@ -250,10 +251,8 @@ def cmd_table(args):
     failures, certs = 0, {}  # by params: a classical family's rows share the pinned p
     for m, p, lam, q in grid:
         try:
-            params = FunctionalParams(m=m, p=FAMILIES[args.family].p or p, lam=lam, q=q,
-                                      n_lacunary=n)
-            cert = certs[params] = certs.get(params) or solve_radius(
-                RadiusProblem(args.family, params, w))
+            prob = _problem(args.family, w, m, p, lam, q, n)
+            cert = certs[prob.params] = certs.get(prob.params) or solve_radius(prob)
             # the radius in full: rounded to 15 digits it may read above the root
             cells = [repr(cert.radius), _fmt(cert.bracket_hi - cert.bracket_lo), "ok"]
         except (NoRootError, DomainError) as exc:

@@ -172,6 +172,8 @@ class _Block:
     them, the weighted tail from 0 at max(rs), is past the double range."""
 
     def __init__(self, w, rs, order):
+        if w is None:
+            raise DomainError("the weighted sums need a weight sequence")
         self.w, self.rs, rmax = w, rs, float(rs.max())
         self.x = w.rho * rmax
         self.cut = _cutoff(self.x, w.C)
@@ -297,13 +299,13 @@ def _t3(pop, blk, params, mode):
 
 def _t4(pop, blk, params, mode):
     """T3 plus the derivative deviation |f'(w(z)) - a_1|; needs a_0 = 0."""
-    _require_schwarz(pop)
+    t3 = _t3(pop, blk, params, mode)
     x = blk.rs ** params.m
     if mode == ENVELOPE:
         dev = (1.0 - _abs_pow(pop, 1, 2)) * x * (2.0 - x) / (1.0 - x) ** 2
     else:
         dev = np.array([np.abs(eval_derivative(f, x) - f.coeffs[1]) for f in pop.fs])
-    return _abs_pow(pop, 1, params.p) * blk.rows[0] + _weighted_coeff_sum_arr(pop, blk) + dev
+    return t3 + dev
 
 
 def _t5(pop, blk, params, mode):
@@ -418,6 +420,24 @@ def get_family(name: str) -> Family:
         raise DomainError(f"unknown radius family {name!r}") from None
 
 
+@dataclass(frozen=True)
+class RadiusProblem:
+    """One radius family plus its parameters and (where used) weights; a
+    classical family's params carry the p its theorem pins."""
+
+    family: str
+    params: FunctionalParams = FunctionalParams()
+    weights: wt.WeightSequence | None = None
+
+    def __post_init__(self):
+        fam = get_family(self.family)
+        if fam.weighted and self.weights is None:
+            raise DomainError(f"family {self.family} needs a weight sequence")
+        fam.check(self.params)
+        if fam.p is not None:
+            object.__setattr__(self, "params", replace(self.params, p=fam.p))
+
+
 def _family_evaluator(family, w, params, rs, order, mode):
     """evaluate_family's weight block on the grid rs and fs -> the
     len(fs) x len(rs) values there, for every population fs of truncation
@@ -425,9 +445,7 @@ def _family_evaluator(family, w, params, rs, order, mode):
     fam = get_family(family)
     if mode not in (ENVELOPE, POINTWISE):
         raise DomainError(f"mode must be {ENVELOPE!r} or {POINTWISE!r}")
-    fam.check(params)
-    if fam.p is not None:
-        params = replace(params, p=fam.p)
+    params = RadiusProblem(family, params, w).params
     blk = _Block(w if fam.weighted else _POWER, rs, order)
     return blk, lambda fs: _run(fs, lambda pop: fam.functional(pop, blk, params, mode))
 
@@ -446,4 +464,5 @@ def evaluate_family(family: str, f, w, params: FunctionalParams, r,
 def bound_for(family: str, w, r):
     """The right-hand side each family's inequality is checked against:
     phi_0(r) of the weights its functional uses."""
-    return (w if get_family(family).weighted else _POWER).weight_at(0, r)
+    RadiusProblem(family, weights=w)  # rejects a weighted family without weights
+    return (w if FAMILIES[family].weighted else _POWER).weight_at(0, r)

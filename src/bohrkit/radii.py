@@ -50,13 +50,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import weights as wt
 from .errors import DomainError, NoRootError
-from .functionals import FAMILIES, FunctionalParams, _on_grid, get_family
+from .functionals import FAMILIES, FunctionalParams, RadiusProblem, _on_grid
 
 SCAN_STEP = 1e-3
 BRACKET_WIDTH = 1e-13
@@ -70,24 +70,6 @@ _SCAN_GRID = np.append(np.arange(0.0, wt.R_EDGE, SCAN_STEP), wt.R_EDGE)
 _SCAN_GRID.flags.writeable = False
 # per scaled-power weights instance, its scan-chunk tails by (tail, start)
 _SCAN_TAILS = weakref.WeakKeyDictionary()
-
-
-@dataclass(frozen=True)
-class RadiusProblem:
-    """One radius family plus its parameters and (where used) weights; a
-    classical family's params carry the p its theorem pins."""
-
-    family: str
-    params: FunctionalParams = FunctionalParams()
-    weights: wt.WeightSequence | None = None
-
-    def __post_init__(self):
-        fam = get_family(self.family)
-        if fam.weighted and self.weights is None:
-            raise DomainError(f"family {self.family} needs a weight sequence")
-        fam.check(self.params)
-        if fam.p is not None:
-            object.__setattr__(self, "params", replace(self.params, p=fam.p))
 
 
 @dataclass(frozen=True)
@@ -112,15 +94,15 @@ class RootCertificate:
     scan_step: float
 
 
-# Psi overflows quietly: a tail past the double range is +inf, as its terms
-# are >= 0, and Psi subtracts it from terms that stay finite there, so -inf
-# has the exact sign
-@np.errstate(over="ignore")
 def psi_eval(prob: RadiusProblem, r):
     """The family's radius function, positive in the validity regime."""
     return _on_grid(r, lambda rs: _psi(prob, rs, None))
 
 
+# Psi overflows quietly: a tail past the double range is +inf, as its terms
+# are >= 0, and Psi subtracts it from terms that stay finite there, so -inf
+# has the exact sign
+@np.errstate(over="ignore")
 def _psi(prob: RadiusProblem, rs: np.ndarray, start: int | None) -> np.ndarray:
     """Psi on the validated grid rs; a scan chunk's tail is cached by its start."""
     fam, w = FAMILIES[prob.family], prob.weights
@@ -132,7 +114,6 @@ def _psi(prob: RadiusProblem, rs: np.ndarray, start: int | None) -> np.ndarray:
     return fam.psi(prob.params, w, rs, rs ** prob.params.m, tail)
 
 
-@np.errstate(over="ignore")  # as psi_eval's, for the scan's own calls
 def solve_radius(prob: RadiusProblem) -> RootCertificate:
     """Certified minimal positive root of the family's Psi function.
 

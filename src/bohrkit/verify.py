@@ -93,7 +93,7 @@ class VerificationReport:
     mode: str
     radius: float
     bracket: tuple[float, float]
-    a_grid_size: int
+    a_grid_size: int | None
     r_grid_size: int
     n_functions: int
     max_violation: float
@@ -136,10 +136,11 @@ def verify_below_radius(prob: RadiusProblem,
     which must not be empty: in envelope mode at R - margin alone, where
     the monotonicity lemma of :mod:`bohrkit.functionals` puts the worst
     violation, so ``r_grid_size`` and ``trials`` count the grid points it
-    covers; in pointwise mode on the grid of ``r_points`` radii.  One
-    weight block on those radii serves every member, which slices it to
-    its kept range, in :func:`_worst`'s chunks of one pass each.  ``cert``
-    is the problem's certificate if the caller has solved it already.
+    covers; in pointwise mode on ``r_points`` equally spaced radii up to
+    R - margin, from 0 if there are two or more.  One weight block serves
+    every member, which slices it to its kept range, in :func:`_worst`'s
+    chunks of one pass each.  ``cert`` is the problem's certificate if the
+    caller has solved it; ``a_grid_size`` is None for a caller's ``families``.
     """
     if not margin >= 0.0:
         raise DomainError("margin must be nonnegative")
@@ -151,22 +152,21 @@ def verify_below_radius(prob: RadiusProblem,
     r_hi = cert.radius - margin
     if r_hi < 0.0:
         raise DomainError("margin exceeds the radius")
-    if families is None:
-        families = standard_families(prob.family, seed, blaschke_count)
-    if not families:
+    pop = standard_families(prob.family, seed, blaschke_count) if families is None else families
+    if not pop:
         raise DomainError("the test population is empty")
-    rs = np.array([r_hi]) if mode == ENVELOPE else np.linspace(0.0, r_hi, r_points)
+    rs = (np.linspace(0.0, r_hi, r_points) if mode == POINTWISE and r_points > 1
+          else np.array([r_hi]))
     blk, functional = _family_evaluator(
         prob.family, prob.weights, prob.params, rs,
-        max(f.truncation_order for f in families), mode)
-    worst = _worst(lambda fs: functional(fs) - blk.rows[0], families, len(rs))
+        max(f.truncation_order for f in pop), mode)
+    worst = _worst(lambda fs: functional(fs) - blk.rows[0], pop, len(rs))
     return VerificationReport(
         family=prob.family, params=prob.params, mode=mode,
         radius=cert.radius, bracket=(cert.bracket_lo, cert.bracket_hi),
-        a_grid_size=len(MOEBIUS_A_GRID), r_grid_size=r_points,
-        n_functions=len(families), max_violation=worst,
-        trials=len(families) * r_points,
-        elapsed=time.perf_counter() - start)
+        a_grid_size=len(MOEBIUS_A_GRID) if families is None else None,
+        r_grid_size=r_points, n_functions=len(pop), trials=len(pop) * r_points,
+        max_violation=worst, elapsed=time.perf_counter() - start)
 
 
 def sharpness_witness(prob: RadiusProblem, delta: float,

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from bohrkit import (AccuracyError, BoundedFunction, DomainError,
-                     FunctionalParams, a_refinement, bohr_sum, evaluate_family,
-                     moebius_minus, moebius_plus, multiply_by_z, power,
-                     random_blaschke, scaled_power, schwarz_moebius)
-from bohrkit.functionals import (_CUT_TOL, ENVELOPE, POINTWISE, _Block, _cutoff,
-                                 _family_evaluator, bound_for)
+                     FunctionalParams, RadiusProblem, a_refinement, bohr_sum,
+                     evaluate_family, moebius_minus, moebius_plus, multiply_by_z,
+                     power, random_blaschke, scaled_power, schwarz_moebius)
+from bohrkit.functionals import (_CUT_TOL, ENVELOPE, FAMILIES, POINTWISE, _Block,
+                                 _cutoff, _family_evaluator, bound_for)
 
 PW = power()
 
@@ -480,6 +480,64 @@ class TestParams:
         w = scaled_power(1.0 / (np.arange(32) + 1.0), rho=1.0, C=1.0)
         got = evaluate_family("psi1", moebius_plus(0.5), w, FunctionalParams(), 0.3)
         assert got > 0.0
+
+
+class TestOneProblemRule:
+    """The family check and the pinned p live in RadiusProblem alone."""
+
+    def test_one_radius_problem_class(self):
+        import bohrkit
+        from bohrkit import functionals, radii
+        assert bohrkit.RadiusProblem is radii.RadiusProblem is functionals.RadiusProblem
+
+    def test_lacunary_check_is_radius_problems(self):
+        bad = FunctionalParams(m=2, q=2)
+        with pytest.raises(DomainError) as problem:
+            RadiusProblem("psi5_t6", bad)
+        with pytest.raises(DomainError) as functional:
+            evaluate_family("psi5_t6", moebius_plus(0.5), None, bad, 0.3)
+        assert str(functional.value) == str(problem.value) == "psi5_t6 needs q >= 2 and 0 < m < q"
+        # the mode is checked before the parameters
+        with pytest.raises(DomainError, match="mode must be"):
+            evaluate_family("psi5_t6", moebius_plus(0.5), None, bad, 0.3, "bogus")
+
+    @pytest.mark.parametrize("family", ["classical_alpha", "classical_beta", "classical_zeta",
+                                        "classical_eta", "classical_c"])
+    @pytest.mark.parametrize("mode", [ENVELOPE, POINTWISE])
+    def test_classical_functional_reads_the_pinned_p(self, family, mode):
+        fam = FAMILIES[family]
+        f = (schwarz_moebius if fam.extremal == "schwarz" else moebius_plus)(0.5)
+        rs = np.linspace(0.0, 0.3, 7)
+        asked = evaluate_family(family, f, PW, FunctionalParams(m=2, p=0.5), rs, mode)
+        pinned = evaluate_family(family, f, PW, FunctionalParams(m=2, p=fam.p), rs, mode)
+        assert asked.tobytes() == pinned.tobytes()
+
+
+class TestMissingWeights:
+    """A sum that reads weights and is given none is a DomainError."""
+
+    def test_bohr_sum(self):
+        with pytest.raises(DomainError, match="need a weight sequence"):
+            bohr_sum(moebius_plus(0.5), None, 1, 0.3)
+
+    def test_a_refinement(self):
+        with pytest.raises(DomainError, match="need a weight sequence"):
+            a_refinement(moebius_plus(0.5), None, 0.3)
+
+    def test_evaluate_family(self):
+        with pytest.raises(DomainError, match="family psi1 needs a weight sequence"):
+            evaluate_family("psi1", moebius_plus(0.5), None, FunctionalParams(), 0.3)
+
+    def test_bound_for(self):
+        with pytest.raises(DomainError, match="family psi1 needs a weight sequence"):
+            bound_for("psi1", None, 0.3)
+
+    @pytest.mark.parametrize("family", ["psi5_t5", "psi5_t6", "classical_beta", "classical_d"])
+    def test_family_without_a_tail_takes_no_weights(self, family):
+        f = moebius_plus(0.5)
+        assert bound_for(family, None, 0.3) == 1.0
+        assert evaluate_family(family, f, None, FunctionalParams(), 0.3) == \
+            evaluate_family(family, f, PW, FunctionalParams(), 0.3)
 
 
 def test_power_block_peak_is_its_rows_and_tails():

@@ -292,11 +292,34 @@ class TestEnvelopeMonotone:
                    for mode in (ENVELOPE, POINTWISE)]
         top = cert.radius - 0.01
         assert grids[0].tolist() == [top]
-        assert np.array_equal(grids[1], np.linspace(0.0, top, r_points))
-        assert grids[1][-1] == (top if r_points > 1 else 0.0)
+        # a one-point pointwise grid is the top radius, not r = 0
+        assert np.array_equal(grids[1], np.linspace(0.0, top, r_points) if r_points > 1
+                              else [top])
+        assert grids[1][-1] == top
         for report in reports:
             assert report.r_grid_size == r_points
             assert report.trials == report.n_functions * r_points
+
+    def test_one_point_pointwise_grid_sees_a_violation_at_the_top(self):
+        # psi1 is violated just past its radius; r = 0 alone would report verified
+        pr = prob("psi1", wt.power())
+        cert = solve_radius(pr)
+        report = verify_below_radius(pr, r_points=1, mode=POINTWISE, blaschke_count=0,
+                                     cert=dataclasses.replace(cert, radius=cert.radius + 0.05))
+        assert not report.verified
+
+
+class TestAGridSize:
+    def test_standard_population_reports_the_a_grid(self):
+        report = verify_below_radius(prob("psi5_t5"), blaschke_count=2)
+        assert report.a_grid_size == len(verify.MOEBIUS_A_GRID) == 22
+        assert report.n_functions == 24
+
+    def test_callers_population_reports_none(self):
+        pr = prob("psi5_t5")
+        report = verify_below_radius(pr, families=standard_families("psi5_t5")[17:22])
+        assert report.a_grid_size is None and report.n_functions == 5
+        assert '"a_grid_size": null' in json.dumps(report.to_dict())
 
 
 def _one_by_one_witness(pr, delta, cert):
