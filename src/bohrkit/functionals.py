@@ -241,8 +241,7 @@ def _weighted_coeff_sum_arr(pop, blk):
 
 def bohr_sum(f: BoundedFunction, w: wt.WeightSequence, N: int, r):
     """The majorant series sum_{n>=N} |a_n| w_n(r)."""
-    if N < 0:
-        raise DomainError("start index must be nonnegative")
+    N = wt._as_n(N, 0).item()
     return _on_grid(r, lambda rs: _run([f], lambda pop: _bohr_sum_arr(
         pop, _Block(w, rs, f.truncation_order), N))[0])
 
@@ -433,6 +432,8 @@ class RadiusProblem:
         fam = get_family(self.family)
         if fam.weighted and self.weights is None:
             raise DomainError(f"family {self.family} needs a weight sequence")
+        if not isinstance(self.params, FunctionalParams):
+            raise DomainError("params must be a FunctionalParams")
         fam.check(self.params)
         if fam.p is not None:
             object.__setattr__(self, "params", replace(self.params, p=fam.p))

@@ -5,11 +5,11 @@ checks that it is.  The first sign change on a fixed 1e-3 grid over
 [0, R_EDGE] is sharpened by bisection to a bracket of width 1e-13, whose
 lower end is the reported radius.  Where a weighted family reads
 scaled-power weights, the grid is evaluated in chunks of 64 cells and the
-scan stops at the chunk holding the first sign change, so the points
-above the root are never evaluated;
-every other Psi is in closed form and is evaluated in one call.  A chunk's
-weight tail depends on the weights and the grid alone, so the first solve
-to reach it keeps it, read-only, for later solves on the same weights.
+scan stops at the chunk holding the first sign change, so no tail is
+computed past the root's chunk; every other Psi is in closed form and is
+evaluated in one call.  A chunk's weight tail depends on the weights and
+the grid alone, so the first solve to reach it fills its row of a block
+on the weights, and a later scan evaluates every filled row in one call.
 The about 34 bisection steps are predicted: one :func:`psi_eval` call
 holds the midpoints the bisection would visit if Psi changed sign at a
 guess, and the sequential bisection is replayed on their values for as
@@ -68,7 +68,9 @@ _SCAN_CHUNK = 64
 # the scan grid 0, SCAN_STEP, ..., R_EDGE; arange stops below R_EDGE
 _SCAN_GRID = np.append(np.arange(0.0, wt.R_EDGE, SCAN_STEP), wt.R_EDGE)
 _SCAN_GRID.flags.writeable = False
-# per scaled-power weights instance, its scan-chunk tails by (tail, start)
+# the full scan chunks as the rows of a 2-D view; one shorter chunk ends the grid
+_SCAN_ROWS = np.lib.stride_tricks.sliding_window_view(_SCAN_GRID, _SCAN_CHUNK + 1)[::_SCAN_CHUNK]
+# per scaled-power weights and tail kind, [block, rows filled]: row k is chunk k's tail
 _SCAN_TAILS = weakref.WeakKeyDictionary()
 
 
@@ -103,15 +105,37 @@ def psi_eval(prob: RadiusProblem, r):
 # are >= 0, and Psi subtracts it from terms that stay finite there, so -inf
 # has the exact sign
 @np.errstate(over="ignore")
-def _psi(prob: RadiusProblem, rs: np.ndarray, start: int | None) -> np.ndarray:
-    """Psi on the validated grid rs; a scan chunk's tail is cached by its start."""
+def _psi(prob: RadiusProblem, rs: np.ndarray, tail: np.ndarray | None) -> np.ndarray:
+    """Psi on the validated grid rs, given the tail there or None to compute it."""
     fam, w = FAMILIES[prob.family], prob.weights
-    tails = {} if start is None else _SCAN_TAILS.setdefault(w, {})
-    tail = tails.get((fam.tail, start))
     if fam.tail and tail is None:
-        tail = tails[fam.tail, start] = w._tail2(np.array([1]), rs, fam.tail == "n+1")[0]
-        tail.flags.writeable = False
+        tail = w._tail2(np.array([1]), rs, fam.tail == "n+1")[0]
     return fam.psi(prob.params, w, rs, rs ** prob.params.m, tail)
+
+
+def _scan(prob: RadiusProblem):
+    """(points, Psi there) as 2-D arrays, each row scanned apart, in grid
+    order: a closed form's whole grid, or the block's filled full rows in
+    one call, then chunk by chunk, filling each new chunk's row."""
+    fam, w = FAMILIES[prob.family], prob.weights
+    if not (fam.weighted and w.kind == wt.SCALED_POWER):
+        yield _SCAN_GRID[None], psi_eval(prob, _SCAN_GRID)[None]
+        return
+    blocks = _SCAN_TAILS.setdefault(w, {})
+    if fam.tail not in blocks:  # a read-only block, filled through its base alone
+        blocks.setdefault(fam.tail, [np.zeros((len(_SCAN_ROWS) + 1, _SCAN_CHUNK + 1)).view(), 0])
+        blocks[fam.tail][0].flags.writeable = False
+    entry = blocks[fam.tail]
+    block, k = entry[0], min(entry[1], len(_SCAN_ROWS))
+    if k:
+        yield _SCAN_ROWS[:k], _psi(prob, _SCAN_ROWS[:k], block[:k])
+    for row in range(k, len(_SCAN_ROWS) + 1):
+        cells = _SCAN_GRID[row * _SCAN_CHUNK:(row + 1) * _SCAN_CHUNK + 1]
+        if row >= entry[1]:
+            with np.errstate(over="ignore"):  # a tail past the double range: see _psi
+                block.base[row, :cells.size] = w._tail2(np.array([1]), cells, fam.tail == "n+1")[0]
+            entry[1] = row + 1
+        yield cells[None], _psi(prob, cells, block[row, :cells.size])[None]
 
 
 def solve_radius(prob: RadiusProblem) -> RootCertificate:
@@ -120,34 +144,30 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     Scans the grid ``0, SCAN_STEP, 2*SCAN_STEP, ..., R_EDGE`` upward for
     the first sign change, then bisects that cell.  Where a weighted
     family reads scaled-power weights the grid goes in chunks of
-    ``_SCAN_CHUNK`` cells and the scan stops in the first chunk whose
-    values change sign; consecutive chunks share their boundary point, so
-    every grid cell is examined.  The first bisection call evaluates the
-    midpoints the bisection visits toward :func:`_seed_guess`, each later
-    one toward the regula-falsi guess ``lo - flo*(hi - lo)/(fhi - flo)``
-    of the current bracket, and replays the steps on them up to the first
-    one whose sign the guess got wrong.
-    Each path is one :func:`psi_eval` call, whose scaled-power tail is cut
-    at the path's largest point.  Raises :class:`DomainError` when Psi(0)
-    is not positive and :class:`NoRootError` when Psi keeps its sign on
-    the whole evaluation domain.
+    ``_SCAN_CHUNK`` cells, which share their boundary points, and the scan
+    stops in the first chunk whose values change sign: no tail is computed
+    past the root's chunk, and a warm scan evaluates the cached rows in
+    one call.  The first bisection call evaluates the midpoints the
+    bisection visits toward :func:`_seed_guess`, each later one toward the
+    regula-falsi guess ``lo - flo*(hi - lo)/(fhi - flo)`` of the current
+    bracket, and replays the steps on them up to the first one whose sign
+    the guess got wrong.  Each path is one :func:`psi_eval` call, whose
+    scaled-power tail is cut at the path's largest point.  Raises
+    :class:`DomainError` when Psi(0) is not positive and :class:`NoRootError`
+    when Psi keeps its sign on the whole evaluation domain.
     """
-    # a scaled-power tail costs in proportion to the largest r it is asked
-    # for; a closed-form Psi costs one call whatever the grid
-    scaled = FAMILIES[prob.family].weighted and prob.weights.kind == wt.SCALED_POWER
-    chunk = _SCAN_CHUNK if scaled else _SCAN_GRID.size - 1
-    for start in range(0, _SCAN_GRID.size - 1, chunk):
-        cells = _SCAN_GRID[start:start + chunk + 1]
-        vals = _psi(prob, cells, start) if scaled else psi_eval(prob, cells)
-        if start == 0 and not vals[0] > 0.0:
-            raise DomainError(f"{prob.family}: Psi(0) = {float(vals[0])!r} is not positive")
-        flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0)[0]
-        flip = flip[np.sign(vals[flip]) != np.sign(vals[flip + 1])]
+    for cells, vals in _scan(prob):
+        if cells[0, 0] == 0.0 and not vals[0, 0] > 0.0:
+            raise DomainError(f"{prob.family}: Psi(0) = {float(vals[0, 0])!r} is not positive")
+        s = np.sign(vals)
+        # the sign changes, a NaN none, in row-major order: the chunks' order
+        flip = (abs(s[:, :-1] - s[:, 1:]) > 0).ravel().nonzero()[0]
         if flip.size:
             break
     else:
         raise NoRootError(f"no sign change of {prob.family} on (0, {wt.R_EDGE})")
-    i = int(flip[0])
+    row, i = divmod(int(flip[0]), cells.shape[1] - 1)
+    cells, vals = cells[row], vals[row]
     lo, hi = float(cells[i]), float(cells[i + 1])
     flo, fhi = float(vals[i]), float(vals[i + 1])
     guess = _seed_guess(cells, vals, i)

@@ -144,8 +144,8 @@ def verify_below_radius(prob: RadiusProblem,
     """
     if not margin >= 0.0:
         raise DomainError("margin must be nonnegative")
-    if r_points < 1:
-        raise DomainError("need at least one radius point")
+    if not (isinstance(r_points, (int, np.integer)) and r_points >= 1):
+        raise DomainError("need at least one radius point, as an integer count")
     start = time.perf_counter()
     if cert is None:
         cert = solve_radius(prob)

@@ -27,7 +27,6 @@ pairwise, so a one-point grid keeps the suffix matrix.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -45,6 +44,8 @@ _NEGLIGIBLE = 1e-18
 
 POWER = "power"
 SCALED_POWER = "scaled_power"
+# the last four file texts read and their weights, found by ==: a new text's hash costs more
+_TEXTS: list = []
 
 
 def _as_r(r) -> np.ndarray:
@@ -235,23 +236,21 @@ def from_json(source) -> WeightSequence:
         {"kind": "scaled_power", "coeffs": [...], "rho": 0.9, "C": 2.0}
 
     ``{"kind": "power"}`` is accepted as well, with no other field but
-    ``"rho": 1`` or ``"C": 1``.  A file is read on every call, and every
-    read of the same text returns the same (immutable) instance.
+    ``"rho": 1`` or ``"C": 1``.  A file is read on every call; a text among
+    the last four read returns the same (immutable) instance as before.
     """
     if isinstance(source, (str, Path)):
         try:
-            return _from_text(Path(source).read_text())
+            text = Path(source).read_text()
+            w = (next((kept for seen, kept in _TEXTS if seen == text), None)
+                 or _from_document(json.loads(text)))
         except DomainError:  # a ValueError too: the document was read but is invalid
             raise
         except (OSError, ValueError) as exc:
             raise DomainError(f"cannot read weight JSON {str(source)!r}: {exc}") from None
+        _TEXTS[:] = [(seen, v) for seen, v in _TEXTS if v is not w][-3:] + [(text, w)]
+        return w
     return _from_document(source)
-
-
-@functools.lru_cache(maxsize=4)
-def _from_text(text: str) -> WeightSequence:
-    """The weights of one file text, parsed once; a failed parse is not kept."""
-    return _from_document(json.loads(text))
 
 
 def _from_document(obj) -> WeightSequence:

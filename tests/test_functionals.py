@@ -51,6 +51,16 @@ class TestBohrSum:
         with pytest.raises(DomainError):
             bohr_sum(moebius_plus(0.3), PW, -1, 0.5)
 
+    @pytest.mark.parametrize("start", [1.5, float("nan"), float("inf")])
+    def test_non_integer_start_rejected(self, start):
+        with pytest.raises(DomainError, match="index must be an integer"):
+            bohr_sum(moebius_plus(0.5), PW, start, 0.3)
+
+    def test_integral_start_of_any_type(self):
+        f = moebius_plus(0.5)
+        assert bohr_sum(f, PW, 2.0, 0.3) == bohr_sum(f, PW, np.int64(2), 0.3) == \
+            bohr_sum(f, PW, 2, 0.3)
+
     @pytest.mark.parametrize("r", [float("nan"), [0.1, float("nan")]])
     def test_nan_radius_rejected(self, r):
         w = scaled_power(1.0 / (np.arange(64) + 1.0))
@@ -480,6 +490,13 @@ class TestParams:
         w = scaled_power(1.0 / (np.arange(32) + 1.0), rho=1.0, C=1.0)
         got = evaluate_family("psi1", moebius_plus(0.5), w, FunctionalParams(), 0.3)
         assert got > 0.0
+
+    @pytest.mark.parametrize("family", ["psi1", "psi5_t5"])
+    def test_params_must_be_functional_params(self, family):
+        with pytest.raises(DomainError, match="params must be a FunctionalParams"):
+            RadiusProblem(family, None, PW)
+        with pytest.raises(DomainError, match="params must be a FunctionalParams"):
+            evaluate_family(family, moebius_plus(0.5), PW, None, 0.3)
 
 
 class TestOneProblemRule:

@@ -1,6 +1,7 @@
 """Radius functions, certified roots, and classical cross-checks."""
 
 import gc
+import itertools
 import math
 import weakref
 from dataclasses import replace
@@ -227,9 +228,9 @@ class TestChunkedScan:
         calls = []
         psi = radii._psi
 
-        def recording_psi(pr, rs, start):
+        def recording_psi(pr, rs, tail):
             calls.append(rs)
-            return psi(pr, rs, start)
+            return psi(pr, rs, tail)
 
         monkeypatch.setattr(radii, "_psi", recording_psi)
         return calls
@@ -242,19 +243,25 @@ class TestChunkedScan:
 
     def test_scan_stops_after_root(self, monkeypatch):
         # scan calls hold only grid points; bisection calls lie strictly
-        # inside the root's cell, so no point is both
+        # inside the root's cell, so no point is both.  The root 1/3 lies
+        # in cell 333, in the sixth chunk of 64 cells: a cold scan makes a
+        # call per chunk up to it and fills six rows, a warm one makes one
+        # call over those six rows and fills none
+        w = fresh(HARMONIC)
         calls = self.record_calls(monkeypatch)
-        cert = solve_radius(prob("psi3", HARMONIC, p=1.0))
-        assert cert.radius == pytest.approx(1.0 / 3.0, abs=1e-12)
-        on_grid = [np.isin(pts, scan_grid()).all() for pts in calls]
-        scan = [pts.size for pts, g in zip(calls, on_grid) if g]
-        # the root 1/3 lies in cell 333, in the sixth chunk of 64 cells
-        assert scan == [radii._SCAN_CHUNK + 1] * 6
-        assert on_grid == [True] * len(scan) + [False] * (len(calls) - len(scan))
-        lo, hi = self.root_cell(cert)
-        bisect = calls[len(scan):]
-        assert all(np.all((lo < pts) & (pts < hi)) for pts in bisect)
-        assert 0 < len(bisect) <= MAX_BISECT_CALLS
+        for shapes in ([(radii._SCAN_CHUNK + 1,)] * 6, [(6, radii._SCAN_CHUNK + 1)]):
+            calls.clear()
+            cert = solve_radius(prob("psi3", w, p=1.0))
+            assert cert.radius == pytest.approx(1.0 / 3.0, abs=1e-12)
+            on_grid = [np.isin(pts, scan_grid()).all() for pts in calls]
+            scan = [pts.shape for pts, g in zip(calls, on_grid) if g]
+            assert scan == shapes
+            assert radii._SCAN_TAILS[w]["n+1"][1] == 6
+            assert on_grid == [True] * len(scan) + [False] * (len(calls) - len(scan))
+            lo, hi = self.root_cell(cert)
+            bisect = calls[len(scan):]
+            assert all(np.all((lo < pts) & (pts < hi)) for pts in bisect)
+            assert 0 < len(bisect) <= MAX_BISECT_CALLS
 
     def test_closed_form_scan_is_one_call(self, monkeypatch):
         # power weights have closed-form tails: one call over the whole grid
@@ -304,11 +311,22 @@ class TestScanTailCache:
     @pytest.mark.parametrize("w", CACHED_WEIGHTS, ids=("harmonic", "rho0.9", "short", "late"))
     @pytest.mark.parametrize("family", list(PUBLIC_PSI))
     def test_cached_chunk_equals_psi_eval(self, family, w):
-        pr = RadiusProblem(family, FunctionalParams(m=2, p=1.5), fresh(w))
-        # the first pass fills the cache, the second reads it
-        for _ in range(2):
-            for start, cells in scan_chunks():
-                assert np.array_equal(radii._psi(pr, cells, start), psi_eval(pr, cells))
+        # a cold scan stopped after seven chunks fills seven rows; a whole
+        # scan then takes them in one call and fills the rest chunk by
+        # chunk, and a warm scan takes the fifteen full chunks in one call
+        # and the short last chunk alone.  Each row is its chunk's psi_eval
+        chunks = scan_chunks()
+        for m in range(1, 9):
+            pr = RadiusProblem(family, FunctionalParams(m=m, p=1.5), fresh(w))
+            scans = [list(itertools.islice(radii._scan(pr), 7)), list(radii._scan(pr)),
+                     list(radii._scan(pr))]
+            assert [[vals.shape[0] for _, vals in pieces] for pieces in scans] == [
+                [1] * 7, [7] + [1] * 9, [15, 1]]
+            for pieces in scans:
+                rows = [row for cells, vals in pieces for row in zip(cells, vals)]
+                for (cells, vals), (_, chunk) in zip(rows, chunks):
+                    assert np.array_equal(cells, chunk)
+                    assert np.array_equal(vals, psi_eval(pr, chunk))
 
     def test_certificates_do_not_depend_on_the_cache(self):
         problems = [prob(fam, HARMONIC, m=m, p=p) for fam in PUBLIC_PSI
@@ -324,17 +342,20 @@ class TestScanTailCache:
 
     def test_cached_rows_are_read_only_and_never_returned(self):
         w = fresh(HARMONIC)
-        for fam in PUBLIC_PSI:
-            solve_radius(prob(fam, w, p=2.0))
+        returned = [psi_eval(prob(fam, w, p=2.0), scan_grid()) for fam in PUBLIC_PSI]
+        returned += [solve_radius(prob(fam, w, p=2.0)) for fam in PUBLIC_PSI]
+        returned += [vals for fam in PUBLIC_PSI for _, vals in radii._scan(prob(fam, w, p=2.0))]
         tails = radii._SCAN_TAILS[w]
-        assert {kind for kind, _ in tails} == {"plain", "n+1"}
-        assert len(tails) <= 2 * len(scan_chunks())
-        cells = dict(scan_chunks())
-        for (kind, start), row in tails.items():
-            assert not row.flags.writeable
-            public = (w.tail if kind == "plain" else w.weighted_tail)(1, cells[start])
-            assert np.array_equal(public, row)
-            assert public.flags.writeable and not np.shares_memory(public, row)
+        assert set(tails) == {"plain", "n+1"}
+        for kind, (block, filled) in tails.items():
+            assert block.shape == (len(scan_chunks()), radii._SCAN_CHUNK + 1)
+            assert not block.flags.writeable and filled == len(scan_chunks())
+            for row, (_, cells) in zip(block, scan_chunks()):
+                public = (w.tail if kind == "plain" else w.weighted_tail)(1, cells)
+                assert np.array_equal(public, row[:cells.size])
+                returned.append(public)
+            assert not any(np.shares_memory(block, out) for out in returned
+                           if isinstance(out, np.ndarray))
 
     def test_cache_does_not_keep_the_weights(self):
         w = fresh(HARMONIC)

@@ -59,6 +59,13 @@ class TestVerifyBelowRadius:
         with pytest.raises(DomainError, match="at least one radius point"):
             verify_below_radius(prob("psi1", PW), r_points=0, blaschke_count=1)
 
+    @pytest.mark.parametrize("mode", [ENVELOPE, POINTWISE])
+    @pytest.mark.parametrize("r_points", [2.5, 3.0, float("nan")])
+    def test_non_integer_radius_points_rejected(self, mode, r_points):
+        with pytest.raises(DomainError, match="at least one radius point, as an integer"):
+            verify_below_radius(prob("psi1", PW), r_points=r_points, mode=mode,
+                                blaschke_count=1)
+
     def test_negative_blaschke_count_rejected(self):
         with pytest.raises(DomainError, match="count must be nonnegative"):
             standard_families("psi1", blaschke_count=-1)

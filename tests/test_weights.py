@@ -412,6 +412,23 @@ class TestJson:
         assert from_json(a) is from_json(str(a)) is from_json(b)
         assert from_json(doc) is not from_json(doc)  # a dict is not cached
 
+    def test_last_four_texts_are_kept(self, tmp_path):
+        # a text is parsed again only after four other texts were read since
+        def read(c1):
+            path = tmp_path / f"{c1}.json"
+            path.write_text(json.dumps({"kind": "scaled_power", "coeffs": [1.0, c1]}))
+            return from_json(path)
+
+        first = read(0.5)
+        assert all(read(0.5) is first for _ in range(2))
+        for c1 in (0.1, 0.2, 0.3):
+            read(c1)
+        assert read(0.5) is first
+        for c1 in (0.1, 0.2, 0.3, 0.4):
+            read(c1)
+        again = read(0.5)
+        assert again is not first and again.weight_at(1, 0.5) == first.weight_at(1, 0.5)
+
     def test_rewritten_file_loads_fresh(self, tmp_path):
         path = tmp_path / "w.json"
         for c1 in (0.5, 0.4, 0.5):  # texts of one length: the text is the key
