@@ -74,6 +74,11 @@ ENVELOPE = "envelope"
 POINTWISE = "pointwise"
 
 
+def _is_count(x) -> bool:
+    """x is an int or numpy integer >= 1; a bool, though an int, is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+
+
 @dataclass(frozen=True)
 class FunctionalParams:
     """Parameter bundle; each functional reads only the fields it needs."""
@@ -85,15 +90,15 @@ class FunctionalParams:
     n_lacunary: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
+        if not _is_count(self.m):
             raise DomainError("m must be a positive integer")
         if not 0.0 < self.p <= 2.0:
             raise DomainError("p must lie in (0, 2]")
         if not (self.lam > 0.0 and math.isfinite(2.0 * self.lam + 1.0)):  # Psi reads 2 lam + 1
             raise DomainError("lambda must be positive, with 2*lambda + 1 finite")
-        if not isinstance(self.q, (int, np.integer)) or self.q < 1:
+        if not _is_count(self.q):
             raise DomainError("q must be a positive integer")
-        if not isinstance(self.n_lacunary, (int, np.integer)) or self.n_lacunary < 1:
+        if not _is_count(self.n_lacunary):
             raise DomainError("n must be a positive integer")
 
 
@@ -116,10 +121,11 @@ class _Population:
     """The members f_0..f_(k-1) of one evaluation, which returns a row each.
 
     ``mag`` holds every |a_n| in one flat array, member i's from
-    ``start[i]``, then a 0 that is the max of any empty suffix; ``a0``
-    holds each |a_0| by scalar abs, like the heads' other scalar terms
-    (numpy's vectorized complex abs and pow can round differently, and the
-    heads keep the scalar bits).
+    ``start[i]``, then a 0 that is the max of any empty suffix: the
+    members' moduli kept from their construction check, joined without
+    taking any abs again.  ``a0`` holds each |a_0| by scalar abs, like the
+    heads' other scalar terms (numpy's vectorized complex abs and pow can
+    round differently, and the heads keep the scalar bits).
     """
 
     def __init__(self, fs):
@@ -128,7 +134,7 @@ class _Population:
         self.order = sizes - 1
         self.start = np.zeros(len(fs) + 1, dtype=np.intp)
         np.cumsum(sizes, out=self.start[1:])
-        self.mag = np.abs(np.concatenate([f.coeffs for f in fs] + [[0.0]]))
+        self.mag = np.concatenate([f._mag for f in fs] + [[0.0]])
         self.tail_bound = np.array([f.tail_bound for f in fs])
         self.a0 = np.array([abs(f.coeffs[0]) for f in fs])
 
@@ -241,6 +247,8 @@ def _weighted_coeff_sum_arr(pop, blk):
 
 def bohr_sum(f: BoundedFunction, w: wt.WeightSequence, N: int, r):
     """The majorant series sum_{n>=N} |a_n| w_n(r)."""
+    if np.ndim(N) != 0:
+        raise DomainError("N must be one integer")
     N = wt._as_n(N, 0).item()
     return _on_grid(r, lambda rs: _run([f], lambda pop: _bohr_sum_arr(
         pop, _Block(w, rs, f.truncation_order), N))[0])

@@ -39,7 +39,10 @@ _EVAL_NEGLIGIBLE = 1e-19
 class BoundedFunction:
     """A disk self-map given by coefficients a_0..a_T and a tail bound.
 
-    The tail bound M certifies |a_n| <= M for every n > T.
+    The tail bound M certifies |a_n| <= M for every n > T.  ``coeffs`` is
+    a read-only copy of the caller's array; ``_mag``, read-only too, keeps
+    the self-map check's |a_n| for the functionals: numpy's array abs, which
+    can round apart from the scalar abs that |a_0| takes.
     """
 
     coeffs: np.ndarray
@@ -47,7 +50,7 @@ class BoundedFunction:
     family_tag: str = "custom"
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.array(self.coeffs, dtype=complex)  # a copy: the caller's array may change
         if c.ndim != 1 or c.size < 2:
             raise DomainError("coefficients must be a 1-d array a0..aT with T >= 1")
         if not np.all(np.isfinite(c)):
@@ -60,7 +63,9 @@ class BoundedFunction:
             raise DomainError("coefficients violate the |a_n| <= 1 - |a_0|**2 bound")
         if not (0.0 <= self.tail_bound <= 1.0):
             raise DomainError("tail bound must lie in [0, 1]")
+        c.flags.writeable = mags.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_mag", mags)
 
     @property
     def truncation_order(self) -> int:

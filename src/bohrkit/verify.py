@@ -20,7 +20,7 @@ from .errors import BohrkitError, DomainError, NotFalsifiableError, NoWitnessErr
 # evaluate_family is unused here but stays bound: perfbench's tracer and its
 # test patch and restore it in this module
 from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, _a_refinement_arr,  # noqa: F401
-                          _abs_pow, _Block, _bohr_sum_arr, _family_evaluator, _run,
+                          _abs_pow, _Block, _bohr_sum_arr, _family_evaluator, _is_count, _run,
                           bound_for, evaluate_family, get_family)
 from .radii import RadiusProblem, RootCertificate, psi_eval, solve_radius
 from .series import (T_MAX, BoundedFunction, eval_derivative, evaluate,
@@ -144,7 +144,7 @@ def verify_below_radius(prob: RadiusProblem,
     """
     if not margin >= 0.0:
         raise DomainError("margin must be nonnegative")
-    if not (isinstance(r_points, (int, np.integer)) and r_points >= 1):
+    if not _is_count(r_points):
         raise DomainError("need at least one radius point, as an integer count")
     start = time.perf_counter()
     if cert is None:

@@ -13,7 +13,8 @@ from bohrkit import (AccuracyError, BoundedFunction, DomainError,
                      evaluate_family, moebius_minus, moebius_plus, multiply_by_z,
                      power, random_blaschke, scaled_power, schwarz_moebius)
 from bohrkit.functionals import (_CUT_TOL, ENVELOPE, FAMILIES, POINTWISE, _Block,
-                                 _cutoff, _family_evaluator, bound_for)
+                                 _cutoff, _family_evaluator, _Population, bound_for)
+from bohrkit.verify import standard_families
 
 PW = power()
 
@@ -54,6 +55,11 @@ class TestBohrSum:
     @pytest.mark.parametrize("start", [1.5, float("nan"), float("inf")])
     def test_non_integer_start_rejected(self, start):
         with pytest.raises(DomainError, match="index must be an integer"):
+            bohr_sum(moebius_plus(0.5), PW, start, 0.3)
+
+    @pytest.mark.parametrize("start", [[1, 2], [1], np.array([2])])
+    def test_start_that_is_not_one_number_rejected(self, start):
+        with pytest.raises(DomainError, match="N must be one integer"):
             bohr_sum(moebius_plus(0.5), PW, start, 0.3)
 
     def test_integral_start_of_any_type(self):
@@ -486,6 +492,16 @@ class TestParams:
         with pytest.raises(DomainError, match="n must be a positive integer"):
             FunctionalParams(n_lacunary=0)
 
+    @pytest.mark.parametrize("field", ["m", "q", "n_lacunary"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_counts_rejected(self, field, flag):
+        with pytest.raises(DomainError, match="must be a positive integer"):
+            FunctionalParams(**{field: flag})
+
+    @pytest.mark.parametrize("field", ["m", "q", "n_lacunary"])
+    def test_numpy_integer_counts_accepted(self, field):
+        assert getattr(FunctionalParams(**{field: np.int64(3)}), field) == 3
+
     def test_scaled_weights_accepted(self):
         w = scaled_power(1.0 / (np.arange(32) + 1.0), rho=1.0, C=1.0)
         got = evaluate_family("psi1", moebius_plus(0.5), w, FunctionalParams(), 0.3)
@@ -592,3 +608,21 @@ def test_every_exported_name_resolves():
     assert missing == []
     assert "evaluate_family" in bohrkit.__all__
     assert not any(name.startswith("functional_") for name in bohrkit.__all__)
+
+
+class TestKeptModuli:
+    """A population joins its members' moduli, kept from their construction
+    check, to the bits the abs of the joined coefficients gives."""
+
+    @pytest.mark.parametrize("kind", ["psi1", "psi2", "psi3"])  # plus, minus, schwarz
+    def test_population_moduli_are_the_joined_abs(self, kind):
+        fs = standard_families(kind)
+        pop = _Population(fs)
+        old = np.abs(np.concatenate([f.coeffs for f in fs] + [[0.0]]))
+        assert np.array_equal(pop.mag.view(np.uint64), old.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["psi1", "psi2", "psi3"])
+    def test_head_moduli_stay_scalar_abs(self, kind):
+        fs = standard_families(kind)
+        want = [abs(complex(f.coeffs[0])) for f in fs]
+        assert _Population(fs).a0.tolist() == want

@@ -6,10 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from bohrkit import (BoundedFunction, DomainError, blaschke, eval_derivative,
-                     evaluate, moebius_minus, moebius_plus, multiply_by_z,
+from bohrkit import (BoundedFunction, DomainError, blaschke, bohr_sum, eval_derivative,
+                     evaluate, moebius_minus, moebius_plus, multiply_by_z, power,
                      random_blaschke, schwarz_moebius)
-from bohrkit.series import BLASCHKE_ORDER, BLASCHKE_ZERO_RADIUS, _blaschke_cut
+from bohrkit.series import (BLASCHKE_ORDER, BLASCHKE_ZERO_RADIUS, MAX_BLASCHKE_DEGREE,
+                            _blaschke_cut)
 
 
 class TestMoebiusPlus:
@@ -303,8 +304,35 @@ class TestBoundedFunction:
         with pytest.raises(DomainError, match="coefficients must be finite"):
             BoundedFunction(coeffs, 0.0)
 
+    def test_coefficients_are_a_read_only_copy(self):
+        c = np.array([0.0, 0.5])
+        f = BoundedFunction(c, 0.0)
+        c[1] = 5.0  # past the self-map check, had the function kept the caller's array
+        assert bohr_sum(f, power(), 1, 0.5) == 0.25
+        for kept in (f.coeffs, f._mag):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[1] = 5.0
+        assert bohr_sum(f, power(), 1, 0.5) == 0.25
+
     def test_multiply_by_z_shifts(self):
         f = moebius_minus(0.3)
         g = multiply_by_z(f)
         assert g.coeffs[0] == 0.0
         assert np.array_equal(g.coeffs[1:], f.coeffs)
+
+
+def _kept_moduli_cases():
+    for a in (0.0, 0.5, 0.999, 1.0 - 2.0 ** -40):
+        for build in (moebius_plus, moebius_minus, schwarz_moebius):
+            yield build(a)
+    for degree in range(1, MAX_BLASCHKE_DEGREE + 1):
+        yield blaschke(*random_zeros(degree, 100 + degree))
+    yield multiply_by_z(random_blaschke(5, 7))
+    yield BoundedFunction([0.3 + 0.4j, 0.2 - 0.6j, -0.1j], 0.01)
+
+
+class TestKeptModuli:
+    @pytest.mark.parametrize("f", list(_kept_moduli_cases()), ids=repr)
+    def test_kept_moduli_are_the_array_abs(self, f):
+        assert f._mag.dtype == np.float64 and f._mag.shape == f.coeffs.shape
+        assert np.array_equal(f._mag.view(np.uint64), np.abs(f.coeffs).view(np.uint64))

@@ -60,7 +60,7 @@ class TestVerifyBelowRadius:
             verify_below_radius(prob("psi1", PW), r_points=0, blaschke_count=1)
 
     @pytest.mark.parametrize("mode", [ENVELOPE, POINTWISE])
-    @pytest.mark.parametrize("r_points", [2.5, 3.0, float("nan")])
+    @pytest.mark.parametrize("r_points", [2.5, 3.0, float("nan"), True, False])
     def test_non_integer_radius_points_rejected(self, mode, r_points):
         with pytest.raises(DomainError, match="at least one radius point, as an integer"):
             verify_below_radius(prob("psi1", PW), r_points=r_points, mode=mode,
