@@ -15,9 +15,9 @@ from .radii import (RootCertificate, classical_crosscheck, psi_eval,
 from .series import (BoundedFunction, blaschke, eval_derivative, evaluate,
                      moebius_minus, moebius_plus, multiply_by_z,
                      random_blaschke, schwarz_moebius)
-from .verify import (VerificationReport, Witness, check_lemma_coeff,
-                     check_lemma_D, check_schwarz_pick, sharpness_witness,
-                     standard_families, verify_below_radius)
+from .verify import (Population, VerificationReport, Witness,
+                     check_lemma_coeff, check_lemma_D, check_schwarz_pick,
+                     sharpness_witness, standard_families, verify_below_radius)
 from .weights import WeightSequence, from_json, power, scaled_power
 
 __version__ = "0.1.0"
@@ -25,9 +25,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "BohrkitError", "BoundedFunction", "DomainError",
     "FunctionalParams", "NoRootError", "NoWitnessError",
-    "NotFalsifiableError", "RadiusProblem", "RootCertificate", "UsageError",
-    "VerificationReport", "WeightSequence", "Witness", "a_refinement",
-    "blaschke", "bohr_sum", "bound_for", "check_lemma_D",
+    "NotFalsifiableError", "Population", "RadiusProblem", "RootCertificate",
+    "UsageError", "VerificationReport", "WeightSequence", "Witness",
+    "a_refinement", "blaschke", "bohr_sum", "bound_for", "check_lemma_D",
     "check_lemma_coeff", "check_schwarz_pick", "classical_crosscheck",
     "eval_derivative", "evaluate", "evaluate_family", "from_json",
     "moebius_minus", "moebius_plus", "multiply_by_z", "power", "psi_eval",

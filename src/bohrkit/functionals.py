@@ -56,6 +56,7 @@ No such lemma holds in pointwise mode: |f(r^m)| need not rise with r.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -63,7 +64,7 @@ import numpy as np
 
 from . import weights as wt
 from .errors import AccuracyError, BohrkitError, DomainError
-from .series import BoundedFunction, eval_derivative, evaluate
+from .series import BoundedFunction, _is_count, eval_derivative, evaluate
 
 REMAINDER_TOL = 1e-12
 _CUT_TOL = 1e-18
@@ -72,11 +73,6 @@ _POWER = wt.power()
 
 ENVELOPE = "envelope"
 POINTWISE = "pointwise"
-
-
-def _is_count(x) -> bool:
-    """x is an int or numpy integer >= 1; a bool, though an int, is not."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
 @dataclass(frozen=True)
@@ -125,11 +121,14 @@ class _Population:
     members' moduli kept from their construction check, joined without
     taking any abs again.  ``a0`` holds each |a_0| by scalar abs, like the
     heads' other scalar terms (numpy's vectorized complex abs and pow can
-    round differently, and the heads keep the scalar bits).
+    round differently, and the heads keep the scalar bits).  ``fs`` is the
+    tuple of any iterable's members, each a BoundedFunction.
     """
 
     def __init__(self, fs):
-        self.fs = fs
+        self.fs = fs = tuple(fs)
+        if not all(isinstance(f, BoundedFunction) for f in fs):
+            raise DomainError("every population member must be a BoundedFunction")
         sizes = np.array([f.coeffs.size for f in fs], dtype=np.intp)
         self.order = sizes - 1
         self.start = np.zeros(len(fs) + 1, dtype=np.intp)
@@ -148,6 +147,22 @@ class _Population:
         return n, np.maximum(self.tail_bound, np.where(edges[::2] < edges[1::2], top, 0.0))
 
 
+class Population(list):
+    """A list of test functions that keeps its joined form, a
+    :class:`_Population`, from its first evaluation on.  Each use checks
+    by identity that the members are still the ones the form was built
+    from, so after an append, a slice assignment, += or a sort the next
+    use builds it again; slices and sums are plain lists."""
+
+    _form = None
+
+    def _joined(self) -> _Population:
+        form = self._form
+        if form is None or len(form.fs) != len(self) or any(map(operator.is_not, form.fs, self)):
+            form = self._form = _Population(self)
+        return form
+
+
 def _run(fs, body):
     """body's k x len(rs) value on the population fs, or the error that
     evaluating its members one by one would raise first.  A check raises
@@ -156,7 +171,7 @@ def _run(fs, body):
     the last are then run alone, in order, and if none fails, the last
     member alone failed and the population's error is its first."""
     try:
-        return body(_Population(fs))
+        return body(fs._joined() if isinstance(fs, Population) else _Population(fs))
     except BohrkitError as exc:
         error = exc
     for f in fs[:-1]:

@@ -35,6 +35,11 @@ _CAUCHY_T = np.linspace(0.0, 1.0, 51)[1:-1]  # R = 1 + t (min(1/max|z_k|, 1e6) -
 _EVAL_NEGLIGIBLE = 1e-19
 
 
+def _is_count(x, minimum: int = 1) -> bool:
+    """x is an int or numpy integer >= minimum; a bool, though an int, is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= minimum
+
+
 @dataclass(frozen=True, eq=False)
 class BoundedFunction:
     """A disk self-map given by coefficients a_0..a_T and a tail bound.
@@ -156,8 +161,8 @@ def blaschke(zeros, rotation: complex = 1.0) -> BoundedFunction:
 
 def random_blaschke(degree: int, seed: int) -> BoundedFunction:
     """Seeded random Blaschke product; zeros uniform in |z| <= 0.9."""
-    if not 1 <= degree <= MAX_BLASCHKE_DEGREE:
-        raise DomainError(f"degree must lie in 1..{MAX_BLASCHKE_DEGREE}")
+    if not (_is_count(degree) and degree <= MAX_BLASCHKE_DEGREE):
+        raise DomainError(f"degree must be an integer in 1..{MAX_BLASCHKE_DEGREE}")
     rng = np.random.default_rng(seed)
     radii = BLASCHKE_ZERO_RADIUS * np.sqrt(rng.uniform(size=degree))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=degree)

@@ -11,6 +11,7 @@ the coefficient, D-function and Schwarz-Pick lemmas as property checks.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,9 @@ from . import weights as wt
 from .errors import BohrkitError, DomainError, NotFalsifiableError, NoWitnessError
 # evaluate_family is unused here but stays bound: perfbench's tracer and its
 # test patch and restore it in this module
-from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, _a_refinement_arr,  # noqa: F401
-                          _abs_pow, _Block, _bohr_sum_arr, _family_evaluator, _is_count, _run,
-                          bound_for, evaluate_family, get_family)
+from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, Population,  # noqa: F401
+                          _a_refinement_arr, _abs_pow, _Block, _bohr_sum_arr, _family_evaluator,
+                          _is_count, _run, bound_for, evaluate_family, get_family)
 from .radii import RadiusProblem, RootCertificate, psi_eval, solve_radius
 from .series import (T_MAX, BoundedFunction, eval_derivative, evaluate,
                      moebius_minus, moebius_plus, multiply_by_z, random_blaschke,
@@ -42,6 +43,10 @@ _EXTREMAL_BUILDER = {
     "schwarz": schwarz_moebius,
 }
 
+# builder -> {pass's a values: its Population}, for the first two passes
+# (k = 1..8) that every witness search starts with; a wrapped builder starts empty
+_WITNESS_PASSES = weakref.WeakKeyDictionary()
+
 
 def _draw_blaschke(rng) -> tuple[int, int]:
     """The degree and seed of the next random Blaschke product from rng."""
@@ -51,21 +56,24 @@ def _draw_blaschke(rng) -> tuple[int, int]:
 def _worst(values, members, columns: int) -> float:
     """The largest entry of values(chunk) over consecutive chunks of the
     members, each of max(1, _CHUNK_ELEMENTS // columns), so that a chunk x
-    columns temporary stays under _CHUNK_ELEMENTS elements."""
+    columns temporary stays under _CHUNK_ELEMENTS elements; members that
+    fit in one chunk are handed over whole, a Population with its form."""
     chunk = max(1, _CHUNK_ELEMENTS // columns)
-    return max(float(np.max(values(members[i:i + chunk])))
-               for i in range(0, len(members), chunk))
+    chunks = ([members] if len(members) <= chunk
+              else (members[i:i + chunk] for i in range(0, len(members), chunk)))
+    return max(float(np.max(values(fs))) for fs in chunks)
 
 
 def standard_families(family: str, seed: int = 42,
-                      blaschke_count: int = 100) -> list[BoundedFunction]:
-    """The documented test population: the extremal family on the a-grid
-    plus seeded random Blaschke products (shifted to Schwarz functions
-    where the theorem requires a_0 = 0)."""
-    if blaschke_count < 0:
-        raise DomainError("the Blaschke product count must be nonnegative")
+                      blaschke_count: int = 100) -> Population:
+    """The documented test population, as a :class:`Population` that keeps
+    its joined coefficient moduli across verifies: the extremal family on
+    the a-grid plus seeded random Blaschke products (shifted to Schwarz
+    functions where the theorem requires a_0 = 0)."""
+    if not _is_count(blaschke_count, 0):
+        raise DomainError("the Blaschke product count must be nonnegative, as an integer")
     kind = get_family(family).extremal
-    fams = [_EXTREMAL_BUILDER[kind](a) for a in MOEBIUS_A_GRID]
+    fams = Population(_EXTREMAL_BUILDER[kind](a) for a in MOEBIUS_A_GRID)
     rng = np.random.default_rng(seed)
     for _ in range(blaschke_count):
         f = random_blaschke(*_draw_blaschke(rng))
@@ -139,8 +147,10 @@ def verify_below_radius(prob: RadiusProblem,
     covers; in pointwise mode on ``r_points`` equally spaced radii up to
     R - margin, from 0 if there are two or more.  One weight block serves
     every member, which slices it to its kept range, in :func:`_worst`'s
-    chunks of one pass each.  ``cert`` is the problem's certificate if the
-    caller has solved it; ``a_grid_size`` is None for a caller's ``families``.
+    chunks of one pass each.  ``families`` may be any iterable; a
+    :class:`Population` lends its kept form.  ``cert`` is the problem's
+    certificate if the caller has solved it; ``a_grid_size`` is None for a
+    caller's ``families``.
     """
     if not margin >= 0.0:
         raise DomainError("margin must be nonnegative")
@@ -152,14 +162,14 @@ def verify_below_radius(prob: RadiusProblem,
     r_hi = cert.radius - margin
     if r_hi < 0.0:
         raise DomainError("margin exceeds the radius")
-    pop = standard_families(prob.family, seed, blaschke_count) if families is None else families
+    pop = (standard_families(prob.family, seed, blaschke_count) if families is None
+           else families if isinstance(families, Population) else Population(families))
     if not pop:
         raise DomainError("the test population is empty")
     rs = (np.linspace(0.0, r_hi, r_points) if mode == POINTWISE and r_points > 1
           else np.array([r_hi]))
     blk, functional = _family_evaluator(
-        prob.family, prob.weights, prob.params, rs,
-        max(f.truncation_order for f in pop), mode)
+        prob.family, prob.weights, prob.params, rs, int(pop._joined().order.max()), mode)
     worst = _worst(lambda fs: functional(fs) - blk.rows[0], pop, len(rs))
     return VerificationReport(
         family=prob.family, params=prob.params, mode=mode,
@@ -173,7 +183,8 @@ def sharpness_witness(prob: RadiusProblem, delta: float,
                       cert: RootCertificate | None = None) -> Witness:
     """Search the extremal family at r = R + delta for an excess over the
     bound, with a = 1 - 2**-k, k = 1, 2, ..., four per pass on one weight
-    block; a failing pass is replayed one by one, as a lone search runs."""
+    block; a failing pass is replayed one by one, as a lone search runs.
+    The first two passes' members are kept per builder in _WITNESS_PASSES."""
     if not 0.0 < delta <= 0.05:
         raise DomainError("delta must lie in (0, 0.05]")
     if cert is None:
@@ -193,10 +204,16 @@ def sharpness_witness(prob: RadiusProblem, delta: float,
     # no extremal member's order exceeds T_MAX + 1 (the Schwarz shift)
     _, functional = _family_evaluator(prob.family, prob.weights, prob.params,
                                       np.array([r]), T_MAX + 1, POINTWISE)
+    kept = _WITNESS_PASSES.setdefault(build, {})
     for k in range(1, MAX_WITNESS_STEPS + 1, 4):
-        batch = [1.0 - 2.0 ** -j for j in range(k, min(k + 4, MAX_WITNESS_STEPS + 1))]
+        batch = tuple(1.0 - 2.0 ** -j for j in range(k, min(k + 4, MAX_WITNESS_STEPS + 1)))
+        members = kept.get(batch)
+        if members is None:
+            members = Population(map(build, batch))
+            if k < 9:
+                kept[batch] = members
         try:
-            vals = functional([build(a) for a in batch])[:, 0]
+            vals = functional(members)[:, 0]
         except BohrkitError:  # the failing member raises after any witness before it
             vals = (functional([build(a)])[0, 0] for a in batch)
         for a, val in zip(batch, vals):
@@ -212,8 +229,8 @@ def check_lemma_coeff(trials: int = 1000, seed: int = 42,
     over Moebius members and random Blaschke products; expected <= 1e-9.
     The pool is built up front, as verify's is, and checked in the same
     chunks on one weight block."""
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    if not _is_count(trials):
+        raise DomainError("need at least one trial, as an integer count")
     if w is None:
         w = wt.power()
     rs = np.linspace(0.0, 0.9, 19)
@@ -313,6 +330,8 @@ def check_schwarz_pick(trials: int = 200, seed: int = 42) -> dict:
     equality on the Moebius family (expected <= 1e-10), and the number of
     degree >= 2 trials exhibiting a strictly contracted pair.
     """
+    if not _is_count(trials):
+        raise DomainError("need at least one trial, as an integer count")
     rng = np.random.default_rng(seed)
     max_contraction = -np.inf
     max_derivative = -np.inf

@@ -60,8 +60,8 @@ def _as_r(r) -> np.ndarray:
 def _as_n(n, minimum: int) -> np.ndarray:
     ns = np.atleast_1d(np.asarray(n))
     if not np.issubdtype(ns.dtype, np.integer):
-        # NaN, +-inf and floats or Python ints (numpy's objects) past int64 fail it
-        if not ((np.abs(ns) < 2.0 ** 63).all() and (ns == np.floor(ns)).all()):
+        # bools, NaN, +-inf and floats or Python ints (numpy's objects) past int64 fail it
+        if ns.dtype == bool or not ((np.abs(ns) < 2.0 ** 63).all() and (ns == np.floor(ns)).all()):
             raise DomainError("index must be an integer inside the int64 range")
         ns = ns.astype(int)
     if (ns < minimum).any():

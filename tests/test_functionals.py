@@ -52,7 +52,7 @@ class TestBohrSum:
         with pytest.raises(DomainError):
             bohr_sum(moebius_plus(0.3), PW, -1, 0.5)
 
-    @pytest.mark.parametrize("start", [1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("start", [1.5, float("nan"), float("inf"), True, False])
     def test_non_integer_start_rejected(self, start):
         with pytest.raises(DomainError, match="index must be an integer"):
             bohr_sum(moebius_plus(0.5), PW, start, 0.3)

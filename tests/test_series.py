@@ -116,6 +116,10 @@ class TestBlaschke:
             random_blaschke(0, 1)
         with pytest.raises(DomainError):
             random_blaschke(17, 1)
+        for degree in (True, 2.5, 3.0):
+            with pytest.raises(DomainError, match="degree must be an integer in 1..16"):
+                random_blaschke(degree, 1)
+        assert random_blaschke(np.int64(3), 1).family_tag == "blaschke(deg=3)"
         with pytest.raises(DomainError):
             blaschke([0.95])
         with pytest.raises(DomainError, match="need between 1 and 16 zeros"):

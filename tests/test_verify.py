@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from bohrkit import (AccuracyError, BoundedFunction, DomainError, FunctionalParams,
-                     NoRootError, NotFalsifiableError, NoWitnessError, RadiusProblem, a_refinement, bohr_sum,
-                     check_lemma_D, check_lemma_coeff, check_schwarz_pick,
+                     NoRootError, NotFalsifiableError, NoWitnessError, Population, RadiusProblem,
+                     a_refinement, bohr_sum, check_lemma_D, check_lemma_coeff, check_schwarz_pick,
                      moebius_plus, power, psi_eval, scaled_power, sharpness_witness,
                      solve_radius, verify_below_radius)
 from bohrkit import verify
 from bohrkit import weights as wt
 from bohrkit.functionals import (ENVELOPE, FAMILIES, POINTWISE, _cutoff,
-                                 _family_evaluator, bound_for, evaluate_family)
+                                 _family_evaluator, _Population, bound_for, evaluate_family)
 from bohrkit.series import T_MAX
 from bohrkit.verify import standard_families
 
@@ -69,6 +69,27 @@ class TestVerifyBelowRadius:
     def test_negative_blaschke_count_rejected(self):
         with pytest.raises(DomainError, match="count must be nonnegative"):
             standard_families("psi1", blaschke_count=-1)
+
+    @pytest.mark.parametrize("count", [True, False, 2.5, 3.0])
+    def test_non_integer_blaschke_count_rejected(self, count):
+        with pytest.raises(DomainError, match="count must be nonnegative, as an integer"):
+            standard_families("psi1", blaschke_count=count)
+
+    def test_blaschke_count_of_numpy_integer_type(self):
+        assert len(standard_families("psi1", blaschke_count=np.int64(0))) == 22
+
+    def test_member_that_is_not_a_function_rejected(self):
+        with pytest.raises(DomainError, match="must be a BoundedFunction"):
+            verify_below_radius(prob("psi1", PW), families=[moebius_plus(0.5), 3])
+
+    def test_members_from_a_generator(self):
+        members = [moebius_plus(a) for a in (0.2, 0.5, 0.9)]
+        listed = verify_below_radius(prob("psi1", PW), families=members, r_points=8)
+        drawn = verify_below_radius(prob("psi1", PW), families=iter(members), r_points=8)
+        assert drawn.max_violation == listed.max_violation
+        assert drawn.n_functions == 3
+        with pytest.raises(DomainError, match="population is empty"):
+            verify_below_radius(prob("psi1", PW), families=iter([]), r_points=8)
 
     def test_report_serialization(self):
         report = verify_below_radius(prob("psi5_t5", lam=2.0), r_points=16,
@@ -316,6 +337,63 @@ class TestEnvelopeMonotone:
         assert not report.verified
 
 
+class TestKeptForm:
+    """standard_families returns a Population, which keeps its joined form
+    while its members are, by identity, the ones it was built from."""
+
+    @pytest.mark.parametrize("family", ["psi1", "psi2", "psi3"])  # plus, minus, schwarz
+    def test_kept_form_equals_a_fresh_join(self, family):
+        population = standard_families(family, blaschke_count=5)
+        assert isinstance(population, Population)
+        verify_below_radius(prob(family, HARMONIC), families=population)
+        form = population._joined()
+        assert population._joined() is form
+        fresh = _Population(list(population))
+        assert all(a is b for a, b in zip(form.fs, population)) and len(form.fs) == 22 + 5
+        for name in ("mag", "start", "order", "tail_bound", "a0"):
+            kept, new = getattr(form, name), getattr(fresh, name)
+            assert kept.dtype == new.dtype and kept.tobytes() == new.tobytes(), name
+
+    MUTATIONS = {
+        "append": lambda fs: fs.append(moebius_plus(0.3)),
+        "extend": lambda fs: fs.extend([moebius_plus(0.3), moebius_plus(0.6)]),
+        "iadd": lambda fs: fs.__iadd__([moebius_plus(0.3)]),
+        "insert": lambda fs: fs.insert(0, moebius_plus(0.3)),
+        "slice-insert": lambda fs: fs.__setitem__(slice(2, 2), [moebius_plus(0.3)]),
+        "slice-replace": lambda fs: fs.__setitem__(slice(1, 4), [moebius_plus(0.3)]),
+        "setitem": lambda fs: fs.__setitem__(-1, moebius_plus(0.3)),
+        "delitem": lambda fs: fs.__delitem__(0),
+        "pop": lambda fs: fs.pop(),
+        "remove": lambda fs: fs.remove(fs[3]),
+        "sort": lambda fs: fs.sort(key=lambda f: f.truncation_order),
+        "reverse": lambda fs: fs.reverse(),
+        "clear-refill": lambda fs: (lambda keep: (fs.clear(), fs.extend(keep[::-1])))(list(fs)),
+    }
+
+    @pytest.mark.parametrize("mode", [ENVELOPE, POINTWISE])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_verify_after_a_mutation_equals_a_plain_list(self, mutation, mode):
+        pr = prob("psi1", HARMONIC, m=2, p=1.5)
+        cert = solve_radius(pr)
+        population = standard_families("psi1", blaschke_count=4)
+        verify_below_radius(pr, families=population, r_points=16, mode=mode, cert=cert)
+        self.MUTATIONS[mutation](population)
+        kept = verify_below_radius(pr, families=population, r_points=16, mode=mode, cert=cert)
+        plain = verify_below_radius(pr, families=list(population), r_points=16, mode=mode,
+                                    cert=cert)
+        kept, plain = kept.to_dict(), plain.to_dict()
+        kept.pop("elapsed"), plain.pop("elapsed")
+        assert kept == plain
+        form = population._joined()
+        assert len(form.fs) == len(population)
+        assert all(a is b for a, b in zip(form.fs, population))
+
+    def test_slices_and_sums_are_plain_lists(self):
+        population = standard_families("psi1", blaschke_count=2)
+        assert type(population[1:]) is list
+        assert type(population + [moebius_plus(0.3)]) is list
+
+
 class TestAGridSize:
     def test_standard_population_reports_the_a_grid(self):
         report = verify_below_radius(prob("psi5_t5"), blaschke_count=2)
@@ -373,8 +451,9 @@ class TestBatchedWitness:
     def test_same_outcome_as_one_by_one(self, family, steps, monkeypatch):
         monkeypatch.setattr(verify, "MAX_WITNESS_STEPS", steps)
         for case in self.cases(family):
-            assert (_outcome(sharpness_witness, *case)
-                    == _outcome(_one_by_one_witness, *case)), case
+            alone = _outcome(_one_by_one_witness, *case)
+            for _ in range(2):  # the second search reuses the kept first passes
+                assert _outcome(sharpness_witness, *case) == alone, case
 
     def test_every_outcome_occurs(self, monkeypatch):
         monkeypatch.setattr(verify, "MAX_WITNESS_STEPS", 2)
@@ -405,6 +484,36 @@ class TestBatchedWitness:
         # the pass over k = 1..4 raised and was replayed up to the witness
         assert built == [0.5, 0.75, 0.875, 0.9375, 0.5, 0.75]
         assert witness == _one_by_one_witness(pr, 0.02, cert)
+
+    def test_kept_passes_after_a_full_search(self, monkeypatch):
+        real = verify.moebius_minus
+
+        def never_a_witness(a):  # psi2's witness is at a = 0.75
+            return real(0.5)
+
+        monkeypatch.setitem(verify._EXTREMAL_BUILDER, "minus", never_a_witness)
+        assert never_a_witness not in verify._WITNESS_PASSES
+        pr = prob("psi2", PW, m=1, p=2.0)
+        with pytest.raises(NoWitnessError):
+            sharpness_witness(pr, 0.02)
+        kept = verify._WITNESS_PASSES[never_a_witness]
+        assert sorted(kept) == [tuple(1.0 - 2.0 ** -j for j in range(k, k + 4)) for k in (1, 5)]
+        assert all(isinstance(pop, Population) and len(pop) == 4 for pop in kept.values())
+
+    def test_kept_passes_are_reused(self, monkeypatch):
+        real = verify.moebius_minus
+        built = []
+
+        def building(a):
+            built.append(a)
+            return real(a)
+
+        monkeypatch.setitem(verify._EXTREMAL_BUILDER, "minus", building)
+        pr = prob("psi2", PW, m=1, p=2.0)
+        first = sharpness_witness(pr, 0.02)
+        assert built == [0.5, 0.75, 0.875, 0.9375]
+        assert sharpness_witness(pr, 0.02) == first
+        assert built == [0.5, 0.75, 0.875, 0.9375]
 
     def test_failing_candidate_before_the_witness_raises(self, monkeypatch):
         pr, cert, _ = self._poisoned(monkeypatch, 1)
@@ -492,6 +601,11 @@ class TestLemmaCoeff:
         with pytest.raises(DomainError):
             check_lemma_coeff(0)
 
+    @pytest.mark.parametrize("trials", [True, 2.5, -1])
+    def test_non_count_trials_rejected(self, trials):
+        with pytest.raises(DomainError, match="at least one trial, as an integer"):
+            check_lemma_coeff(trials)
+
     def test_same_slack_as_the_whole_pool(self):
         # the pool built up front, with the draws of the run itself
         rs = np.linspace(0.0, 0.9, 19)
@@ -548,6 +662,12 @@ class TestLemmaD:
 
 
 class TestSchwarzPickSuite:
+    @pytest.mark.parametrize("trials", [0, -1, True, 2.5])
+    def test_non_count_trials_rejected(self, trials):
+        # no trials would report -inf slacks, which pass every threshold
+        with pytest.raises(DomainError, match="at least one trial, as an integer"):
+            check_schwarz_pick(trials)
+
     def test_property_run(self):
         rep = check_schwarz_pick(100, 42)
         assert rep["max_contraction_slack"] <= 1e-8

@@ -334,6 +334,15 @@ class TestValidation:
                 with pytest.raises(DomainError, match="index"):
                     call(N, 0.5)
 
+    @pytest.mark.parametrize("N", [True, False, np.bool_(True), [True]])
+    @pytest.mark.parametrize("w", [power(), scaled_power([1.0, 0.5], rho=0.9, C=1.0)],
+                             ids=["power", "scaled"])
+    def test_bool_index_rejected(self, w, N):
+        # np.asarray(True) has a bool dtype, which the float branch took as 1
+        for call in (w.weight_at, w.tail, w.weighted_tail):
+            with pytest.raises(DomainError, match="index must be an integer"):
+                call(N, 0.5)
+
     @pytest.mark.parametrize("fields", [
         {"coeffs": [1], "rho": 10 ** 400},
         {"coeffs": [1], "C": 10 ** 400},

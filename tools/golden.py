@@ -50,6 +50,15 @@ bisection of that bracket visits toward a point a third of the way in,
 so the radius functions' own bits are checked, not only the certificates
 they steer.  Both batches are built here, so any checkout's ``src/``
 dumps them.
+
+The reuse set, dumped first: the criterion-7 grid verified in order
+against one ``standard_families`` population per family, in envelope mode
+and in pointwise mode on 16 radii, then the whole grid again, and each
+problem's witness searched twice, with every ``max_violation`` and witness
+written by ``repr``.  A population's second verify and a second search can
+reuse what the first built, so these lines pin that the reused state gives
+the first run's bits.  It calls the public API only, so any checkout's
+``src/`` dumps it.
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bohrkit import cli  # noqa: E402
+from bohrkit import cli, sharpness_witness, standard_families, verify_below_radius  # noqa: E402
 from bohrkit import weights as wt  # noqa: E402
 from bohrkit.errors import BohrkitError  # noqa: E402
 from bohrkit.functionals import (ENVELOPE, POINTWISE, FunctionalParams,  # noqa: E402
@@ -148,6 +157,34 @@ def problems() -> list[tuple[str, RadiusProblem]]:
     add("harmonic-cold", "classical_c", harmonic_weights())
     add("harmonic-warm", "classical_c", harmonic)
     return out
+
+
+def _key(prob: RadiusProblem) -> str:
+    pm = prob.params
+    return f"{prob.family} m={pm.m} p={pm.p!r}"
+
+
+def reuse_lines() -> list[str]:
+    harmonic = harmonic_weights()
+    grid = [RadiusProblem(fam, FunctionalParams(m=m, p=p), harmonic)
+            for m in (1, 2, 3) for p in P_GRID for fam in PSI]
+    populations = {fam: standard_families(fam) for fam in PSI}
+    lines = []
+    for run in (1, 2):
+        for prob in grid:
+            for mode in (ENVELOPE, POINTWISE):
+                report = verify_below_radius(prob, families=populations[prob.family],
+                                             r_points=16, mode=mode)
+                lines.append(f"reuse verify {run} {_key(prob)} {mode}: "
+                             f"max_violation={report.max_violation!r}")
+    for prob in grid:
+        for run in (1, 2):
+            try:
+                found = repr(sharpness_witness(prob, 0.02))
+            except BohrkitError as exc:
+                found = f"{type(exc).__name__}: {exc}"
+            lines.append(f"reuse witness {run} {_key(prob)}: {found}")
+    return lines
 
 
 def certificate_lines() -> list[str]:
@@ -339,7 +376,7 @@ def main() -> int:
         no_root_json = str(Path(tmp) / "no-root.json")
         Path(no_root_json).write_text(json.dumps(
             {"kind": wt.SCALED_POWER, "coeffs": NO_ROOT_COEFFS, "rho": 0.5, "C": 1.0}))
-        lines = (certificate_lines() + command_lines(weights_json, no_root_json)
+        lines = (reuse_lines() + certificate_lines() + command_lines(weights_json, no_root_json)
                  + functional_lines() + psi_lines())
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
