@@ -113,6 +113,14 @@ def _cutoff(x: float, C: float) -> int:
     return max(8, math.ceil(b / math.log(x))) + 8
 
 
+def _members(fs) -> tuple:
+    """The tuple of any iterable's members, each a BoundedFunction."""
+    fs = tuple(fs)
+    if not all(isinstance(f, BoundedFunction) for f in fs):
+        raise DomainError("every population member must be a BoundedFunction")
+    return fs
+
+
 class _Population:
     """The members f_0..f_(k-1) of one evaluation, which returns a row each.
 
@@ -126,9 +134,7 @@ class _Population:
     """
 
     def __init__(self, fs):
-        self.fs = fs = tuple(fs)
-        if not all(isinstance(f, BoundedFunction) for f in fs):
-            raise DomainError("every population member must be a BoundedFunction")
+        self.fs = fs = _members(fs)
         sizes = np.array([f.coeffs.size for f in fs], dtype=np.intp)
         self.order = sizes - 1
         self.start = np.zeros(len(fs) + 1, dtype=np.intp)

@@ -22,7 +22,7 @@ from .errors import BohrkitError, DomainError, NotFalsifiableError, NoWitnessErr
 # test patch and restore it in this module
 from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, Population,  # noqa: F401
                           _a_refinement_arr, _abs_pow, _Block, _bohr_sum_arr, _family_evaluator,
-                          _is_count, _run, bound_for, evaluate_family, get_family)
+                          _is_count, _members, _run, bound_for, evaluate_family, get_family)
 from .radii import RadiusProblem, RootCertificate, psi_eval, solve_radius
 from .series import (T_MAX, BoundedFunction, eval_derivative, evaluate,
                      moebius_minus, moebius_plus, multiply_by_z, random_blaschke,
@@ -43,8 +43,8 @@ _EXTREMAL_BUILDER = {
     "schwarz": schwarz_moebius,
 }
 
-# builder -> {pass's a values: its Population}, for the first two passes
-# (k = 1..8) that every witness search starts with; a wrapped builder starts empty
+# builder -> {pass's a values: its Population}, for the first pass (k = 1..4),
+# which every witness search starts with; a wrapped builder starts empty
 _WITNESS_PASSES = weakref.WeakKeyDictionary()
 
 
@@ -53,12 +53,17 @@ def _draw_blaschke(rng) -> tuple[int, int]:
     return int(rng.integers(1, 9)), int(rng.integers(0, 2 ** 31))
 
 
+def _chunk_len(columns: int) -> int:
+    """The most members whose chunk x columns temporary stays under
+    _CHUNK_ELEMENTS elements, at least one."""
+    return max(1, _CHUNK_ELEMENTS // columns)
+
+
 def _worst(values, members, columns: int) -> float:
     """The largest entry of values(chunk) over consecutive chunks of the
-    members, each of max(1, _CHUNK_ELEMENTS // columns), so that a chunk x
-    columns temporary stays under _CHUNK_ELEMENTS elements; members that
-    fit in one chunk are handed over whole, a Population with its form."""
-    chunk = max(1, _CHUNK_ELEMENTS // columns)
+    members, each of _chunk_len(columns); members that fit in one chunk
+    are handed over whole, a Population with its form."""
+    chunk = _chunk_len(columns)
     chunks = ([members] if len(members) <= chunk
               else (members[i:i + chunk] for i in range(0, len(members), chunk)))
     return max(float(np.max(values(fs))) for fs in chunks)
@@ -168,8 +173,11 @@ def verify_below_radius(prob: RadiusProblem,
         raise DomainError("the test population is empty")
     rs = (np.linspace(0.0, r_hi, r_points) if mode == POINTWISE and r_points > 1
           else np.array([r_hi]))
-    blk, functional = _family_evaluator(
-        prob.family, prob.weights, prob.params, rs, int(pop._joined().order.max()), mode)
+    # a population in one chunk is handed over whole and its form read there;
+    # chunks of a larger one are plain slices, each joined in its own pass
+    top = (int(pop._joined().order.max()) if len(pop) <= _chunk_len(len(rs))
+           else max(f.truncation_order for f in _members(pop)))
+    blk, functional = _family_evaluator(prob.family, prob.weights, prob.params, rs, top, mode)
     worst = _worst(lambda fs: functional(fs) - blk.rows[0], pop, len(rs))
     return VerificationReport(
         family=prob.family, params=prob.params, mode=mode,
@@ -184,7 +192,7 @@ def sharpness_witness(prob: RadiusProblem, delta: float,
     """Search the extremal family at r = R + delta for an excess over the
     bound, with a = 1 - 2**-k, k = 1, 2, ..., four per pass on one weight
     block; a failing pass is replayed one by one, as a lone search runs.
-    The first two passes' members are kept per builder in _WITNESS_PASSES."""
+    The first pass's members are kept per builder in _WITNESS_PASSES."""
     if not 0.0 < delta <= 0.05:
         raise DomainError("delta must lie in (0, 0.05]")
     if cert is None:
@@ -210,7 +218,7 @@ def sharpness_witness(prob: RadiusProblem, delta: float,
         members = kept.get(batch)
         if members is None:
             members = Population(map(build, batch))
-            if k < 9:
+            if k == 1:
                 kept[batch] = members
         try:
             vals = functional(members)[:, 0]
