@@ -56,7 +56,6 @@ No such lemma holds in pointwise mode: |f(r^m)| need not rise with r.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -88,9 +87,10 @@ class FunctionalParams:
     def __post_init__(self):
         if not _is_count(self.m):
             raise DomainError("m must be a positive integer")
-        if not 0.0 < self.p <= 2.0:
+        if isinstance(self.p, bool) or not 0.0 < self.p <= 2.0:
             raise DomainError("p must lie in (0, 2]")
-        if not (self.lam > 0.0 and math.isfinite(2.0 * self.lam + 1.0)):  # Psi reads 2 lam + 1
+        if isinstance(self.lam, bool) or not (  # Psi reads 2 lam + 1
+                self.lam > 0.0 and math.isfinite(2.0 * self.lam + 1.0)):
             raise DomainError("lambda must be positive, with 2*lambda + 1 finite")
         if not _is_count(self.q):
             raise DomainError("q must be a positive integer")
@@ -113,35 +113,45 @@ def _cutoff(x: float, C: float) -> int:
     return max(8, math.ceil(b / math.log(x))) + 8
 
 
-def _members(fs) -> tuple:
-    """The tuple of any iterable's members, each a BoundedFunction."""
-    fs = tuple(fs)
-    if not all(isinstance(f, BoundedFunction) for f in fs):
-        raise DomainError("every population member must be a BoundedFunction")
-    return fs
-
-
-class _Population:
-    """The members f_0..f_(k-1) of one evaluation, which returns a row each.
+class Population(tuple):
+    """An immutable population of test functions f_0..f_(k-1), each a
+    BoundedFunction, joined once, at construction, for evaluations that
+    return a row each.
 
     ``mag`` holds every |a_n| in one flat array, member i's from
     ``start[i]``, then a 0 that is the max of any empty suffix: the
     members' moduli kept from their construction check, joined without
     taking any abs again.  ``a0`` holds each |a_0| by scalar abs, like the
     heads' other scalar terms (numpy's vectorized complex abs and pow can
-    round differently, and the heads keep the scalar bits).  ``fs`` is the
-    tuple of any iterable's members, each a BoundedFunction.
+    round differently, and the heads keep the scalar bits).  The arrays
+    are read-only, as the members' own are.
     """
 
-    def __init__(self, fs):
-        self.fs = fs = _members(fs)
-        sizes = np.array([f.coeffs.size for f in fs], dtype=np.intp)
+    def __init__(self, fs=()):  # tuple.__new__ has taken the members from fs
+        if not all(isinstance(f, BoundedFunction) for f in self):
+            raise DomainError("every population member must be a BoundedFunction")
+        sizes = np.array([f.coeffs.size for f in self], dtype=np.intp)
         self.order = sizes - 1
-        self.start = np.zeros(len(fs) + 1, dtype=np.intp)
+        self.start = np.zeros(len(self) + 1, dtype=np.intp)
         np.cumsum(sizes, out=self.start[1:])
-        self.mag = np.concatenate([f._mag for f in fs] + [[0.0]])
-        self.tail_bound = np.array([f.tail_bound for f in fs])
-        self.a0 = np.array([abs(f.coeffs[0]) for f in fs])
+        self.mag = np.concatenate([f._mag for f in self] + [[0.0]])
+        self.tail_bound = np.array([f.tail_bound for f in self])
+        self.a0 = np.array([abs(f.coeffs[0]) for f in self])
+        for joined in (self.order, self.start, self.mag, self.tail_bound, self.a0):
+            joined.flags.writeable = False
+
+    def _chunk(self, lo: int, hi: int) -> Population:
+        """Members lo..hi-1 as a population whose arrays are views of these,
+        but for its own ``start``.  Its ``mag`` ends in the next member's
+        |a_0| (the final 0 for the last chunk), which :meth:`trunc` reads
+        only where it drops the value."""
+        hi = min(hi, len(self))
+        part = tuple.__new__(Population, self[lo:hi])
+        part.order, part.tail_bound, part.a0 = (self.order[lo:hi], self.tail_bound[lo:hi],
+                                                self.a0[lo:hi])
+        part.start = self.start[lo:hi + 1] - self.start[lo]
+        part.mag = self.mag[self.start[lo]:self.start[hi] + 1]
+        return part
 
     def trunc(self, n: int):
         """Each member's kept index min(T, n) and the worst bound on its
@@ -153,22 +163,6 @@ class _Population:
         return n, np.maximum(self.tail_bound, np.where(edges[::2] < edges[1::2], top, 0.0))
 
 
-class Population(list):
-    """A list of test functions that keeps its joined form, a
-    :class:`_Population`, from its first evaluation on.  Each use checks
-    by identity that the members are still the ones the form was built
-    from, so after an append, a slice assignment, += or a sort the next
-    use builds it again; slices and sums are plain lists."""
-
-    _form = None
-
-    def _joined(self) -> _Population:
-        form = self._form
-        if form is None or len(form.fs) != len(self) or any(map(operator.is_not, form.fs, self)):
-            form = self._form = _Population(self)
-        return form
-
-
 def _run(fs, body):
     """body's k x len(rs) value on the population fs, or the error that
     evaluating its members one by one would raise first.  A check raises
@@ -176,12 +170,13 @@ def _run(fs, body):
     do not depend on the rest of the population: so the members before
     the last are then run alone, in order, and if none fails, the last
     member alone failed and the population's error is its first."""
+    pop = fs if isinstance(fs, Population) else Population(fs)
     try:
-        return body(fs._joined() if isinstance(fs, Population) else _Population(fs))
+        return body(pop)
     except BohrkitError as exc:
         error = exc
-    for f in fs[:-1]:
-        body(_Population([f]))
+    for i in range(len(pop) - 1):
+        body(pop._chunk(i, i + 1))
     raise error
 
 
@@ -284,7 +279,7 @@ def a_refinement(f: BoundedFunction, w: wt.WeightSequence, r):
 def _abs_pow(pop, j, p):
     """The column of |a_j|**p, each a scalar pow: numpy's array pow may
     round differently."""
-    return np.array([abs(f.coeffs[j]) ** p for f in pop.fs])[:, None]
+    return np.array([abs(f.coeffs[j]) ** p for f in pop])[:, None]
 
 
 def _head_modulus(pop, m, rs, mode):
@@ -293,7 +288,7 @@ def _head_modulus(pop, m, rs, mode):
     if mode == ENVELOPE:
         a = pop.a0[:, None]
         return (x + a) / (1.0 + a * x)
-    return np.array([np.abs(evaluate(f, x)) for f in pop.fs])
+    return np.array([np.abs(evaluate(f, x)) for f in pop])
 
 
 def _require_schwarz(pop):
@@ -314,7 +309,7 @@ def _t2(pop, blk, params, mode):
     if mode == ENVELOPE:
         dev = (1.0 - a * a) * x / (1.0 - a * x)
     else:
-        dev = np.array([np.abs(evaluate(f, x) - f.coeffs[0]) for f in pop.fs])
+        dev = np.array([np.abs(evaluate(f, x) - f.coeffs[0]) for f in pop])
     return _abs_pow(pop, 0, params.p) * blk.rows[0] + _bohr_sum_arr(pop, blk, 1) \
         + _a_refinement_arr(pop, blk) + dev
 
@@ -332,7 +327,7 @@ def _t4(pop, blk, params, mode):
     if mode == ENVELOPE:
         dev = (1.0 - _abs_pow(pop, 1, 2)) * x * (2.0 - x) / (1.0 - x) ** 2
     else:
-        dev = np.array([np.abs(eval_derivative(f, x) - f.coeffs[1]) for f in pop.fs])
+        dev = np.array([np.abs(eval_derivative(f, x) - f.coeffs[1]) for f in pop])
     return t3 + dev
 
 
@@ -487,8 +482,9 @@ def evaluate_family(family: str, f, w, params: FunctionalParams, r,
     Unweighted families evaluate with power weights, and classical
     families with the p-case fixed by their theorem.
     """
+    pop = Population([f])
     return _on_grid(r, lambda rs: _family_evaluator(
-        family, w, params, rs, f.truncation_order, mode)[1]([f])[0])
+        family, w, params, rs, int(pop.order[0]), mode)[1](pop)[0])
 
 
 def bound_for(family: str, w, r):

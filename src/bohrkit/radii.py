@@ -228,7 +228,7 @@ def classical_crosscheck(m: int, p_case: int):
     """
     if not 1 <= m <= 8:
         raise DomainError("m must lie in 1..8")
-    if p_case not in (1, 2):
+    if isinstance(p_case, bool) or p_case not in (1, 2):
         raise DomainError("p_case must be 1 or 2")
     pw = wt.power()
     params = FunctionalParams(m=m, p=float(p_case))

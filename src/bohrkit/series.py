@@ -40,6 +40,13 @@ def _is_count(x, minimum: int = 1) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= minimum
 
 
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator for a seed that _is_count(seed, 0) accepts."""
+    if not _is_count(seed, 0):
+        raise DomainError("the seed must be a nonnegative integer")
+    return np.random.default_rng(seed)
+
+
 @dataclass(frozen=True, eq=False)
 class BoundedFunction:
     """A disk self-map given by coefficients a_0..a_T and a tail bound.
@@ -163,7 +170,7 @@ def random_blaschke(degree: int, seed: int) -> BoundedFunction:
     """Seeded random Blaschke product; zeros uniform in |z| <= 0.9."""
     if not (_is_count(degree) and degree <= MAX_BLASCHKE_DEGREE):
         raise DomainError(f"degree must be an integer in 1..{MAX_BLASCHKE_DEGREE}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     radii = BLASCHKE_ZERO_RADIUS * np.sqrt(rng.uniform(size=degree))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=degree)
     rotation = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))

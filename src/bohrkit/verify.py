@@ -22,9 +22,9 @@ from .errors import BohrkitError, DomainError, NotFalsifiableError, NoWitnessErr
 # test patch and restore it in this module
 from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, Population,  # noqa: F401
                           _a_refinement_arr, _abs_pow, _Block, _bohr_sum_arr, _family_evaluator,
-                          _is_count, _members, _run, bound_for, evaluate_family, get_family)
+                          _is_count, _run, bound_for, evaluate_family, get_family)
 from .radii import RadiusProblem, RootCertificate, psi_eval, solve_radius
-from .series import (T_MAX, BoundedFunction, eval_derivative, evaluate,
+from .series import (T_MAX, BoundedFunction, _rng, eval_derivative, evaluate,
                      moebius_minus, moebius_plus, multiply_by_z, random_blaschke,
                      schwarz_moebius)
 
@@ -53,39 +53,31 @@ def _draw_blaschke(rng) -> tuple[int, int]:
     return int(rng.integers(1, 9)), int(rng.integers(0, 2 ** 31))
 
 
-def _chunk_len(columns: int) -> int:
-    """The most members whose chunk x columns temporary stays under
-    _CHUNK_ELEMENTS elements, at least one."""
-    return max(1, _CHUNK_ELEMENTS // columns)
-
-
-def _worst(values, members, columns: int) -> float:
-    """The largest entry of values(chunk) over consecutive chunks of the
-    members, each of _chunk_len(columns); members that fit in one chunk
-    are handed over whole, a Population with its form."""
-    chunk = _chunk_len(columns)
-    chunks = ([members] if len(members) <= chunk
-              else (members[i:i + chunk] for i in range(0, len(members), chunk)))
-    return max(float(np.max(values(fs))) for fs in chunks)
+def _worst(values, pop: Population, columns: int) -> float:
+    """The largest entry of values(chunk) over consecutive chunks of pop,
+    each of the most members whose chunk x columns temporary stays under
+    _CHUNK_ELEMENTS elements, at least one; a chunk's arrays are views of
+    pop's, so no member is joined again."""
+    chunk = max(1, _CHUNK_ELEMENTS // columns)
+    return max(float(np.max(values(pop._chunk(i, i + chunk))))
+               for i in range(0, len(pop), chunk))
 
 
 def standard_families(family: str, seed: int = 42,
                       blaschke_count: int = 100) -> Population:
-    """The documented test population, as a :class:`Population` that keeps
-    its joined coefficient moduli across verifies: the extremal family on
+    """The documented test population, an immutable :class:`Population`
+    joined once, which every verify over it reuses: the extremal family on
     the a-grid plus seeded random Blaschke products (shifted to Schwarz
     functions where the theorem requires a_0 = 0)."""
     if not _is_count(blaschke_count, 0):
         raise DomainError("the Blaschke product count must be nonnegative, as an integer")
     kind = get_family(family).extremal
-    fams = Population(_EXTREMAL_BUILDER[kind](a) for a in MOEBIUS_A_GRID)
-    rng = np.random.default_rng(seed)
+    fams = [_EXTREMAL_BUILDER[kind](a) for a in MOEBIUS_A_GRID]
+    rng = _rng(seed)
     for _ in range(blaschke_count):
         f = random_blaschke(*_draw_blaschke(rng))
-        if kind == "schwarz":
-            f = multiply_by_z(f)
-        fams.append(f)
-    return fams
+        fams.append(multiply_by_z(f) if kind == "schwarz" else f)
+    return Population(fams)
 
 
 @dataclass(frozen=True)
@@ -152,8 +144,9 @@ def verify_below_radius(prob: RadiusProblem,
     covers; in pointwise mode on ``r_points`` equally spaced radii up to
     R - margin, from 0 if there are two or more.  One weight block serves
     every member, which slices it to its kept range, in :func:`_worst`'s
-    chunks of one pass each.  ``families`` may be any iterable; a
-    :class:`Population` lends its kept form.  ``cert`` is the problem's
+    chunks of one pass each.  ``families`` may be any iterable, joined
+    once into a :class:`Population` unless it is one; a chunk's arrays are
+    views of the population's.  ``cert`` is the problem's
     certificate if the caller has solved it; ``a_grid_size`` is None for a
     caller's ``families``.
     """
@@ -173,11 +166,8 @@ def verify_below_radius(prob: RadiusProblem,
         raise DomainError("the test population is empty")
     rs = (np.linspace(0.0, r_hi, r_points) if mode == POINTWISE and r_points > 1
           else np.array([r_hi]))
-    # a population in one chunk is handed over whole and its form read there;
-    # chunks of a larger one are plain slices, each joined in its own pass
-    top = (int(pop._joined().order.max()) if len(pop) <= _chunk_len(len(rs))
-           else max(f.truncation_order for f in _members(pop)))
-    blk, functional = _family_evaluator(prob.family, prob.weights, prob.params, rs, top, mode)
+    blk, functional = _family_evaluator(prob.family, prob.weights, prob.params, rs,
+                                        int(pop.order.max()), mode)
     worst = _worst(lambda fs: functional(fs) - blk.rows[0], pop, len(rs))
     return VerificationReport(
         family=prob.family, params=prob.params, mode=mode,
@@ -242,9 +232,10 @@ def check_lemma_coeff(trials: int = 1000, seed: int = 42,
     if w is None:
         w = wt.power()
     rs = np.linspace(0.0, 0.9, 19)
-    pool = standard_families("psi1", seed, trials)  # moebius_plus on the a-grid first
-    pool[len(MOEBIUS_A_GRID):len(MOEBIUS_A_GRID)] = [moebius_minus(a) for a in (0.3, 0.7, 0.95)]
-    blk = _Block(w, rs, max(f.truncation_order for f in pool))
+    drawn = standard_families("psi1", seed, trials)  # moebius_plus on the a-grid first
+    k = len(MOEBIUS_A_GRID)
+    pool = Population([*drawn[:k], *(moebius_minus(a) for a in (0.3, 0.7, 0.95)), *drawn[k:]])
+    blk = _Block(w, rs, int(pool.order.max()))
     tail1 = w.tail(1, rs)
 
     def slack(fs):
@@ -340,7 +331,7 @@ def check_schwarz_pick(trials: int = 200, seed: int = 42) -> dict:
     """
     if not _is_count(trials):
         raise DomainError("need at least one trial, as an integer count")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     max_contraction = -np.inf
     max_derivative = -np.inf
     mob_equality_dev = 0.0

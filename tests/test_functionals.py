@@ -12,8 +12,8 @@ from bohrkit import (AccuracyError, BoundedFunction, DomainError,
                      FunctionalParams, RadiusProblem, a_refinement, bohr_sum,
                      evaluate_family, moebius_minus, moebius_plus, multiply_by_z,
                      power, random_blaschke, scaled_power, schwarz_moebius)
-from bohrkit.functionals import (_CUT_TOL, ENVELOPE, FAMILIES, POINTWISE, _Block,
-                                 _cutoff, _family_evaluator, _Population, bound_for)
+from bohrkit.functionals import (_CUT_TOL, ENVELOPE, FAMILIES, POINTWISE, Population, _Block,
+                                 _cutoff, _family_evaluator, bound_for)
 from bohrkit.verify import standard_families
 
 PW = power()
@@ -453,6 +453,15 @@ class TestPopulationErrors:
             self._run(family, members, rs, POINTWISE)
         assert str(together.value) == str(first)
 
+    @pytest.mark.parametrize("entry", ["evaluate_family", "bohr_sum", "a_refinement"])
+    def test_member_that_is_not_a_function_rejected(self, entry):
+        calls = {"evaluate_family": lambda f: evaluate_family("psi1", f, PW, FunctionalParams(),
+                                                              0.3),
+                 "bohr_sum": lambda f: bohr_sum(f, PW, 1, 0.3),
+                 "a_refinement": lambda f: a_refinement(f, PW, 0.3)}
+        with pytest.raises(DomainError, match="must be a BoundedFunction"):
+            calls[entry](3)
+
 
 class TestScalarInequality:
     def test_power_mean_bound(self):
@@ -496,6 +505,13 @@ class TestParams:
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_counts_rejected(self, field, flag):
         with pytest.raises(DomainError, match="must be a positive integer"):
+            FunctionalParams(**{field: flag})
+
+    @pytest.mark.parametrize("field, message", [("p", "p must lie"), ("lam", "lambda must")])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_floats_rejected(self, field, flag, message):
+        # True would pass as 1.0, and a report would print "p": true
+        with pytest.raises(DomainError, match=message):
             FunctionalParams(**{field: flag})
 
     @pytest.mark.parametrize("field", ["m", "q", "n_lacunary"])
@@ -610,6 +626,51 @@ def test_every_exported_name_resolves():
     assert not any(name.startswith("functional_") for name in bohrkit.__all__)
 
 
+class TestChunks:
+    """A chunk of a population, whose arrays are views of the population's,
+    has the arrays a fresh population of its members would have."""
+
+    @staticmethod
+    def members():
+        """27 members of every kind: Moebius maps with short and long
+        series, the same maps again, Blaschke products and their Schwarz
+        shifts, and a member of order 1."""
+        fs = [moebius_plus(0.0), moebius_minus(0.5), schwarz_moebius(0.9), moebius_plus(0.999)]
+        fs += [random_blaschke(1 + k % 8, k) for k in range(8)]
+        fs += [multiply_by_z(f) for f in fs[4:8]] + fs[:4] + [moebius_minus(a) for a in
+                                                                (0.1, 0.3, 0.7, 0.95, 0.99)]
+        fs += [BoundedFunction(np.array([0.5, 0.25]), 0.0), moebius_plus(0.05)]
+        return fs
+
+    def test_every_split_matches_a_fresh_population(self):
+        fs = self.members()
+        pop = Population(fs)
+        assert len(pop) == 27
+        for lo in range(len(fs)):
+            for hi in range(lo + 1, len(fs) + 1):
+                part, fresh = pop._chunk(lo, hi), Population(fs[lo:hi])
+                assert type(part) is Population and tuple(part) == tuple(fresh)
+                for name in ("order", "start", "tail_bound", "a0"):
+                    got, want = getattr(part, name), getattr(fresh, name)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+                end = fresh.start[-1]
+                assert part.mag[:end].tobytes() == fresh.mag[:end].tobytes()
+                for n in (0, 1, 5, 10 ** 6):
+                    for got, want in zip(part.trunc(n), fresh.trunc(n)):
+                        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+    def test_chunk_past_the_end_is_the_rest(self):
+        pop = Population(self.members())
+        assert tuple(pop._chunk(20, 64)) == pop[20:]
+        assert pop._chunk(0, 64).mag.tobytes() == pop.mag.tobytes()
+
+    def test_chunk_arrays_are_views(self):
+        pop = Population(self.members())
+        part = pop._chunk(3, 9)
+        for name in ("order", "mag", "tail_bound", "a0"):
+            assert np.shares_memory(getattr(part, name), getattr(pop, name)), name
+
+
 class TestKeptModuli:
     """A population joins its members' moduli, kept from their construction
     check, to the bits the abs of the joined coefficients gives."""
@@ -617,7 +678,7 @@ class TestKeptModuli:
     @pytest.mark.parametrize("kind", ["psi1", "psi2", "psi3"])  # plus, minus, schwarz
     def test_population_moduli_are_the_joined_abs(self, kind):
         fs = standard_families(kind)
-        pop = _Population(fs)
+        pop = Population(fs)
         old = np.abs(np.concatenate([f.coeffs for f in fs] + [[0.0]]))
         assert np.array_equal(pop.mag.view(np.uint64), old.view(np.uint64))
 
@@ -625,4 +686,4 @@ class TestKeptModuli:
     def test_head_moduli_stay_scalar_abs(self, kind):
         fs = standard_families(kind)
         want = [abs(complex(f.coeffs[0])) for f in fs]
-        assert _Population(fs).a0.tolist() == want
+        assert Population(fs).a0.tolist() == want

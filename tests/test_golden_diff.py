@@ -4,6 +4,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "golden_diff.py"
@@ -12,6 +13,7 @@ golden_diff = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(golden_diff)
 summarize = golden_diff.summarize
 first_tokens = golden_diff.first_tokens
+dispatch_record = golden_diff.dispatch_record
 
 
 def test_identical_dumps_have_nothing_to_summarize():
@@ -74,3 +76,23 @@ def test_first_token_counts_add_up_to_the_summary():
 
 def test_identical_dumps_have_no_first_tokens():
     assert first_tokens(["a 1.0\n"], ["a 1.0\n"]) == ""
+
+
+def test_dispatch_record_lists_the_enabled_targets_in_order():
+    features = {"X86_V2": True, "X86_V3": True, "X86_V4": False, "AVX512_ICL": False,
+                "AVX512_SPR": True}
+    record = dispatch_record("2.4.6", ["X86_V2"],
+                             ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"], features)
+    assert record == "numpy 2.4.6, baseline X86_V2, dispatch X86_V3 AVX512_SPR"
+
+
+def test_dispatch_record_without_targets():
+    # a target numpy does not list among its features counts as disabled
+    assert dispatch_record("1.26.4", [], ["AVX2"], {}) == \
+        "numpy 1.26.4, baseline none, dispatch none"
+
+
+def test_dispatch_record_of_this_interpreter():
+    record = golden_diff.numpy_dispatch()
+    assert record.startswith(f"numpy {np.__version__}, baseline ")
+    assert ", dispatch " in record

@@ -469,6 +469,8 @@ class TestCrosscheck:
             classical_crosscheck(0, 1)
         with pytest.raises(DomainError):
             classical_crosscheck(1, 3)
+        with pytest.raises(DomainError, match="p_case must be 1 or 2"):
+            classical_crosscheck(1, True)  # would pass as p_case 1
 
 
 def harmonic_tail(r):

@@ -104,6 +104,13 @@ class TestBlaschke:
     def test_deterministic_from_seed(self):
         f, g = random_blaschke(5, 123), random_blaschke(5, 123)
         assert np.array_equal(f.coeffs, g.coeffs)
+        assert np.array_equal(random_blaschke(5, np.int64(123)).coeffs, f.coeffs)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, None])
+    def test_bad_seed_rejected(self, seed):
+        # numpy would raise ValueError or TypeError, or take True as seed 1
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            random_blaschke(5, seed)
 
     def test_boundary_modulus_one(self):
         f = random_blaschke(3, 99)

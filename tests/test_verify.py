@@ -14,7 +14,7 @@ from bohrkit import (AccuracyError, BoundedFunction, DomainError, FunctionalPara
 from bohrkit import verify
 from bohrkit import weights as wt
 from bohrkit.functionals import (ENVELOPE, FAMILIES, POINTWISE, _cutoff,
-                                 _family_evaluator, _Population, bound_for, evaluate_family)
+                                 _family_evaluator, bound_for, evaluate_family)
 from bohrkit.series import T_MAX
 from bohrkit.verify import standard_families
 
@@ -83,7 +83,7 @@ class TestVerifyBelowRadius:
             verify_below_radius(prob("psi1", PW), families=[moebius_plus(0.5), 3])
 
     def test_member_that_is_not_a_function_rejected_across_chunks(self):
-        members = standard_families("psi1", blaschke_count=50) + [3]  # 73 > 64 per chunk
+        members = [*standard_families("psi1", blaschke_count=50), 3]  # 73 > 64 per chunk
         with pytest.raises(DomainError, match="must be a BoundedFunction"):
             verify_below_radius(prob("psi1", PW), families=members, mode=POINTWISE)
 
@@ -343,69 +343,75 @@ class TestEnvelopeMonotone:
 
 
 class TestKeptForm:
-    """standard_families returns a Population, which keeps its joined form
-    while its members are, by identity, the ones it was built from."""
+    """standard_families returns an immutable Population, joined once, whose
+    chunks are views; every verify over it gives a plain list's report."""
 
     @pytest.mark.parametrize("family", ["psi1", "psi2", "psi3"])  # plus, minus, schwarz
-    def test_kept_form_equals_a_fresh_join(self, family):
+    def test_standard_population_is_immutable(self, family):
         population = standard_families(family, blaschke_count=5)
-        assert isinstance(population, Population)
-        verify_below_radius(prob(family, HARMONIC), families=population)
-        form = population._joined()
-        assert population._joined() is form
-        fresh = _Population(list(population))
-        assert all(a is b for a, b in zip(form.fs, population)) and len(form.fs) == 22 + 5
-        for name in ("mag", "start", "order", "tail_bound", "a0"):
-            kept, new = getattr(form, name), getattr(fresh, name)
-            assert kept.dtype == new.dtype and kept.tobytes() == new.tobytes(), name
-
-    MUTATIONS = {
-        "append": lambda fs: fs.append(moebius_plus(0.3)),
-        "extend": lambda fs: fs.extend([moebius_plus(0.3), moebius_plus(0.6)]),
-        "iadd": lambda fs: fs.__iadd__([moebius_plus(0.3)]),
-        "insert": lambda fs: fs.insert(0, moebius_plus(0.3)),
-        "slice-insert": lambda fs: fs.__setitem__(slice(2, 2), [moebius_plus(0.3)]),
-        "slice-replace": lambda fs: fs.__setitem__(slice(1, 4), [moebius_plus(0.3)]),
-        "setitem": lambda fs: fs.__setitem__(-1, moebius_plus(0.3)),
-        "delitem": lambda fs: fs.__delitem__(0),
-        "pop": lambda fs: fs.pop(),
-        "remove": lambda fs: fs.remove(fs[3]),
-        "sort": lambda fs: fs.sort(key=lambda f: f.truncation_order),
-        "reverse": lambda fs: fs.reverse(),
-        "clear-refill": lambda fs: (lambda keep: (fs.clear(), fs.extend(keep[::-1])))(list(fs)),
-    }
+        assert isinstance(population, Population) and len(population) == 22 + 5
+        with pytest.raises(AttributeError):
+            population.append(moebius_plus(0.3))
+        with pytest.raises(TypeError):
+            population[0] = moebius_plus(0.3)
+        assert population.order.tolist() == [f.truncation_order for f in population]
+        for name in ("order", "start", "mag", "tail_bound", "a0"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(population, name)[0] = 0
 
     @pytest.mark.parametrize("mode", [ENVELOPE, POINTWISE])
-    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-    def test_verify_after_a_mutation_equals_a_plain_list(self, mutation, mode):
+    def test_verify_twice_equals_a_plain_list(self, mode):
         pr = prob("psi1", HARMONIC, m=2, p=1.5)
         cert = solve_radius(pr)
         population = standard_families("psi1", blaschke_count=4)
-        verify_below_radius(pr, families=population, r_points=16, mode=mode, cert=cert)
-        self.MUTATIONS[mutation](population)
-        kept = verify_below_radius(pr, families=population, r_points=16, mode=mode, cert=cert)
-        plain = verify_below_radius(pr, families=list(population), r_points=16, mode=mode,
-                                    cert=cert)
-        kept, plain = kept.to_dict(), plain.to_dict()
-        kept.pop("elapsed"), plain.pop("elapsed")
-        assert kept == plain
-        form = population._joined()
-        assert len(form.fs) == len(population)
-        assert all(a is b for a, b in zip(form.fs, population))
+        reports = [verify_below_radius(pr, families=fs, r_points=16, mode=mode, cert=cert)
+                   for fs in (population, population, list(population))]
+        first, second, plain = (report.to_dict() for report in reports)
+        for doc in (first, second, plain):
+            doc.pop("elapsed")
+        assert first == second == plain
 
-    def test_population_over_several_chunks_is_not_joined_whole(self):
+    def test_pointwise_verify_over_several_chunks_equals_a_plain_list(self):
         pr = prob("psi1", HARMONIC, m=2, p=1.5)
         cert = solve_radius(pr)
         population = standard_families("psi1", blaschke_count=50)  # 72 > 64 per chunk
         kept = verify_below_radius(pr, families=population, mode=POINTWISE, cert=cert)
-        assert population._form is None
         plain = verify_below_radius(pr, families=list(population), mode=POINTWISE, cert=cert)
-        assert kept.max_violation == plain.max_violation
+        alone = max(verify_below_radius(pr, families=[f], mode=POINTWISE, cert=cert).max_violation
+                    for f in population)
+        assert kept.max_violation == plain.max_violation == alone
+        assert kept.n_functions == plain.n_functions == 72
 
-    def test_slices_and_sums_are_plain_lists(self):
-        population = standard_families("psi1", blaschke_count=2)
-        assert type(population[1:]) is list
-        assert type(population + [moebius_plus(0.3)]) is list
+
+class TestSeeds:
+    """A seed is a nonnegative integer, numpy's integer types included."""
+
+    CALLS = {
+        "standard_families": lambda seed: standard_families("psi1", seed, 3),
+        "verify_below_radius": lambda seed: verify_below_radius(
+            prob("psi1", PW), seed=seed, blaschke_count=0),
+        "check_lemma_coeff": lambda seed: check_lemma_coeff(1, seed),
+        "check_schwarz_pick": lambda seed: check_schwarz_pick(1, seed),
+    }
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, False, None, "7"])
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_bad_seed_rejected(self, entry, seed):
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            self.CALLS[entry](seed)
+
+    @staticmethod
+    def _key(out):
+        if isinstance(out, Population):
+            return [f.coeffs.tobytes() for f in out]
+        if isinstance(out, verify.VerificationReport):
+            return dataclasses.replace(out, elapsed=0.0)
+        return out
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7)])
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_numpy_integer_seed_is_the_int_seed(self, entry, seed):
+        assert self._key(self.CALLS[entry](seed)) == self._key(self.CALLS[entry](7))
 
 
 class TestAGridSize:

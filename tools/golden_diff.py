@@ -9,8 +9,12 @@ REV's ``src/`` is unpacked with ``git archive REV src | tar -x`` into a
 temporary directory next to a copy of the script, and the working tree
 runs the script in place, so the comparison needs no network and leaves
 ``.git`` untouched.  For each side it prints the ``src/bohrkit/*.py`` line
-count and the dump's line count and sha256, then a unified diff of the
-two dumps.  When they differ, a summary line follows the diff: how many
+count and the dump's line count and sha256, then numpy's version, its
+``__cpu_baseline__`` and the ``__cpu_dispatch__`` targets its
+``__cpu_features__`` enable, as the interpreter and environment that ran
+both dumps report them (so ``NPY_DISABLE_CPU_FEATURES`` shows): the dumps'
+float bits, and so the shas, depend on that dispatch.  Then comes a
+unified diff of the two dumps.  When they differ, a summary line follows the diff: how many
 changed lines differ only in float tokens, the largest relative change
 among those tokens, and how many changed lines differ in anything else
 (a line with no counterpart included).  A last line counts the changed
@@ -26,6 +30,7 @@ import collections
 import difflib
 import hashlib
 import itertools
+import json
 import math
 import re
 import shutil
@@ -54,6 +59,35 @@ def dump(root: Path) -> bytes:
     """Standard output of ``root/tools/golden.py``, which imports ``root/src``."""
     return subprocess.run([sys.executable, str(root / "tools" / "golden.py")],
                           stdout=subprocess.PIPE, check=True).stdout
+
+
+# numpy's version, baseline, dispatch targets and CPU features, as JSON
+_DISPATCH_QUERY = """
+import json, numpy
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+print(json.dumps([numpy.__version__, umath.__cpu_baseline__, umath.__cpu_dispatch__,
+                  umath.__cpu_features__]))
+"""
+
+
+def dispatch_record(version: str, baseline: list[str], targets: list[str],
+                    features: dict[str, bool]) -> str:
+    """``numpy 2.4.6, baseline X86_V2, dispatch X86_V3 X86_V4``: the
+    version, the baseline and the dispatch targets that features enables,
+    in numpy's order; ``none`` for an empty list."""
+    enabled = [t for t in targets if features.get(t)]
+    return (f"numpy {version}, baseline {' '.join(baseline) or 'none'}, "
+            f"dispatch {' '.join(enabled) or 'none'}")
+
+
+def numpy_dispatch() -> str:
+    """dispatch_record of the numpy that dump's interpreter imports."""
+    out = subprocess.run([sys.executable, "-c", _DISPATCH_QUERY],
+                         stdout=subprocess.PIPE, check=True).stdout
+    return dispatch_record(*json.loads(out))
 
 
 # a float as repr writes it: a point or an exponent, not part of a name
@@ -116,6 +150,7 @@ def main(argv: list[str]) -> int:
             shutil.copy(GOLDEN, old / "tools" / "golden.py")
             sides = [(rev, src_lines(old), dump(old)),
                      ("working tree", src_lines(ROOT), dump(ROOT))]
+            record = numpy_dispatch()
     except subprocess.CalledProcessError as exc:
         print(f"golden_diff: {' '.join(map(str, exc.cmd))} exited {exc.returncode}",
               file=sys.stderr)
@@ -124,6 +159,7 @@ def main(argv: list[str]) -> int:
         newlines = out.count(b"\n")
         print(f"{name}: src/bohrkit/*.py {lines} lines; dump {newlines} lines, "
               f"sha256 {hashlib.sha256(out).hexdigest()}")
+    print(f"both dumps: {record}")
     (_, _, before), (_, _, after) = sides
     before_lines = before.decode().splitlines(keepends=True)
     after_lines = after.decode().splitlines(keepends=True)
