@@ -119,12 +119,12 @@ class Population(tuple):
     return a row each.
 
     ``mag`` holds every |a_n| in one flat array, member i's from
-    ``start[i]``, then a 0 that is the max of any empty suffix: the
-    members' moduli kept from their construction check, joined without
-    taking any abs again.  ``a0`` holds each |a_0| by scalar abs, like the
-    heads' other scalar terms (numpy's vectorized complex abs and pow can
-    round differently, and the heads keep the scalar bits).  The arrays
-    are read-only, as the members' own are.
+    ``start[i]``, then a 0 that is the max of any empty suffix: the only
+    copy of the moduli, numpy's array abs of each member's coefficients as
+    its self-map check takes it.  ``a0`` holds each |a_0| by scalar abs,
+    like the heads' other scalar terms (numpy's vectorized complex abs and
+    pow can round differently, and the heads keep the scalar bits).  The
+    arrays are read-only, as the members' own are.
     """
 
     def __init__(self, fs=()):  # tuple.__new__ has taken the members from fs
@@ -134,7 +134,7 @@ class Population(tuple):
         self.order = sizes - 1
         self.start = np.zeros(len(self) + 1, dtype=np.intp)
         np.cumsum(sizes, out=self.start[1:])
-        self.mag = np.concatenate([f._mag for f in self] + [[0.0]])
+        self.mag = np.concatenate([np.abs(f.coeffs) for f in self] + [[0.0]])
         self.tail_bound = np.array([f.tail_bound for f in self])
         self.a0 = np.array([abs(f.coeffs[0]) for f in self])
         for joined in (self.order, self.start, self.mag, self.tail_bound, self.a0):

@@ -52,9 +52,8 @@ class BoundedFunction:
     """A disk self-map given by coefficients a_0..a_T and a tail bound.
 
     The tail bound M certifies |a_n| <= M for every n > T.  ``coeffs`` is
-    a read-only copy of the caller's array; ``_mag``, read-only too, keeps
-    the self-map check's |a_n| for the functionals: numpy's array abs, which
-    can round apart from the scalar abs that |a_0| takes.
+    a read-only copy of the caller's array; a :class:`Population` of test
+    functions holds their moduli.
     """
 
     coeffs: np.ndarray
@@ -75,9 +74,8 @@ class BoundedFunction:
             raise DomainError("coefficients violate the |a_n| <= 1 - |a_0|**2 bound")
         if not (0.0 <= self.tail_bound <= 1.0):
             raise DomainError("tail bound must lie in [0, 1]")
-        c.flags.writeable = mags.flags.writeable = False
+        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "_mag", mags)
 
     @property
     def truncation_order(self) -> int:

@@ -63,12 +63,10 @@ def _worst(values, pop: Population, columns: int) -> float:
                for i in range(0, len(pop), chunk))
 
 
-def standard_families(family: str, seed: int = 42,
-                      blaschke_count: int = 100) -> Population:
-    """The documented test population, an immutable :class:`Population`
-    joined once, which every verify over it reuses: the extremal family on
-    the a-grid plus seeded random Blaschke products (shifted to Schwarz
-    functions where the theorem requires a_0 = 0)."""
+def _standard_members(family: str, seed: int, blaschke_count: int) -> list[BoundedFunction]:
+    """The documented test population as a list, not yet joined: the
+    extremal family on the a-grid plus seeded random Blaschke products
+    (shifted to Schwarz functions where the theorem requires a_0 = 0)."""
     if not _is_count(blaschke_count, 0):
         raise DomainError("the Blaschke product count must be nonnegative, as an integer")
     kind = get_family(family).extremal
@@ -77,7 +75,13 @@ def standard_families(family: str, seed: int = 42,
     for _ in range(blaschke_count):
         f = random_blaschke(*_draw_blaschke(rng))
         fams.append(multiply_by_z(f) if kind == "schwarz" else f)
-    return Population(fams)
+    return fams
+
+
+def standard_families(family: str, seed: int = 42, blaschke_count: int = 100) -> Population:
+    """The documented test population of :func:`_standard_members`, joined
+    once into an immutable :class:`Population` that every verify reuses."""
+    return Population(_standard_members(family, seed, blaschke_count))
 
 
 @dataclass(frozen=True)
@@ -181,8 +185,8 @@ def sharpness_witness(prob: RadiusProblem, delta: float,
                       cert: RootCertificate | None = None) -> Witness:
     """Search the extremal family at r = R + delta for an excess over the
     bound, with a = 1 - 2**-k, k = 1, 2, ..., four per pass on one weight
-    block; a failing pass is replayed one by one, as a lone search runs.
-    The first pass's members are kept per builder in _WITNESS_PASSES."""
+    block; a failing pass is replayed through its one-member chunks, as a
+    lone search runs.  The first pass is kept per builder in _WITNESS_PASSES."""
     if not 0.0 < delta <= 0.05:
         raise DomainError("delta must lie in (0, 0.05]")
     if cert is None:
@@ -205,15 +209,13 @@ def sharpness_witness(prob: RadiusProblem, delta: float,
     kept = _WITNESS_PASSES.setdefault(build, {})
     for k in range(1, MAX_WITNESS_STEPS + 1, 4):
         batch = tuple(1.0 - 2.0 ** -j for j in range(k, min(k + 4, MAX_WITNESS_STEPS + 1)))
-        members = kept.get(batch)
-        if members is None:
-            members = Population(map(build, batch))
-            if k == 1:
-                kept[batch] = members
+        members = kept.get(batch) or Population(map(build, batch))
+        if k == 1:
+            kept[batch] = members
         try:
             vals = functional(members)[:, 0]
         except BohrkitError:  # the failing member raises after any witness before it
-            vals = (functional([build(a)])[0, 0] for a in batch)
+            vals = (functional(members._chunk(i, i + 1))[0, 0] for i in range(len(batch)))
         for a, val in zip(batch, vals):
             if val > bound + WITNESS_EXCESS_TOL:
                 return Witness(a=a, r=r, excess=float(val) - bound)
@@ -225,16 +227,16 @@ def check_lemma_coeff(trials: int = 1000, seed: int = 42,
                       w: wt.WeightSequence | None = None) -> float:
     """Max slack of majorant + refinement <= (1 - |a_0|^2) * tail(1, r)
     over Moebius members and random Blaschke products; expected <= 1e-9.
-    The pool is built up front, as verify's is, and checked in the same
-    chunks on one weight block."""
+    The pool is built and joined once, as verify's is, and checked in the
+    same chunks on one weight block."""
     if not _is_count(trials):
         raise DomainError("need at least one trial, as an integer count")
     if w is None:
         w = wt.power()
     rs = np.linspace(0.0, 0.9, 19)
-    drawn = standard_families("psi1", seed, trials)  # moebius_plus on the a-grid first
+    fams = _standard_members("psi1", seed, trials)  # moebius_plus on the a-grid first
     k = len(MOEBIUS_A_GRID)
-    pool = Population([*drawn[:k], *(moebius_minus(a) for a in (0.3, 0.7, 0.95)), *drawn[k:]])
+    pool = Population(fams[:k] + [moebius_minus(a) for a in (0.3, 0.7, 0.95)] + fams[k:])
     blk = _Block(w, rs, int(pool.order.max()))
     tail1 = w.tail(1, rs)
 

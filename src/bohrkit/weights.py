@@ -48,6 +48,15 @@ SCALED_POWER = "scaled_power"
 _TEXTS: list = []
 
 
+def _reject_bools(*values):
+    """DomainError for a bool, or a list or array that holds one, which
+    numpy would read as the number 0 or 1."""
+    for x in values:
+        a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+        if a.dtype == bool or (a.dtype == object and {bool, np.bool_} & set(map(type, a.flat))):
+            raise DomainError("weight coefficients, rho and C must be numbers, not bools")
+
+
 def _as_r(r) -> np.ndarray:
     rs = np.atleast_1d(np.asarray(r, dtype=float))
     if rs.size == 0:
@@ -220,7 +229,9 @@ def power() -> WeightSequence:
 
 
 def scaled_power(coeffs, rho: float = 1.0, C: float = 1.0) -> WeightSequence:
-    """Weights c_n * r**n with declared dominator c_n <= C * rho**n."""
+    """Weights c_n * r**n with declared dominator c_n <= C * rho**n; a bool
+    rho, C or coefficient is refused, not read as 1.0 or 0.0."""
+    _reject_bools(coeffs, rho, C)
     try:
         coeffs, rho, C = np.asarray(coeffs, dtype=float), float(rho), float(C)
     except (TypeError, ValueError, OverflowError):  # an int too large for a double
@@ -258,6 +269,7 @@ def _from_document(obj) -> WeightSequence:
         raise DomainError("weight JSON must be an object with a 'kind' field")
     kind = obj["kind"]
     if kind == POWER:
+        _reject_bools(obj.get("rho"), obj.get("C"))
         return WeightSequence(POWER, obj.get("coeffs"), obj.get("rho", 1.0), obj.get("C", 1.0))
     if kind == SCALED_POWER:
         try:

@@ -60,6 +60,10 @@ WEIGHT_FILES = {
     "list-C": '{"kind": "scaled_power", "coeffs": [1.0], "C": [2.0]}',
     "inf-C": '{"kind": "scaled_power", "coeffs": [1.0, 0.5], "rho": 0.5, "C": Infinity}',
     "under-dominator": '{"kind": "scaled_power", "coeffs": [1.0, 0.9], "rho": 0.5, "C": 1}',
+    # bools, which numpy would read as 1.0 and 0.0
+    "bool-rho-C": '{"kind": "scaled_power", "coeffs": [1.0, 0.5], "rho": true, "C": true}',
+    "bool-coeffs": '{"kind": "scaled_power", "coeffs": [1.0, false]}',
+    "bool-power-rho": '{"kind": "power", "rho": true}',
     # integers too large for a double, short enough for the JSON parser
     "huge-int-rho": '{"kind": "scaled_power", "coeffs": [1], "rho": ' + "9" * 400 + "}",
     "huge-int-C": '{"kind": "scaled_power", "coeffs": [1], "C": ' + "9" * 400 + "}",
@@ -195,6 +199,13 @@ def test_every_bad_weight_file_is_one_usage_line(files, weights):
     code, lines = run(["radius", "--family", "psi1", "--weights", str(files / weights[1:])])
     assert code == cli.EXIT_USAGE
     assert len(lines) == 1 and lines[0].startswith("usage error: "), lines
+
+
+def test_bool_weight_fields_are_one_usage_line(files):
+    # read as rho = C = 1.0, this file printed radius 0.29559774252207716 and exited 0
+    code, lines = run(["radius", "--family", "psi1", "--weights", str(files / "bool-rho-C")])
+    assert (code, lines) == (1, ["usage error: weight coefficients, rho and C must be "
+                                 "numbers, not bools"])
 
 
 # the radius is the bracket's lower end, 0.0, where verify finds every

@@ -14,6 +14,7 @@ from bohrkit import (AccuracyError, BoundedFunction, DomainError,
                      power, random_blaschke, scaled_power, schwarz_moebius)
 from bohrkit.functionals import (_CUT_TOL, ENVELOPE, FAMILIES, POINTWISE, Population, _Block,
                                  _cutoff, _family_evaluator, bound_for)
+from bohrkit.series import MAX_BLASCHKE_DEGREE
 from bohrkit.verify import standard_families
 
 PW = power()
@@ -671,19 +672,38 @@ class TestChunks:
             assert np.shares_memory(getattr(part, name), getattr(pop, name)), name
 
 
-class TestKeptModuli:
-    """A population joins its members' moduli, kept from their construction
-    check, to the bits the abs of the joined coefficients gives."""
+def _moduli_cases():
+    """Thirty members: each extremal builder at four a, a Blaschke product
+    of each degree, a shifted one and a caller's complex coefficients."""
+    for a in (0.0, 0.5, 0.999, 1.0 - 2.0 ** -40):
+        for build in (moebius_plus, moebius_minus, schwarz_moebius):
+            yield build(a)
+    for degree in range(1, MAX_BLASCHKE_DEGREE + 1):
+        yield random_blaschke(degree, 100 + degree)
+    yield multiply_by_z(random_blaschke(5, 7))
+    yield BoundedFunction([0.3 + 0.4j, 0.2 - 0.6j, -0.1j], 0.01)
 
-    @pytest.mark.parametrize("kind", ["psi1", "psi2", "psi3"])  # plus, minus, schwarz
+
+def _moduli_members(kind):
+    return list(_moduli_cases()) if kind == "cases" else standard_families(kind)
+
+
+class TestKeptModuli:
+    """A population holds the only copy of its members' moduli, in the
+    bits the abs of the joined coefficients gives."""
+
+    KINDS = ["psi1", "psi2", "psi3", "cases"]  # plus, minus, schwarz, _moduli_cases
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_population_moduli_are_the_joined_abs(self, kind):
-        fs = standard_families(kind)
+        fs = _moduli_members(kind)
         pop = Population(fs)
         old = np.abs(np.concatenate([f.coeffs for f in fs] + [[0.0]]))
+        assert pop.mag.dtype == np.float64 and pop.mag.shape == old.shape
         assert np.array_equal(pop.mag.view(np.uint64), old.view(np.uint64))
 
-    @pytest.mark.parametrize("kind", ["psi1", "psi2", "psi3"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_head_moduli_stay_scalar_abs(self, kind):
-        fs = standard_families(kind)
+        fs = _moduli_members(kind)
         want = [abs(complex(f.coeffs[0])) for f in fs]
         assert Population(fs).a0.tolist() == want

@@ -96,3 +96,11 @@ def test_dispatch_record_of_this_interpreter():
     record = golden_diff.numpy_dispatch()
     assert record.startswith(f"numpy {np.__version__}, baseline ")
     assert ", dispatch " in record
+
+
+def test_report_header_names_this_process_dispatch(pytestconfig):
+    # the subprocess query runs in this process's environment, so it sees
+    # the same NPY_DISABLE_CPU_FEATURES
+    headers = pytestconfig.hook.pytest_report_header(config=pytestconfig,
+                                                     start_path=pytestconfig.rootpath)
+    assert golden_diff.numpy_dispatch() in headers

@@ -654,6 +654,15 @@ class TestScaledProperty:
 MAX_BISECT_CALLS = 2
 
 
+def power_bits_depend_on_shape() -> bool:
+    """np.power gives a row of a batch other bits than the same powers
+    alone: 1 of these 65 squares differs on numpy's AVX-512 loops, none
+    on its AVX2 or baseline loops."""
+    rs = np.linspace(0.3, 0.45, 65)
+    batch = np.power(rs[None, :], np.array([[1.0], [2.0], [3.0]]))[1]
+    return batch.tobytes() != np.power(rs, 2.0).tobytes()
+
+
 def sequential_certificate(pr):
     """The solver with one Psi call per bisection step: the oracle of the
     batched bisection, which must reach the same certificate."""
@@ -807,7 +816,8 @@ class TestBatchedBisection:
             return
         assert cert == sequential_certificate(problem)
 
-    @pytest.mark.xfail(strict=True, reason=(
+    # a plain test where the cause is absent, so every dispatch gives one verdict
+    @pytest.mark.xfail(power_bits_depend_on_shape(), strict=True, reason=(
         "psi_lo near 2e295 is a difference of terms near 1e308 whose np.power "
         "bits depend on the array's shape: the batch reads 2.1974e295 where "
         "one point reads 2.1994e295"))

@@ -502,7 +502,10 @@ class TestBatchedWitness:
         witness = sharpness_witness(pr, 0.02, cert)
         assert witness.a == 0.75
         # the pass over k = 1..4 raised and was replayed up to the witness
-        assert built == [0.5, 0.75, 0.875, 0.9375, 0.5, 0.75]
+        # on its own members: the builder ran for the pass alone
+        assert built == [0.5, 0.75, 0.875, 0.9375]
+        assert sharpness_witness(pr, 0.02, cert) == witness  # replays the kept pass
+        assert built == [0.5, 0.75, 0.875, 0.9375]
         assert witness == _one_by_one_witness(pr, 0.02, cert)
 
     def test_kept_passes_after_a_full_search(self, monkeypatch):
@@ -640,6 +643,18 @@ class TestLemmaCoeff:
                           + verify._a_refinement_arr(pop, blk))
         rhs = np.array([1.0 - abs(f.coeffs[0]) ** 2 for f in pool])[:, None] * PW.tail(1, rs)
         assert check_lemma_coeff(25, 7) == float(np.max(lhs - rhs))
+
+    def test_pool_is_joined_once(self, monkeypatch):
+        joined = []
+
+        class Counting(Population):
+            def __init__(self, fs=()):
+                joined.append(len(self))
+                super().__init__(fs)
+
+        monkeypatch.setattr(verify, "Population", Counting)
+        check_lemma_coeff(30, 7)
+        assert joined == [len(verify.MOEBIUS_A_GRID) + 3 + 30]
 
     def test_small_chunks_equal_one_pass(self, monkeypatch):
         sizes = []

@@ -356,6 +356,42 @@ class TestValidation:
         with pytest.raises(DomainError, match="must be numbers"):
             from_json(path)
 
+    @pytest.mark.parametrize("fields", [
+        {"coeffs": [1.0, 0.5], "rho": True, "C": True},
+        {"coeffs": [1.0, 0.5], "rho": True},
+        {"coeffs": [1.0, 0.5], "C": False},
+        {"coeffs": [True, 0.5]},
+        {"coeffs": [1.0, False]},
+        {"coeffs": True},
+    ])
+    def test_bool_rejected(self, tmp_path, fields):
+        # numpy and float() read a bool as 1.0 or 0.0, so these passed as numbers
+        with pytest.raises(DomainError, match="not bools"):
+            scaled_power(**fields)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"kind": "scaled_power", **fields}))
+        with pytest.raises(DomainError, match="not bools"):
+            from_json(path)
+        with pytest.raises(DomainError, match="not bools"):
+            from_json({"kind": "scaled_power", **fields})
+
+    @pytest.mark.parametrize("fields", [
+        {"coeffs": np.array([True, False])},
+        {"coeffs": np.array([1.0, True], dtype=object)},
+        {"coeffs": [1.0, np.False_]},
+        {"coeffs": [1.0, 0.5], "rho": np.True_},
+        {"coeffs": [1.0, 0.5], "C": np.array(True)},
+    ], ids=["bool-array", "object-array", "numpy-bool-coeff", "numpy-bool-rho", "bool-0d-C"])
+    def test_numpy_bool_rejected(self, fields):
+        with pytest.raises(DomainError, match="not bools"):
+            scaled_power(**fields)
+
+    def test_numbers_still_accepted(self):
+        # 1 and 1.0 are numbers; only the bool True is refused
+        w = scaled_power([1, 0.5], rho=1, C=np.float64(1.0))
+        assert w.weight_at(1, 0.5) == 0.25
+        assert scaled_power(np.array([1.0, 0.5], dtype=object)).weight_at(1, 0.5) == 0.25
+
     def test_coefficients_are_a_read_only_copy(self):
         c = np.array([1.0, 0.5])
         w = scaled_power(c, rho=0.9)
@@ -376,6 +412,12 @@ class TestJson:
                                        {"rho": "0.5"}])
     def test_power_with_scaled_fields_rejected(self, extra):
         with pytest.raises(DomainError, match="power weights take no"):
+            from_json({"kind": "power", **extra})
+
+    @pytest.mark.parametrize("extra", [{"rho": True}, {"C": True}, {"rho": False}])
+    def test_power_with_bool_fields_rejected(self, extra):
+        # True == 1, so a bool rho or C passed the power check as 1
+        with pytest.raises(DomainError, match="not bools"):
             from_json({"kind": "power", **extra})
 
     def test_scaled_from_file(self, tmp_path):
