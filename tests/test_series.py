@@ -6,10 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from bohrkit import (BoundedFunction, DomainError, blaschke, bohr_sum, eval_derivative,
-                     evaluate, moebius_minus, moebius_plus, multiply_by_z, power,
-                     random_blaschke, schwarz_moebius)
-from bohrkit.series import BLASCHKE_ORDER, BLASCHKE_ZERO_RADIUS, _blaschke_cut
+from bohrkit import (BoundedFunction, DomainError, Population, blaschke, bohr_sum,
+                     eval_derivative, evaluate, moebius_minus, moebius_plus, multiply_by_z,
+                     power, random_blaschke, schwarz_moebius)
+from bohrkit.series import (BLASCHKE_ORDER, BLASCHKE_ZERO_RADIUS, MAX_BLASCHKE_DEGREE,
+                            _blaschke_cut)
 
 
 class TestMoebiusPlus:
@@ -328,3 +329,26 @@ class TestBoundedFunction:
         g = multiply_by_z(f)
         assert g.coeffs[0] == 0.0
         assert np.array_equal(g.coeffs[1:], f.coeffs)
+
+
+def _kept_moduli_cases():
+    for a in (0.0, 0.5, 0.999, 1.0 - 2.0 ** -40):
+        for build in (moebius_plus, moebius_minus, schwarz_moebius):
+            yield build(a)
+    for degree in range(1, MAX_BLASCHKE_DEGREE + 1):
+        yield blaschke(*random_zeros(degree, 100 + degree))
+    yield multiply_by_z(random_blaschke(5, 7))
+    yield BoundedFunction([0.3 + 0.4j, 0.2 - 0.6j, -0.1j], 0.01)
+
+
+class TestKeptModuli:
+    """A function keeps no moduli of its own: its population holds them,
+    in the bits of the array abs of its coefficients."""
+
+    @pytest.mark.parametrize("f", list(_kept_moduli_cases()), ids=repr)
+    def test_kept_moduli_are_the_array_abs(self, f):
+        assert not hasattr(f, "_mag")
+        pop = Population([f])
+        kept = pop.mag[pop.start[0]:pop.start[1]]
+        assert kept.dtype == np.float64 and kept.shape == f.coeffs.shape
+        assert np.array_equal(kept.view(np.uint64), np.abs(f.coeffs).view(np.uint64))
