@@ -4,12 +4,11 @@ Each family's Psi function is arranged so that Psi(0) > 0, and the solver
 checks that it is.  The first sign change on a fixed 1e-3 grid over
 [0, R_EDGE] is sharpened by bisection to a bracket of width 1e-13, whose
 lower end is the reported radius.  Where a weighted family reads
-scaled-power weights, the grid is evaluated in chunks of 64 cells and the
-scan stops at the chunk holding the first sign change, so no tail is
-computed past the root's chunk; every other Psi is in closed form and is
-evaluated in one call.  A chunk's weight tail depends on the weights and
-the grid alone, so the first solve to reach it fills its row of a block
-on the weights, and a later scan evaluates every filled row in one call.
+scaled-power weights, the grid is cut into chunks of 64 cells, each with
+its own tail cut, and the first scan of a tail kind on the weights
+computes every chunk's tail once; each scan evaluates the 15 full chunks
+in one call, and the shorter last chunk only where they hold no sign
+change.  Every other Psi is in closed form and is evaluated in one call.
 The about 34 bisection steps are predicted: one :func:`psi_eval` call
 holds the midpoints the bisection would visit if Psi changed sign at a
 guess, and the sequential bisection is replayed on their values for as
@@ -68,9 +67,11 @@ _SCAN_CHUNK = 64
 # the scan grid 0, SCAN_STEP, ..., R_EDGE; arange stops below R_EDGE
 _SCAN_GRID = np.append(np.arange(0.0, wt.R_EDGE, SCAN_STEP), wt.R_EDGE)
 _SCAN_GRID.flags.writeable = False
-# the full scan chunks as the rows of a 2-D view; one shorter chunk ends the grid
+# the full scan chunks as the rows of a 2-D view, then the shorter chunk that ends the grid
 _SCAN_ROWS = np.lib.stride_tricks.sliding_window_view(_SCAN_GRID, _SCAN_CHUNK + 1)[::_SCAN_CHUNK]
-# per scaled-power weights and tail kind, [block, rows filled]: row k is chunk k's tail
+_SCAN_LAST = _SCAN_GRID[len(_SCAN_ROWS) * _SCAN_CHUNK:]
+# per scaled-power weights and tail kind, a read-only (block, last) pair:
+# row k of block is full chunk k's tail, last the last chunk's
 _SCAN_TAILS = weakref.WeakKeyDictionary()
 
 
@@ -115,27 +116,24 @@ def _psi(prob: RadiusProblem, rs: np.ndarray, tail: np.ndarray | None) -> np.nda
 
 def _scan(prob: RadiusProblem):
     """(points, Psi there) as 2-D arrays, each row scanned apart, in grid
-    order: a closed form's whole grid, or the block's filled full rows in
-    one call, then chunk by chunk, filling each new chunk's row."""
+    order: a closed form's whole grid, or the full chunks in one call and
+    then the last chunk, on tails computed on the first scan of the kind."""
     fam, w = FAMILIES[prob.family], prob.weights
     if not (fam.weighted and w.kind == wt.SCALED_POWER):
         yield _SCAN_GRID[None], psi_eval(prob, _SCAN_GRID)[None]
         return
-    blocks = _SCAN_TAILS.setdefault(w, {})
-    if fam.tail not in blocks:  # a read-only block, filled through its base alone
-        blocks.setdefault(fam.tail, [np.zeros((len(_SCAN_ROWS) + 1, _SCAN_CHUNK + 1)).view(), 0])
-        blocks[fam.tail][0].flags.writeable = False
-    entry = blocks[fam.tail]
-    block, k = entry[0], min(entry[1], len(_SCAN_ROWS))
-    if k:
-        yield _SCAN_ROWS[:k], _psi(prob, _SCAN_ROWS[:k], block[:k])
-    for row in range(k, len(_SCAN_ROWS) + 1):
-        cells = _SCAN_GRID[row * _SCAN_CHUNK:(row + 1) * _SCAN_CHUNK + 1]
-        if row >= entry[1]:
-            with np.errstate(over="ignore"):  # a tail past the double range: see _psi
-                block.base[row, :cells.size] = w._tail2(np.array([1]), cells, fam.tail == "n+1")[0]
-            entry[1] = row + 1
-        yield cells[None], _psi(prob, cells, block[row, :cells.size])[None]
+    tails = _SCAN_TAILS.setdefault(w, {})
+    if fam.tail not in tails:
+        # each chunk's tail is cut at its own largest point, as psi_eval's is
+        with np.errstate(over="ignore"):  # a tail past the double range: see _psi
+            rows = [w._tail2(np.array([1]), cells, fam.tail == "n+1")[0]
+                    for cells in [*_SCAN_ROWS, _SCAN_LAST]]
+        block, last = np.array(rows[:-1]), np.array(rows[-1])
+        block.flags.writeable = last.flags.writeable = False
+        tails[fam.tail] = block, last
+    block, last = tails[fam.tail]
+    yield _SCAN_ROWS, _psi(prob, _SCAN_ROWS, block)
+    yield _SCAN_LAST[None], _psi(prob, _SCAN_LAST, last)[None]
 
 
 def solve_radius(prob: RadiusProblem) -> RootCertificate:
@@ -144,17 +142,18 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     Scans the grid ``0, SCAN_STEP, 2*SCAN_STEP, ..., R_EDGE`` upward for
     the first sign change, then bisects that cell.  Where a weighted
     family reads scaled-power weights the grid goes in chunks of
-    ``_SCAN_CHUNK`` cells, which share their boundary points, and the scan
-    stops in the first chunk whose values change sign: no tail is computed
-    past the root's chunk, and a warm scan evaluates the cached rows in
-    one call.  The first bisection call evaluates the midpoints the
-    bisection visits toward :func:`_seed_guess`, each later one toward the
-    regula-falsi guess ``lo - flo*(hi - lo)/(fhi - flo)`` of the current
-    bracket, and replays the steps on them up to the first one whose sign
-    the guess got wrong.  Each path is one :func:`psi_eval` call, whose
-    scaled-power tail is cut at the path's largest point.  Raises
-    :class:`DomainError` when Psi(0) is not positive and :class:`NoRootError`
-    when Psi keeps its sign on the whole evaluation domain.
+    ``_SCAN_CHUNK`` cells, which share their boundary points: the first
+    scan of a tail kind on the weights computes every chunk's tail, each
+    scan evaluates the full chunks in one call, and the last chunk is
+    evaluated only where they hold no sign change.  The first bisection
+    call evaluates the midpoints the bisection visits toward
+    :func:`_seed_guess`, each later one toward the regula-falsi guess
+    ``lo - flo*(hi - lo)/(fhi - flo)`` of the current bracket, and replays
+    the steps on them up to the first one whose sign the guess got wrong.
+    Each path is one :func:`psi_eval` call, whose scaled-power tail is cut
+    at the path's largest point.  Raises :class:`DomainError` when Psi(0)
+    is not positive and :class:`NoRootError` when Psi keeps its sign on
+    the whole evaluation domain.
     """
     for cells, vals in _scan(prob):
         if cells[0, 0] == 0.0 and not vals[0, 0] > 0.0:

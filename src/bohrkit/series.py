@@ -183,7 +183,7 @@ def multiply_by_z(f: BoundedFunction) -> BoundedFunction:
 
 def _eval_points(z) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(np.abs(zs) > EVAL_EDGE):
+    if not np.all(np.abs(zs) <= EVAL_EDGE):  # NaN fails it
         raise DomainError(f"evaluation point outside |z| <= {EVAL_EDGE}")
     return zs
 

@@ -1,7 +1,6 @@
 """Radius functions, certified roots, and classical cross-checks."""
 
 import gc
-import itertools
 import math
 import weakref
 from dataclasses import replace
@@ -244,19 +243,17 @@ class TestChunkedScan:
     def test_scan_stops_after_root(self, monkeypatch):
         # scan calls hold only grid points; bisection calls lie strictly
         # inside the root's cell, so no point is both.  The root 1/3 lies
-        # in cell 333, in the sixth chunk of 64 cells: a cold scan makes a
-        # call per chunk up to it and fills six rows, a warm one makes one
-        # call over those six rows and fills none
+        # in cell 333, in the sixth chunk of 64 cells: a cold and a warm
+        # scan alike make one call over the 15 full chunks and stop there
         w = fresh(HARMONIC)
         calls = self.record_calls(monkeypatch)
-        for shapes in ([(radii._SCAN_CHUNK + 1,)] * 6, [(6, radii._SCAN_CHUNK + 1)]):
+        for _ in range(2):
             calls.clear()
             cert = solve_radius(prob("psi3", w, p=1.0))
             assert cert.radius == pytest.approx(1.0 / 3.0, abs=1e-12)
             on_grid = [np.isin(pts, scan_grid()).all() for pts in calls]
             scan = [pts.shape for pts, g in zip(calls, on_grid) if g]
-            assert scan == shapes
-            assert radii._SCAN_TAILS[w]["n+1"][1] == 6
+            assert scan == [(len(scan_chunks()) - 1, radii._SCAN_CHUNK + 1)]
             assert on_grid == [True] * len(scan) + [False] * (len(calls) - len(scan))
             lo, hi = self.root_cell(cert)
             bisect = calls[len(scan):]
@@ -311,17 +308,14 @@ class TestScanTailCache:
     @pytest.mark.parametrize("w", CACHED_WEIGHTS, ids=("harmonic", "rho0.9", "short", "late"))
     @pytest.mark.parametrize("family", list(PUBLIC_PSI))
     def test_cached_chunk_equals_psi_eval(self, family, w):
-        # a cold scan stopped after seven chunks fills seven rows; a whole
-        # scan then takes them in one call and fills the rest chunk by
-        # chunk, and a warm scan takes the fifteen full chunks in one call
-        # and the short last chunk alone.  Each row is its chunk's psi_eval
+        # the first scan, which computes the tails, and a later one alike
+        # take the fifteen full chunks in one call and the short last
+        # chunk alone.  Each row is its chunk's psi_eval
         chunks = scan_chunks()
         for m in range(1, 9):
             pr = RadiusProblem(family, FunctionalParams(m=m, p=1.5), fresh(w))
-            scans = [list(itertools.islice(radii._scan(pr), 7)), list(radii._scan(pr)),
-                     list(radii._scan(pr))]
-            assert [[vals.shape[0] for _, vals in pieces] for pieces in scans] == [
-                [1] * 7, [7] + [1] * 9, [15, 1]]
+            scans = [list(radii._scan(pr)), list(radii._scan(pr))]
+            assert [[vals.shape[0] for _, vals in pieces] for pieces in scans] == [[15, 1]] * 2
             for pieces in scans:
                 rows = [row for cells, vals in pieces for row in zip(cells, vals)]
                 for (cells, vals), (_, chunk) in zip(rows, chunks):
@@ -347,15 +341,36 @@ class TestScanTailCache:
         returned += [vals for fam in PUBLIC_PSI for _, vals in radii._scan(prob(fam, w, p=2.0))]
         tails = radii._SCAN_TAILS[w]
         assert set(tails) == {"plain", "n+1"}
-        for kind, (block, filled) in tails.items():
-            assert block.shape == (len(scan_chunks()), radii._SCAN_CHUNK + 1)
-            assert not block.flags.writeable and filled == len(scan_chunks())
-            for row, (_, cells) in zip(block, scan_chunks()):
+        for kind, (block, last) in tails.items():
+            assert block.shape == (len(scan_chunks()) - 1, radii._SCAN_CHUNK + 1)
+            assert last.shape == (scan_chunks()[-1][1].size,)
+            assert not (block.flags.writeable or last.flags.writeable)
+            for row, (_, cells) in zip([*block, last], scan_chunks(), strict=True):
                 public = (w.tail if kind == "plain" else w.weighted_tail)(1, cells)
-                assert np.array_equal(public, row[:cells.size])
+                assert np.array_equal(public, row)
                 returned.append(public)
-            assert not any(np.shares_memory(block, out) for out in returned
-                           if isinstance(out, np.ndarray))
+            assert not any(np.shares_memory(kept, out) for kept in (block, last)
+                           for out in returned if isinstance(out, np.ndarray))
+
+    def test_tails_are_computed_once_and_whole(self, monkeypatch):
+        # the first scan of a tail kind computes each chunk's tail, the 15
+        # full chunks and the last; later solves of either kind compute
+        # none.  Bisection tails lie strictly inside a cell, off the grid
+        w, calls = fresh(HARMONIC), []
+        tail2 = wt.WeightSequence._tail2
+
+        def counting_tail2(self, Ns, rs, weighted):
+            if self is w and np.isin(rs, scan_grid()).all():
+                calls.append(rs.size)
+            return tail2(self, Ns, rs, weighted)
+
+        monkeypatch.setattr(wt.WeightSequence, "_tail2", counting_tail2)
+        sizes = [chunk.size for _, chunk in scan_chunks()]
+        for family, expected in (("psi3", sizes), ("psi1", sizes), ("psi3", []), ("psi1", []),
+                                 ("psi4", []), ("psi2", [])):
+            calls.clear()
+            solve_radius(prob(family, w, m=2, p=1.0))
+            assert calls == expected, family
 
     def test_cache_does_not_keep_the_weights(self):
         w = fresh(HARMONIC)

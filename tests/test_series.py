@@ -230,6 +230,14 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(moebius_plus(0.5), 0.9999999)
 
+    @pytest.mark.parametrize("call, z", [
+        (evaluate, float("nan")), (evaluate, complex("nan")), (evaluate, [0.1, float("nan")]),
+        (eval_derivative, float("nan"))], ids=("real", "complex", "array", "derivative"))
+    def test_nan_point_rejected(self, call, z):
+        # |NaN| <= EVAL_EDGE is False, so a NaN point is outside the domain
+        with pytest.raises(DomainError, match="evaluation point outside"):
+            call(moebius_plus(0.5), z)
+
     def test_derivative_matches_difference_quotient(self):
         f = moebius_plus(0.4)
         z, h = 0.3 + 0.2j, 1e-7
