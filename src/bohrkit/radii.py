@@ -3,16 +3,15 @@
 Each family's Psi function is arranged so that Psi(0) > 0, and the solver
 checks that it is.  The first sign change on a fixed 1e-3 grid over
 [0, R_EDGE] is sharpened by bisection to a bracket of width 1e-13, whose
-lower end is the reported radius.  Where a weighted family reads
-scaled-power weights, the grid is cut into chunks of 64 cells, each with
-its own tail cut, and the first scan of a tail kind on the weights
-computes every chunk's tail once; each scan evaluates the 15 full chunks
-in one call, and the shorter last chunk only where they hold no sign
-change.  Every other Psi is in closed form and is evaluated in one call.
-The about 34 bisection steps are predicted: one :func:`psi_eval` call
-holds the midpoints the bisection would visit if Psi changed sign at a
-guess, and the sequential bisection is replayed on their values for as
-long as each point is the step's own midpoint.  The first guess is the
+lower end is the reported radius.  Every scan evaluates Psi in one call
+on the grid padded with R_EDGE to 16 rows of 64 cells, where a repeated
+value holds no sign change.  A weighted family cuts each row's tail at
+the row's largest point, and the first scan of a tail kind on a weights
+instance computes every row's tail once.  The about 34 bisection steps
+are predicted: one :func:`psi_eval` call holds the midpoints the
+bisection would visit if Psi changed sign at a guess, and the sequential
+bisection is replayed on their values for as long as each point is the
+step's own midpoint.  The first guess is the
 zero of the polynomial in Psi through the six scan values nearest the
 sign change (inverse interpolation, as in Brent's method), at no Psi
 call; where those values are not finite and strictly decreasing it is
@@ -60,18 +59,18 @@ from .functionals import FAMILIES, FunctionalParams, RadiusProblem, _on_grid
 SCAN_STEP = 1e-3
 BRACKET_WIDTH = 1e-13
 
-# grid cells per scan chunk under scaled-power weights: small enough that
-# the tail is cut to a few hundred terms by the chunk's largest r, large
-# enough that the per-call overhead of psi_eval stays below the work
+# grid cells per scan row: each row's weight tail is cut at the row's
+# largest r, so this sets the cuts, and with them the tails' bits
 _SCAN_CHUNK = 64
 # the scan grid 0, SCAN_STEP, ..., R_EDGE; arange stops below R_EDGE
 _SCAN_GRID = np.append(np.arange(0.0, wt.R_EDGE, SCAN_STEP), wt.R_EDGE)
 _SCAN_GRID.flags.writeable = False
-# the full scan chunks as the rows of a 2-D view, then the shorter chunk that ends the grid
-_SCAN_ROWS = np.lib.stride_tricks.sliding_window_view(_SCAN_GRID, _SCAN_CHUNK + 1)[::_SCAN_CHUNK]
-_SCAN_LAST = _SCAN_GRID[len(_SCAN_ROWS) * _SCAN_CHUNK:]
-# per scaled-power weights and tail kind, a read-only (block, last) pair:
-# row k of block is full chunk k's tail, last the last chunk's
+# the grid padded with R_EDGE to 16 rows of _SCAN_CHUNK cells, which share
+# their end points, as a read-only view: a repeated value holds no sign change
+_SCAN_ROWS = np.lib.stride_tricks.sliding_window_view(
+    np.pad(_SCAN_GRID, (0, -(_SCAN_GRID.size - 1) % _SCAN_CHUNK), mode="edge"),
+    _SCAN_CHUNK + 1)[::_SCAN_CHUNK]
+# per weights and tail kind, a read-only block whose row k is _SCAN_ROWS[k]'s tail
 _SCAN_TAILS = weakref.WeakKeyDictionary()
 
 
@@ -114,39 +113,31 @@ def _psi(prob: RadiusProblem, rs: np.ndarray, tail: np.ndarray | None) -> np.nda
     return fam.psi(prob.params, w, rs, rs ** prob.params.m, tail)
 
 
-def _scan(prob: RadiusProblem):
-    """(points, Psi there) as 2-D arrays, each row scanned apart, in grid
-    order: a closed form's whole grid, or the full chunks in one call and
-    then the last chunk, on tails computed on the first scan of the kind."""
+def _scan(prob: RadiusProblem) -> np.ndarray:
+    """Psi on _SCAN_ROWS, in one call; a weighted family reads the tails
+    that the first scan of its kind on the weights computed."""
     fam, w = FAMILIES[prob.family], prob.weights
-    if not (fam.weighted and w.kind == wt.SCALED_POWER):
-        yield _SCAN_GRID[None], psi_eval(prob, _SCAN_GRID)[None]
-        return
+    if not fam.tail:
+        return _psi(prob, _SCAN_ROWS, None)
     tails = _SCAN_TAILS.setdefault(w, {})
     if fam.tail not in tails:
-        # each chunk's tail is cut at its own largest point, as psi_eval's is
+        # each row's tail is cut at its own largest point, as psi_eval's is
         with np.errstate(over="ignore"):  # a tail past the double range: see _psi
-            rows = [w._tail2(np.array([1]), cells, fam.tail == "n+1")[0]
-                    for cells in [*_SCAN_ROWS, _SCAN_LAST]]
-        block, last = np.array(rows[:-1]), np.array(rows[-1])
-        block.flags.writeable = last.flags.writeable = False
-        tails[fam.tail] = block, last
-    block, last = tails[fam.tail]
-    yield _SCAN_ROWS, _psi(prob, _SCAN_ROWS, block)
-    yield _SCAN_LAST[None], _psi(prob, _SCAN_LAST, last)[None]
+            block = np.array([w._tail2(np.array([1]), cells, fam.tail == "n+1")[0]
+                              for cells in _SCAN_ROWS])
+        block.flags.writeable = False
+        tails[fam.tail] = block
+    return _psi(prob, _SCAN_ROWS, tails[fam.tail])
 
 
 def solve_radius(prob: RadiusProblem) -> RootCertificate:
     """Certified minimal positive root of the family's Psi function.
 
-    Scans the grid ``0, SCAN_STEP, 2*SCAN_STEP, ..., R_EDGE`` upward for
-    the first sign change, then bisects that cell.  Where a weighted
-    family reads scaled-power weights the grid goes in chunks of
-    ``_SCAN_CHUNK`` cells, which share their boundary points: the first
-    scan of a tail kind on the weights computes every chunk's tail, each
-    scan evaluates the full chunks in one call, and the last chunk is
-    evaluated only where they hold no sign change.  The first bisection
-    call evaluates the midpoints the bisection visits toward
+    Scans the grid ``0, SCAN_STEP, 2*SCAN_STEP, ..., R_EDGE`` for the
+    first sign change, then bisects that cell.  The scan is one
+    :func:`_scan` call on the rows of ``_SCAN_CHUNK`` cells, which share
+    their end points, read in row-major order.  The first bisection call
+    evaluates the midpoints the bisection visits toward
     :func:`_seed_guess`, each later one toward the regula-falsi guess
     ``lo - flo*(hi - lo)/(fhi - flo)`` of the current bracket, and replays
     the steps on them up to the first one whose sign the guess got wrong.
@@ -155,18 +146,16 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
     is not positive and :class:`NoRootError` when Psi keeps its sign on
     the whole evaluation domain.
     """
-    for cells, vals in _scan(prob):
-        if cells[0, 0] == 0.0 and not vals[0, 0] > 0.0:
-            raise DomainError(f"{prob.family}: Psi(0) = {float(vals[0, 0])!r} is not positive")
-        s = np.sign(vals)
-        # the sign changes, a NaN none, in row-major order: the chunks' order
-        flip = (abs(s[:, :-1] - s[:, 1:]) > 0).ravel().nonzero()[0]
-        if flip.size:
-            break
-    else:
+    vals = _scan(prob)
+    if not vals[0, 0] > 0.0:
+        raise DomainError(f"{prob.family}: Psi(0) = {float(vals[0, 0])!r} is not positive")
+    s = np.sign(vals)
+    # the sign changes, a NaN none, in row-major order: the grid's order
+    flip = (abs(s[:, :-1] - s[:, 1:]) > 0).ravel().nonzero()[0]
+    if not flip.size:
         raise NoRootError(f"no sign change of {prob.family} on (0, {wt.R_EDGE})")
-    row, i = divmod(int(flip[0]), cells.shape[1] - 1)
-    cells, vals = cells[row], vals[row]
+    row, i = divmod(int(flip[0]), _SCAN_CHUNK)
+    cells, vals = _SCAN_ROWS[row], vals[row]
     lo, hi = float(cells[i]), float(cells[i + 1])
     flo, fhi = float(vals[i]), float(vals[i + 1])
     guess = _seed_guess(cells, vals, i)
@@ -189,7 +178,7 @@ def solve_radius(prob: RadiusProblem) -> RootCertificate:
 
 def _seed_guess(cells: np.ndarray, vals: np.ndarray, i: int) -> float:
     """The zero of the polynomial x(Psi) through the six scan points
-    nearest the flip cell i, points i-2 .. i+3 moved inside the chunk
+    nearest the flip cell i, points i-2 .. i+3 moved inside the row
     (inverse Lagrange interpolation), or the cell's regula-falsi guess
     where those six values are not finite and strictly decreasing."""
     k = min(max(i - 2, 0), vals.size - 6)

@@ -63,10 +63,11 @@ def _worst(values, pop: Population, columns: int) -> float:
                for i in range(0, len(pop), chunk))
 
 
-def _standard_members(family: str, seed: int, blaschke_count: int) -> list[BoundedFunction]:
-    """The documented test population as a list, not yet joined: the
-    extremal family on the a-grid plus seeded random Blaschke products
-    (shifted to Schwarz functions where the theorem requires a_0 = 0)."""
+def standard_families(family: str, seed: int = 42, blaschke_count: int = 100) -> Population:
+    """The documented test population, joined once into an immutable
+    :class:`Population` that every verify reuses: the extremal family on
+    the a-grid plus seeded random Blaschke products (shifted to Schwarz
+    functions where the theorem requires a_0 = 0)."""
     if not _is_count(blaschke_count, 0):
         raise DomainError("the Blaschke product count must be nonnegative, as an integer")
     kind = get_family(family).extremal
@@ -75,13 +76,7 @@ def _standard_members(family: str, seed: int, blaschke_count: int) -> list[Bound
     for _ in range(blaschke_count):
         f = random_blaschke(*_draw_blaschke(rng))
         fams.append(multiply_by_z(f) if kind == "schwarz" else f)
-    return fams
-
-
-def standard_families(family: str, seed: int = 42, blaschke_count: int = 100) -> Population:
-    """The documented test population of :func:`_standard_members`, joined
-    once into an immutable :class:`Population` that every verify reuses."""
-    return Population(_standard_members(family, seed, blaschke_count))
+    return Population(fams)
 
 
 @dataclass(frozen=True)
@@ -227,23 +222,24 @@ def check_lemma_coeff(trials: int = 1000, seed: int = 42,
                       w: wt.WeightSequence | None = None) -> float:
     """Max slack of majorant + refinement <= (1 - |a_0|^2) * tail(1, r)
     over Moebius members and random Blaschke products; expected <= 1e-9.
-    The pool is built and joined once, as verify's is, and checked in the
-    same chunks on one weight block."""
+    The pool is psi1's :func:`standard_families` population, then three
+    moebius_minus members, each joined once and checked in verify's chunks
+    on one weight block: a row does not depend on the rest of its
+    population, so the max over the two is the whole pool's."""
     if not _is_count(trials):
         raise DomainError("need at least one trial, as an integer count")
     if w is None:
         w = wt.power()
     rs = np.linspace(0.0, 0.9, 19)
-    fams = _standard_members("psi1", seed, trials)  # moebius_plus on the a-grid first
-    k = len(MOEBIUS_A_GRID)
-    pool = Population(fams[:k] + [moebius_minus(a) for a in (0.3, 0.7, 0.95)] + fams[k:])
-    blk = _Block(w, rs, int(pool.order.max()))
+    pools = (standard_families("psi1", seed, trials),
+             Population(moebius_minus(a) for a in (0.3, 0.7, 0.95)))
+    blk = _Block(w, rs, max(int(pool.order.max()) for pool in pools))
     tail1 = w.tail(1, rs)
 
     def slack(fs):
         return _run(fs, lambda pop: _bohr_sum_arr(pop, blk, 1) + _a_refinement_arr(pop, blk)
                     - (1.0 - _abs_pow(pop, 0, 2)) * tail1)
-    return _worst(slack, pool, len(rs))
+    return max(_worst(slack, pool, len(rs)) for pool in pools)
 
 
 # instance -> (radius family, N(r) at lambda = 1)

@@ -224,8 +224,12 @@ class WeightSequence:
 
 
 def power() -> WeightSequence:
-    """The classical power-weight sequence r**n."""
-    return WeightSequence(POWER)
+    """The classical power-weight sequence r**n: one shared instance, which
+    is immutable, so the scan tails its first solves keep serve every caller."""
+    return _POWER
+
+
+_POWER = WeightSequence(POWER)
 
 
 def scaled_power(coeffs, rho: float = 1.0, C: float = 1.0) -> WeightSequence:

@@ -187,6 +187,11 @@ def scan_grid():
     return radii._SCAN_GRID
 
 
+# every scan evaluates Psi once, on the grid padded with R_EDGE to 16 rows
+# of 64 cells
+SCAN_SHAPE = (16, 65)
+
+
 class TestChunkedScan:
     @pytest.mark.parametrize("pr", [
         prob("psi1", PW, m=2, p=1.0),
@@ -222,8 +227,8 @@ class TestChunkedScan:
 
     @staticmethod
     def record_calls(monkeypatch):
-        """The grid of every Psi evaluation: psi_eval and the cached scan
-        of scaled-power weights both evaluate through radii._psi."""
+        """The grid of every Psi evaluation: psi_eval and the scan both
+        evaluate through radii._psi."""
         calls = []
         psi = radii._psi
 
@@ -243,8 +248,8 @@ class TestChunkedScan:
     def test_scan_stops_after_root(self, monkeypatch):
         # scan calls hold only grid points; bisection calls lie strictly
         # inside the root's cell, so no point is both.  The root 1/3 lies
-        # in cell 333, in the sixth chunk of 64 cells: a cold and a warm
-        # scan alike make one call over the 15 full chunks and stop there
+        # in cell 333, in the sixth row of 64 cells: a cold and a warm scan
+        # alike make one call over all 16 rows
         w = fresh(HARMONIC)
         calls = self.record_calls(monkeypatch)
         for _ in range(2):
@@ -253,7 +258,7 @@ class TestChunkedScan:
             assert cert.radius == pytest.approx(1.0 / 3.0, abs=1e-12)
             on_grid = [np.isin(pts, scan_grid()).all() for pts in calls]
             scan = [pts.shape for pts, g in zip(calls, on_grid) if g]
-            assert scan == [(len(scan_chunks()) - 1, radii._SCAN_CHUNK + 1)]
+            assert scan == [SCAN_SHAPE]
             assert on_grid == [True] * len(scan) + [False] * (len(calls) - len(scan))
             lo, hi = self.root_cell(cert)
             bisect = calls[len(scan):]
@@ -261,24 +266,26 @@ class TestChunkedScan:
             assert 0 < len(bisect) <= MAX_BISECT_CALLS
 
     def test_closed_form_scan_is_one_call(self, monkeypatch):
-        # power weights have closed-form tails: one call over the whole grid
-        # costs less than several chunk calls
+        # power weights' closed-form tails scan the rows scaled weights do,
+        # in one call
         calls = self.record_calls(monkeypatch)
         cert = solve_radius(prob("psi1", PW, m=2, p=1.0))
-        assert np.array_equal(calls[0], scan_grid())
+        assert calls[0].shape == SCAN_SHAPE
+        assert np.array_equal(calls[0], radii._SCAN_ROWS)
         lo, hi = self.root_cell(cert)
         assert all(np.all((lo < pts) & (pts < hi)) for pts in calls[1:])
         assert 0 < len(calls) - 1 <= MAX_BISECT_CALLS
 
     def test_unweighted_family_ignores_scaled_weights(self, monkeypatch):
-        # psi5_t5 never reads the weights, so carrying them neither chunks
-        # the scan nor changes the certificate
+        # psi5_t5 never reads the weights, so carrying them neither changes
+        # the one scan call nor the certificate
         params = FunctionalParams(m=2, p=1.5, lam=0.5)
         plain = solve_radius(RadiusProblem("psi5_t5", params, None))
         calls = self.record_calls(monkeypatch)
         cert = solve_radius(RadiusProblem("psi5_t5", params, HARMONIC))
         assert cert == plain
-        assert np.array_equal(calls[0], scan_grid())
+        assert calls[0].shape == SCAN_SHAPE
+        assert np.array_equal(calls[0], radii._SCAN_ROWS)
         assert not any(np.isin(pts, scan_grid()).all() for pts in calls[1:])
 
     def test_scan_grid(self):
@@ -287,40 +294,51 @@ class TestChunkedScan:
         assert (grid.size, grid[-1]) == (1001, R_EDGE)
         assert not grid.flags.writeable
 
+    def test_scan_rows(self):
+        # rows of 64 cells that share their end points, the last one the
+        # grid's last 41 points and then 24 copies of R_EDGE
+        rows, grid = radii._SCAN_ROWS, scan_grid()
+        assert rows.shape == SCAN_SHAPE and not rows.flags.writeable
+        for k, row in enumerate(rows[:-1]):
+            assert np.array_equal(row, grid[64 * k:64 * k + 65])
+        assert np.array_equal(rows[-1], np.append(grid[960:], [R_EDGE] * 24))
+
 
 def scan_chunks():
-    """(start, cells) of every scan chunk under scaled-power weights."""
+    """Every scan row's grid points, without the padding."""
     grid, chunk = scan_grid(), radii._SCAN_CHUNK
-    return [(start, grid[start:start + chunk + 1]) for start in range(0, grid.size - 1, chunk)]
+    return [grid[start:start + chunk + 1] for start in range(0, grid.size - 1, chunk)]
 
 
 def fresh(w):
     """A new instance equal to w, whose scan-tail cache is empty."""
-    return scaled_power(w.coeffs, rho=w.rho, C=w.C)
+    return replace(w)
 
 
-# LEAN_WEIGHTS' scaled weights, a short list and a late root with rho < 1
-CACHED_WEIGHTS = [w for w in LEAN_WEIGHTS if w.kind == wt.SCALED_POWER] + [
-    scaled_power([1.0, 0.5, 0.25], rho=0.5, C=1.0), LATE]
+# weights whose scan tails are kept: LEAN_WEIGHTS' scaled weights, a short
+# list, a late root with rho < 1 and power weights
+KEPT_WEIGHTS = dict(zip(("harmonic", "rho0.9", "short", "late", "power"), [
+    *LEAN_WEIGHTS[1:], scaled_power([1.0, 0.5, 0.25], rho=0.5, C=1.0), LATE, PW]))
 
 
 class TestScanTailCache:
-    @pytest.mark.parametrize("w", CACHED_WEIGHTS, ids=("harmonic", "rho0.9", "short", "late"))
-    @pytest.mark.parametrize("family", list(PUBLIC_PSI))
+    @pytest.mark.parametrize("family, w", [
+        *(pytest.param(fam, w, id=f"{fam}-{name}")
+          for name, w in KEPT_WEIGHTS.items() for fam in PUBLIC_PSI),
+        *(pytest.param(fam, None, id=fam) for fam in ("psi5_t5", "classical_d")),
+    ])
     def test_cached_chunk_equals_psi_eval(self, family, w):
         # the first scan, which computes the tails, and a later one alike
-        # take the fifteen full chunks in one call and the short last
-        # chunk alone.  Each row is its chunk's psi_eval
-        chunks = scan_chunks()
+        # take all 16 rows in one call.  Each row is psi_eval on its own
+        # grid points, the last row's first 41 entries on the grid's last
+        # 41, and its padding repeats the value at R_EDGE
         for m in range(1, 9):
-            pr = RadiusProblem(family, FunctionalParams(m=m, p=1.5), fresh(w))
-            scans = [list(radii._scan(pr)), list(radii._scan(pr))]
-            assert [[vals.shape[0] for _, vals in pieces] for pieces in scans] == [[15, 1]] * 2
-            for pieces in scans:
-                rows = [row for cells, vals in pieces for row in zip(cells, vals)]
-                for (cells, vals), (_, chunk) in zip(rows, chunks):
-                    assert np.array_equal(cells, chunk)
-                    assert np.array_equal(vals, psi_eval(pr, chunk))
+            pr = RadiusProblem(family, FunctionalParams(m=m, p=1.5), w and fresh(w))
+            for vals in (radii._scan(pr), radii._scan(pr)):
+                assert vals.shape == SCAN_SHAPE
+                for row, cells in zip(vals, scan_chunks(), strict=True):
+                    assert np.array_equal(row[:cells.size], psi_eval(pr, cells))
+                assert np.array_equal(vals[-1, 40:], np.full(25, vals[-1, 40]))
 
     def test_certificates_do_not_depend_on_the_cache(self):
         problems = [prob(fam, HARMONIC, m=m, p=p) for fam in PUBLIC_PSI
@@ -338,23 +356,22 @@ class TestScanTailCache:
         w = fresh(HARMONIC)
         returned = [psi_eval(prob(fam, w, p=2.0), scan_grid()) for fam in PUBLIC_PSI]
         returned += [solve_radius(prob(fam, w, p=2.0)) for fam in PUBLIC_PSI]
-        returned += [vals for fam in PUBLIC_PSI for _, vals in radii._scan(prob(fam, w, p=2.0))]
+        returned += [radii._scan(prob(fam, w, p=2.0)) for fam in PUBLIC_PSI]
         tails = radii._SCAN_TAILS[w]
         assert set(tails) == {"plain", "n+1"}
-        for kind, (block, last) in tails.items():
-            assert block.shape == (len(scan_chunks()) - 1, radii._SCAN_CHUNK + 1)
-            assert last.shape == (scan_chunks()[-1][1].size,)
-            assert not (block.flags.writeable or last.flags.writeable)
-            for row, (_, cells) in zip([*block, last], scan_chunks(), strict=True):
+        for kind, block in tails.items():
+            assert block.shape == SCAN_SHAPE
+            assert not block.flags.writeable
+            for row, cells in zip(block, radii._SCAN_ROWS, strict=True):
                 public = (w.tail if kind == "plain" else w.weighted_tail)(1, cells)
                 assert np.array_equal(public, row)
                 returned.append(public)
-            assert not any(np.shares_memory(kept, out) for kept in (block, last)
+            assert not any(np.shares_memory(block, out)
                            for out in returned if isinstance(out, np.ndarray))
 
     def test_tails_are_computed_once_and_whole(self, monkeypatch):
-        # the first scan of a tail kind computes each chunk's tail, the 15
-        # full chunks and the last; later solves of either kind compute
+        # the first scan of a tail kind computes each of the 16 rows' tails,
+        # the padded last row's too; later solves of either kind compute
         # none.  Bisection tails lie strictly inside a cell, off the grid
         w, calls = fresh(HARMONIC), []
         tail2 = wt.WeightSequence._tail2
@@ -365,7 +382,7 @@ class TestScanTailCache:
             return tail2(self, Ns, rs, weighted)
 
         monkeypatch.setattr(wt.WeightSequence, "_tail2", counting_tail2)
-        sizes = [chunk.size for _, chunk in scan_chunks()]
+        sizes = [SCAN_SHAPE[1]] * SCAN_SHAPE[0]
         for family, expected in (("psi3", sizes), ("psi1", sizes), ("psi3", []), ("psi1", []),
                                  ("psi4", []), ("psi2", [])):
             calls.clear()
@@ -382,11 +399,31 @@ class TestScanTailCache:
         assert gone() is None
 
     def test_power_weights_and_closed_forms_bypass_the_cache(self):
+        # closed forms read no tail, so they keep none; the one shared
+        # power instance keeps one block per tail kind, as scaled weights do
         scaled = fresh(HARMONIC)
-        solve_radius(prob("psi3", PW, p=1.0))
         solve_radius(prob("psi5_t5", scaled))
-        assert PW not in radii._SCAN_TAILS
+        solve_radius(prob("classical_d", scaled))
         assert scaled not in radii._SCAN_TAILS
+        solve_radius(prob("psi3", power(), p=1.0))
+        solve_radius(prob("psi1", power(), p=1.0))
+        blocks = dict(radii._SCAN_TAILS[PW])
+        assert set(blocks) == {"plain", "n+1"}
+        assert all(b.shape == SCAN_SHAPE and not b.flags.writeable for b in blocks.values())
+        for family in ("psi2", "psi4", "classical_c"):
+            solve_radius(prob(family, power(), p=1.0))
+        assert all(radii._SCAN_TAILS[PW][kind] is b for kind, b in blocks.items())
+
+    @pytest.mark.parametrize("w", KEPT_WEIGHTS.values(), ids=KEPT_WEIGHTS.keys())
+    def test_last_row_tail_equals_the_last_chunk_alone(self, w):
+        # the padding repeats the largest point, so the last row's cut is
+        # that of the grid's last 41 points, and so are their tails' bits
+        w = fresh(w)
+        solve_radius(prob("psi3", w, p=1.0))
+        solve_radius(prob("psi1", w, p=1.0))
+        for kind, block in radii._SCAN_TAILS[w].items():
+            alone = w._tail2(np.array([1]), scan_grid()[960:], kind == "n+1")[0]
+            assert np.array_equal(block[-1, :41], alone)
 
 
 class TestMonotonicity:
@@ -884,7 +921,7 @@ class TestSeedGuess:
         (chunk_boundary_problem(1, 0), 65, 0),
         (chunk_boundary_problem(2, -1), 65, 63),
         (chunk_boundary_problem(2, 0), 65, 0),
-        (prob("psi3", LATE, p=2.0), 41, 16),
+        (prob("psi3", LATE, p=2.0), 65, 16),
     ], ids=("cell0", "chunk0-last", "chunk1-first", "chunk1-last", "chunk2-first", "late"))
     def test_edge_stencils_give_sequential_certificate(self, monkeypatch, pr, size, i):
         seen, seed_guess = [], radii._seed_guess

@@ -652,9 +652,10 @@ class TestLemmaCoeff:
                 joined.append(len(self))
                 super().__init__(fs)
 
+        # psi1's standard population, then the three moebius_minus members
         monkeypatch.setattr(verify, "Population", Counting)
         check_lemma_coeff(30, 7)
-        assert joined == [len(verify.MOEBIUS_A_GRID) + 3 + 30]
+        assert joined == [len(verify.MOEBIUS_A_GRID) + 30, 3]
 
     def test_small_chunks_equal_one_pass(self, monkeypatch):
         sizes = []
@@ -666,13 +667,15 @@ class TestLemmaCoeff:
 
         monkeypatch.setattr(verify, "_run", recording)
         whole = check_lemma_coeff(30, 7, HARMONIC)
-        pool = len(verify.MOEBIUS_A_GRID) + 3 + 30
-        assert sizes == [pool]
+        standard = len(verify.MOEBIUS_A_GRID) + 30
+        assert sizes == [standard, 3]
         for budget, size in ((19 * 5, 5), (1, 1)):
             sizes.clear()
             monkeypatch.setattr(verify, "_CHUNK_ELEMENTS", budget)
             assert check_lemma_coeff(30, 7, HARMONIC) == whole
-            assert sizes[:-1] == [size] * (len(sizes) - 1) and sum(sizes) == pool
+            # each population in chunks of size, the last chunk of each the rest
+            chunks = [min(size, n - i) for n in (standard, 3) for i in range(0, n, size)]
+            assert sizes == chunks and sum(sizes) == standard + 3
 
 
 class TestLemmaD:

@@ -26,6 +26,13 @@ class TestWeightAt:
     def test_power_point_value(self):
         assert power().weight_at(3, 0.5) == pytest.approx(0.125, abs=1e-15)
 
+    def test_power_is_one_shared_instance(self):
+        # so the scan tails a first solve keeps serve every later caller
+        w = power()
+        assert w is power()
+        with pytest.raises(AttributeError):
+            w.kind = "scaled_power"
+
     def test_power_at_zero_radius(self):
         w = power()
         assert w.weight_at(0, 0.0) == 1.0

@@ -13,6 +13,8 @@ Every float is written with ``repr``, which round-trips exactly.
 
 The problem set: the power-weight grid of criteria 3/4, the criterion-7
 grid under c_n = 1/(n+1) with 4096 coefficients, the classical families,
+closed forms (psi5_t5, psi5_t6 and classical_d) whose small lambda puts
+the root in the scan's last 41 points, in its last cell or past R_EDGE,
 further scaled weights (short lists, rho < 1), late roots near r = 1, a
 weight whose Psi has no root, and then some criterion-7 problems twice:
 on a fresh instance of c_n = 1/(n+1) and on the instance shared by the
@@ -140,6 +142,13 @@ def problems() -> list[tuple[str, RadiusProblem]]:
     for lam in (0.5, 1.0, 2.0):
         for n in (1, 2, 3):
             add("classical", "classical_d", lam=lam, n_lacunary=n)
+    # closed forms whose small lambda puts the root in the grid's last 41
+    # points (lambda = 1e-4), in its last cell (0.999, R_EDGE] (1e-8 and
+    # 1e-12) or past R_EDGE (1e-13, no root)
+    for lam in (1e-4, 1e-8, 1e-12, 1e-13):
+        add("edge", "psi5_t5", lam=lam)
+        add("edge", "psi5_t6", lam=lam, q=2)
+        add("edge", "classical_d", lam=lam, n_lacunary=2)
     for name, w in scaled_weights().items():
         for m in (1, 3):
             for p in (0.25, 1.0, 2.0):
