@@ -68,8 +68,6 @@ from .series import BoundedFunction, _is_count, eval_derivative, evaluate
 REMAINDER_TOL = 1e-12
 _CUT_TOL = 1e-18
 
-_POWER = wt.power()
-
 ENVELOPE = "envelope"
 POINTWISE = "pointwise"
 
@@ -464,15 +462,15 @@ class RadiusProblem:
 
 
 def _family_evaluator(family, w, params, rs, order, mode):
-    """evaluate_family's weight block on the grid rs and fs -> the
-    len(fs) x len(rs) values there, for every population fs of truncation
-    orders <= ``order``."""
+    """The bound phi_0 on the grid rs, row 0 of evaluate_family's weight
+    block, and fs -> the len(fs) x len(rs) values there, for every
+    population fs of truncation orders <= ``order``."""
     fam = get_family(family)
     if mode not in (ENVELOPE, POINTWISE):
         raise DomainError(f"mode must be {ENVELOPE!r} or {POINTWISE!r}")
     params = RadiusProblem(family, params, w).params
-    blk = _Block(w if fam.weighted else _POWER, rs, order)
-    return blk, lambda fs: _run(fs, lambda pop: fam.functional(pop, blk, params, mode))
+    blk = _Block(w if fam.weighted else wt.power(), rs, order)
+    return blk.rows[0], lambda fs: _run(fs, lambda pop: fam.functional(pop, blk, params, mode))
 
 
 def evaluate_family(family: str, f, w, params: FunctionalParams, r,
@@ -491,4 +489,4 @@ def bound_for(family: str, w, r):
     """The right-hand side each family's inequality is checked against:
     phi_0(r) of the weights its functional uses."""
     RadiusProblem(family, weights=w)  # rejects a weighted family without weights
-    return (w if FAMILIES[family].weighted else _POWER).weight_at(0, r)
+    return (w if FAMILIES[family].weighted else wt.power()).weight_at(0, r)

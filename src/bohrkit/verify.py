@@ -43,8 +43,8 @@ _EXTREMAL_BUILDER = {
     "schwarz": schwarz_moebius,
 }
 
-# builder -> {pass's a values: its Population}, for the first pass (k = 1..4),
-# which every witness search starts with; a wrapped builder starts empty
+# builder -> the Population of its first pass (k = 1..4), which every witness
+# search starts with; a wrapped builder starts empty
 _WITNESS_PASSES = weakref.WeakKeyDictionary()
 
 
@@ -165,9 +165,9 @@ def verify_below_radius(prob: RadiusProblem,
         raise DomainError("the test population is empty")
     rs = (np.linspace(0.0, r_hi, r_points) if mode == POINTWISE and r_points > 1
           else np.array([r_hi]))
-    blk, functional = _family_evaluator(prob.family, prob.weights, prob.params, rs,
-                                        int(pop.order.max()), mode)
-    worst = _worst(lambda fs: functional(fs) - blk.rows[0], pop, len(rs))
+    phi0, functional = _family_evaluator(prob.family, prob.weights, prob.params, rs,
+                                         int(pop.order.max()), mode)
+    worst = _worst(lambda fs: functional(fs) - phi0, pop, len(rs))
     return VerificationReport(
         family=prob.family, params=prob.params, mode=mode,
         radius=cert.radius, bracket=(cert.bracket_lo, cert.bracket_hi),
@@ -179,9 +179,9 @@ def verify_below_radius(prob: RadiusProblem,
 def sharpness_witness(prob: RadiusProblem, delta: float,
                       cert: RootCertificate | None = None) -> Witness:
     """Search the extremal family at r = R + delta for an excess over the
-    bound, with a = 1 - 2**-k, k = 1, 2, ..., four per pass on one weight
-    block; a failing pass is replayed through its one-member chunks, as a
-    lone search runs.  The first pass is kept per builder in _WITNESS_PASSES."""
+    bound phi_0(r), row 0 of one weight block, with a = 1 - 2**-k, k = 1, 2,
+    ..., four per pass; a failing pass is replayed through its one-member
+    chunks, as a lone search runs.  _WITNESS_PASSES keeps the first pass."""
     if not 0.0 < delta <= 0.05:
         raise DomainError("delta must lie in (0, 0.05]")
     if cert is None:
@@ -196,17 +196,17 @@ def sharpness_witness(prob: RadiusProblem, delta: float,
         raise NotFalsifiableError(
             f"{prob.family}: Psi is nonnegative at R + delta = {r:.6f}; "
             "the sharpness clause is vacuous there")
-    bound = float(bound_for(prob.family, prob.weights, r))
     build = _EXTREMAL_BUILDER[get_family(prob.family).extremal]
     # no extremal member's order exceeds T_MAX + 1 (the Schwarz shift)
-    _, functional = _family_evaluator(prob.family, prob.weights, prob.params,
-                                      np.array([r]), T_MAX + 1, POINTWISE)
-    kept = _WITNESS_PASSES.setdefault(build, {})
+    phi0, functional = _family_evaluator(prob.family, prob.weights, prob.params,
+                                         np.array([r]), T_MAX + 1, POINTWISE)
+    bound, first = float(phi0[0]), _WITNESS_PASSES.get(build, ())
     for k in range(1, MAX_WITNESS_STEPS + 1, 4):
         batch = tuple(1.0 - 2.0 ** -j for j in range(k, min(k + 4, MAX_WITNESS_STEPS + 1)))
-        members = kept.get(batch) or Population(map(build, batch))
+        # a kept first pass is k = 1..4 unless MAX_WITNESS_STEPS was below 4
+        members = first if k == 1 and len(first) == len(batch) else Population(map(build, batch))
         if k == 1:
-            kept[batch] = members
+            _WITNESS_PASSES[build] = members
         try:
             vals = functional(members)[:, 0]
         except BohrkitError:  # the failing member raises after any witness before it

@@ -250,9 +250,9 @@ def from_json(source) -> WeightSequence:
 
         {"kind": "scaled_power", "coeffs": [...], "rho": 0.9, "C": 2.0}
 
-    ``{"kind": "power"}`` is accepted as well, with no other field but
-    ``"rho": 1`` or ``"C": 1``.  A file is read on every call; a text among
-    the last four read returns the same (immutable) instance as before.
+    ``{"kind": "power"}`` returns :func:`power`'s shared instance, with no
+    other field but ``"rho": 1`` or ``"C": 1``.  A file is read on every call;
+    a text among the last four read returns the same (immutable) instance.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -274,7 +274,8 @@ def _from_document(obj) -> WeightSequence:
     kind = obj["kind"]
     if kind == POWER:
         _reject_bools(obj.get("rho"), obj.get("C"))
-        return WeightSequence(POWER, obj.get("coeffs"), obj.get("rho", 1.0), obj.get("C", 1.0))
+        WeightSequence(POWER, obj.get("coeffs"), obj.get("rho", 1.0), obj.get("C", 1.0))
+        return power()  # its fields checked, the one shared instance
     if kind == SCALED_POWER:
         try:
             return scaled_power(obj["coeffs"], obj.get("rho", 1.0), obj.get("C", 1.0))

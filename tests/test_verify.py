@@ -519,9 +519,29 @@ class TestBatchedWitness:
         pr = prob("psi2", PW, m=1, p=2.0)
         with pytest.raises(NoWitnessError):
             sharpness_witness(pr, 0.02)
-        kept = verify._WITNESS_PASSES[never_a_witness]
-        assert list(kept) == [(0.5, 0.75, 0.875, 0.9375)]  # the first pass alone
-        assert all(isinstance(pop, Population) and len(pop) == 4 for pop in kept.values())
+        kept = verify._WITNESS_PASSES[never_a_witness]  # the first pass alone, k = 1..4
+        assert isinstance(kept, Population) and len(kept) == 4
+
+    def test_a_first_pass_of_other_length_is_rebuilt(self, monkeypatch):
+        real = verify.moebius_minus
+        built = []
+
+        def building(a):
+            built.append(a)
+            return real(a)
+
+        monkeypatch.setitem(verify._EXTREMAL_BUILDER, "minus", building)
+        pr = prob("psi2", PW, m=1, p=2.0)
+        cert = solve_radius(pr)
+        monkeypatch.setattr(verify, "MAX_WITNESS_STEPS", 1)
+        with pytest.raises(NoWitnessError):  # the witness is at k = 2
+            sharpness_witness(pr, 0.02, cert)
+        assert built == [0.5] and len(verify._WITNESS_PASSES[building]) == 1
+        monkeypatch.setattr(verify, "MAX_WITNESS_STEPS", 40)
+        witness = sharpness_witness(pr, 0.02, cert)
+        assert built == [0.5, 0.5, 0.75, 0.875, 0.9375]
+        assert witness == _one_by_one_witness(pr, 0.02, cert)
+        assert len(verify._WITNESS_PASSES[building]) == 4
 
     def test_kept_passes_are_reused(self, monkeypatch):
         real = verify.moebius_minus

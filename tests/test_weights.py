@@ -415,6 +415,14 @@ class TestJson:
         assert w.kind == "power"
         assert from_json({"kind": "power", "rho": 1, "C": 1.0}).kind == "power"
 
+    def test_every_power_document_is_the_shared_instance(self, tmp_path):
+        # so every power document shares the scan tails power() keeps
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"kind": "power", "C": 1}))
+        assert from_json({"kind": "power"}) is power()
+        assert from_json({"kind": "power", "rho": 1, "C": 1.0}) is power()
+        assert from_json(path) is from_json(str(path)) is power()
+
     @pytest.mark.parametrize("extra", [{"rho": 0.5}, {"C": 3.0}, {"coeffs": [1.0]},
                                        {"rho": "0.5"}])
     def test_power_with_scaled_fields_rejected(self, extra):
