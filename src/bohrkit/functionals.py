@@ -12,7 +12,8 @@ n < T); the quadratic refinement, whose weights run to index 2n, keeps
 n <= min(T, K//2 + 1).  Every index above the kept range is bounded by
 the worst |a_n| there, the series' tail bound included.  The weight rows
 and tails all come from one block per (weights, radius grid), which each
-function slices to its kept range.
+function slices to its kept range: both kinds of guard tail at max(r) are
+one ``_tails2`` table's, which on a one-point grid holds the refinement's.
 
 Every body evaluates a whole population f_1..f_k at once and returns a
 k x len(rs) matrix, row i for f_i; a single function is the case k = 1.
@@ -119,10 +120,10 @@ class Population(tuple):
     ``mag`` holds every |a_n| in one flat array, member i's from
     ``start[i]``, then a 0 that is the max of any empty suffix: the only
     copy of the moduli, numpy's array abs of each member's coefficients as
-    its self-map check takes it.  ``a0`` holds each |a_0| by scalar abs,
-    like the heads' other scalar terms (numpy's vectorized complex abs and
-    pow can round differently, and the heads keep the scalar bits).  The
-    arrays are read-only, as the members' own are.
+    its self-map check takes it.  ``a0`` and ``a1`` hold |a_0| and |a_1|
+    by scalar abs, like the heads' other scalar terms (numpy's vectorized
+    complex abs and pow can round differently, and the heads keep the
+    scalar bits).  The arrays are read-only, as the members' own are.
     """
 
     def __init__(self, fs=()):  # tuple.__new__ has taken the members from fs
@@ -135,7 +136,8 @@ class Population(tuple):
         self.mag = np.concatenate([np.abs(f.coeffs) for f in self] + [[0.0]])
         self.tail_bound = np.array([f.tail_bound for f in self])
         self.a0 = np.array([abs(f.coeffs[0]) for f in self])
-        for joined in (self.order, self.start, self.mag, self.tail_bound, self.a0):
+        self.a1 = np.array([abs(f.coeffs[1]) for f in self])
+        for joined in (self.order, self.start, self.mag, self.tail_bound, self.a0, self.a1):
             joined.flags.writeable = False
 
     def _chunk(self, lo: int, hi: int) -> Population:
@@ -145,8 +147,8 @@ class Population(tuple):
         only where it drops the value."""
         hi = min(hi, len(self))
         part = tuple.__new__(Population, self[lo:hi])
-        part.order, part.tail_bound, part.a0 = (self.order[lo:hi], self.tail_bound[lo:hi],
-                                                self.a0[lo:hi])
+        part.order, part.tail_bound, part.a0, part.a1 = (
+            self.order[lo:hi], self.tail_bound[lo:hi], self.a0[lo:hi], self.a1[lo:hi])
         part.start = self.start[lo:hi + 1] - self.start[lo]
         part.mag = self.mag[self.start[lo]:self.start[hi] + 1]
         return part
@@ -187,9 +189,10 @@ def _guard(bound, what: str):
 
 class _Block:
     """w_n(rs) (row 0 is phi_0), the refinement's tail(2n + 1, rs) with
-    rows n = half, ..., 2, 1, and the guards' tails at max(rs), for each
-    index kept up to truncation order; AccuracyError when the largest of
-    them, the weighted tail from 0 at max(rs), is past the double range."""
+    rows n = half, ..., 2, 1, and the guards' plain and weighted tails at
+    max(rs), one table's, which on a one-point grid hold the refinement's,
+    for each index kept up to truncation order; AccuracyError when the
+    largest, the weighted tail from 0, is past the double range."""
 
     def __init__(self, w, rs, order):
         if w is None:
@@ -199,12 +202,13 @@ class _Block:
         self.cut = _cutoff(self.x, w.C)
         top, half = min(order, self.cut), min(order, self.cut // 2 + 1)
         with np.errstate(over="ignore"):
-            self.guard_tails = [w._tail2(np.arange(top + 2), np.array([rmax]), weighted)[:, 0]
-                                for weighted in (False, True)]
+            self.guard_tails = [t[:, 0] for t in w._tails2(
+                np.arange(max(top + 2, 2 * half + 2)), np.array([rmax]), (False, True))]
         if not math.isfinite(self.guard_tails[1][0]):
             raise AccuracyError(f"the weight tails at r = {rmax!r} overflow a double")
         self.rows = w._weight2(np.arange(max(top, 2 * half) + 1), rs)
-        self.tails = w._tail2(2 * np.arange(half, 0, -1) + 1, rs, weighted=False)
+        odd = 2 * np.arange(half, 0, -1) + 1
+        self.tails = self.guard_tails[0][odd, None] if rs.size == 1 else w._tail2(odd, rs, False)
 
 
 def _products(pop, keys, part, term=lambda mag, idx: mag):
@@ -275,9 +279,9 @@ def a_refinement(f: BoundedFunction, w: wt.WeightSequence, r):
 
 
 def _abs_pow(pop, j, p):
-    """The column of |a_j|**p, each a scalar pow: numpy's array pow may
-    round differently."""
-    return np.array([abs(f.coeffs[j]) ** p for f in pop])[:, None]
+    """The column of |a_j|**p, j = 0 or 1, each a scalar pow (libm's, on a
+    Python float as on a numpy one): numpy's array pow may round differently."""
+    return np.array([a ** p for a in (pop.a0, pop.a1)[j].tolist()])[:, None]
 
 
 def _head_modulus(pop, m, rs, mode):
@@ -462,15 +466,15 @@ class RadiusProblem:
 
 
 def _family_evaluator(family, w, params, rs, order, mode):
-    """The bound phi_0 on the grid rs, row 0 of evaluate_family's weight
-    block, and fs -> the len(fs) x len(rs) values there, for every
-    population fs of truncation orders <= ``order``."""
+    """evaluate_family's weight block on the grid rs, whose row 0 is the
+    bound phi_0 there, and fs -> the len(fs) x len(rs) values there, for
+    every population fs of truncation orders <= ``order``."""
     fam = get_family(family)
     if mode not in (ENVELOPE, POINTWISE):
         raise DomainError(f"mode must be {ENVELOPE!r} or {POINTWISE!r}")
     params = RadiusProblem(family, params, w).params
     blk = _Block(w if fam.weighted else wt.power(), rs, order)
-    return blk.rows[0], lambda fs: _run(fs, lambda pop: fam.functional(pop, blk, params, mode))
+    return blk, lambda fs: _run(fs, lambda pop: fam.functional(pop, blk, params, mode))
 
 
 def evaluate_family(family: str, f, w, params: FunctionalParams, r,

@@ -121,10 +121,13 @@ def _scan(prob: RadiusProblem) -> np.ndarray:
         return _psi(prob, _SCAN_ROWS, None)
     tails = _SCAN_TAILS.setdefault(w, {})
     if fam.tail not in tails:
-        # each row's tail is cut at its own largest point, as psi_eval's is
-        with np.errstate(over="ignore"):  # a tail past the double range: see _psi
-            block = np.array([w._tail2(np.array([1]), cells, fam.tail == "n+1")[0]
-                              for cells in _SCAN_ROWS])
+        block = np.empty(_SCAN_ROWS.shape)
+        for cells, row in zip(_SCAN_ROWS, block):
+            # each row's tail is cut at its own largest point, as psi_eval's is
+            k = np.searchsorted(cells, cells[-1]) + 1
+            with np.errstate(over="ignore"):  # a tail past the double range: see _psi
+                row[:k] = w._tail2(np.array([1]), cells[:k], fam.tail == "n+1")[0]
+            row[k:] = row[k - 1]  # the R_EDGE padding: its tail, taken once
         block.flags.writeable = False
         tails[fam.tail] = block
     return _psi(prob, _SCAN_ROWS, tails[fam.tail])
@@ -184,7 +187,13 @@ def _seed_guess(cells: np.ndarray, vals: np.ndarray, i: int) -> float:
     k = min(max(i - 2, 0), vals.size - 6)
     xs, ys = cells[k:k + 6].tolist(), vals[k:k + 6].tolist()
     if all(map(math.isfinite, ys)) and all(a > b for a, b in zip(ys, ys[1:])):
-        return sum(x * math.prod(y / (y - yx) for y in ys if y != yx) for x, yx in zip(xs, ys))
+        guess = 0.0  # sum() and math.prod() in their order, without their generators
+        for x, yx in zip(xs, ys):
+            prod = 1.0
+            for y in ys:
+                prod *= y / (y - yx) if y != yx else 1.0
+            guess += x * prod
+        return guess
     lo, hi, flo, fhi = xs[i - k], xs[i - k + 1], ys[i - k], ys[i - k + 1]
     return lo - flo * (hi - lo) / (fhi - flo)
 

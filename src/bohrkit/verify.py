@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wt
-from .errors import BohrkitError, DomainError, NotFalsifiableError, NoWitnessError
+from .errors import AccuracyError, BohrkitError, DomainError, NotFalsifiableError, NoWitnessError
 # evaluate_family is unused here but stays bound: perfbench's tracer and its
 # test patch and restore it in this module
 from .functionals import (ENVELOPE, POINTWISE, FunctionalParams, Population,  # noqa: F401
                           _a_refinement_arr, _abs_pow, _Block, _bohr_sum_arr, _family_evaluator,
                           _is_count, _run, bound_for, evaluate_family, get_family)
-from .radii import RadiusProblem, RootCertificate, psi_eval, solve_radius
+from .radii import RadiusProblem, RootCertificate, _psi, solve_radius
 from .series import (T_MAX, BoundedFunction, _rng, eval_derivative, evaluate,
                      moebius_minus, moebius_plus, multiply_by_z, random_blaschke,
                      schwarz_moebius)
@@ -165,9 +165,9 @@ def verify_below_radius(prob: RadiusProblem,
         raise DomainError("the test population is empty")
     rs = (np.linspace(0.0, r_hi, r_points) if mode == POINTWISE and r_points > 1
           else np.array([r_hi]))
-    phi0, functional = _family_evaluator(prob.family, prob.weights, prob.params, rs,
-                                         int(pop.order.max()), mode)
-    worst = _worst(lambda fs: functional(fs) - phi0, pop, len(rs))
+    blk, functional = _family_evaluator(prob.family, prob.weights, prob.params, rs,
+                                        int(pop.order.max()), mode)
+    worst = _worst(lambda fs: functional(fs) - blk.rows[0], pop, len(rs))
     return VerificationReport(
         family=prob.family, params=prob.params, mode=mode,
         radius=cert.radius, bracket=(cert.bracket_lo, cert.bracket_hi),
@@ -181,7 +181,9 @@ def sharpness_witness(prob: RadiusProblem, delta: float,
     """Search the extremal family at r = R + delta for an excess over the
     bound phi_0(r), row 0 of one weight block, with a = 1 - 2**-k, k = 1, 2,
     ..., four per pass; a failing pass is replayed through its one-member
-    chunks, as a lone search runs.  _WITNESS_PASSES keeps the first pass."""
+    chunks, as a lone search runs.  _WITNESS_PASSES keeps the first pass.
+    Psi(r) >= 0 raises NotFalsifiableError first: Psi reads psi_eval's tail
+    from the block's guard tails, or takes its own where these overflow."""
     if not 0.0 < delta <= 0.05:
         raise DomainError("delta must lie in (0, 0.05]")
     if cert is None:
@@ -192,15 +194,21 @@ def sharpness_witness(prob: RadiusProblem, delta: float,
                           f"at R = {cert.radius!r}")
     if r > wt.R_EDGE:
         raise DomainError("R + delta leaves the evaluation domain")
-    if float(psi_eval(prob, r)) >= 0.0:
+    fam, rs = get_family(prob.family), wt._as_r(r)  # psi_eval's range check
+    try:  # no extremal member's order exceeds T_MAX + 1 (the Schwarz shift)
+        blk, functional = _family_evaluator(prob.family, prob.weights, prob.params, rs,
+                                            T_MAX + 1, POINTWISE)
+    except AccuracyError as exc:  # the weighted tail from 0 overflows; Psi's may not
+        blk, overflow = None, exc
+    tail = None if blk is None or not fam.tail else blk.guard_tails[fam.tail == "n+1"][1:2]
+    if float(_psi(prob, rs, tail)[0]) >= 0.0:
         raise NotFalsifiableError(
             f"{prob.family}: Psi is nonnegative at R + delta = {r:.6f}; "
             "the sharpness clause is vacuous there")
-    build = _EXTREMAL_BUILDER[get_family(prob.family).extremal]
-    # no extremal member's order exceeds T_MAX + 1 (the Schwarz shift)
-    phi0, functional = _family_evaluator(prob.family, prob.weights, prob.params,
-                                         np.array([r]), T_MAX + 1, POINTWISE)
-    bound, first = float(phi0[0]), _WITNESS_PASSES.get(build, ())
+    if blk is None:
+        raise overflow
+    build = _EXTREMAL_BUILDER[fam.extremal]
+    bound, first = float(blk.rows[0][0]), _WITNESS_PASSES.get(build, ())
     for k in range(1, MAX_WITNESS_STEPS + 1, 4):
         batch = tuple(1.0 - 2.0 ** -j for j in range(k, min(k + 4, MAX_WITNESS_STEPS + 1)))
         # a kept first pass is k = 1..4 unless MAX_WITNESS_STEPS was below 4

@@ -202,25 +202,34 @@ class WeightSequence:
         return min(L, max(1, math.ceil(math.log(scale) / math.log(xmax)) + 8))
 
     def _tail2(self, Ns: np.ndarray, rs: np.ndarray, weighted: bool) -> np.ndarray:
+        return self._tails2(Ns, rs, (weighted,))[0]
+
+    def _tails2(self, Ns: np.ndarray, rs: np.ndarray, kinds) -> list:
+        """_tail2 of each kind in kinds (True: weighted), from one table of terms."""
         if self.kind == POWER:
-            return self._geom_tail(Ns[:, None], rs[None, :], weighted)
+            return [self._geom_tail(Ns[:, None], rs[None, :], weighted) for weighted in kinds]
         L_eff = self._tail_cut(float(rs.max()))
         n = np.arange(L_eff)
         # row L_eff stays 0: a start past the cut keeps the geometric tail alone
         M = np.zeros((L_eff + 1, rs.size))
         np.power(rs[None, :], n[:, None].astype(float), out=M[:L_eff])
         M[:L_eff] *= self.coeffs[:L_eff, None]
-        if weighted:
-            M[:L_eff] *= (n + 1.0)[:, None]
-        if Ns.size == 1 < rs.size:
-            # the one suffix row the cumsum below gives, added in its order
-            head = np.add.reduce(M[Ns[0]:L_eff][::-1])[None]
-        else:
-            np.cumsum(M[L_eff - 1::-1], axis=0, out=M[L_eff - 1::-1])
-            head = M[np.minimum(Ns, L_eff)]
-        del M
-        head += self._geom_tail(np.maximum(Ns, L_eff)[:, None], self.rho * rs[None, :], weighted)
-        return head
+        heads = []
+        for i, weighted in enumerate(kinds):
+            S = M if i == len(kinds) - 1 else M.copy()  # the last kind sums M in place
+            if weighted:
+                S[:L_eff] *= (n + 1.0)[:, None]
+            if Ns.size == 1 < rs.size:
+                # the one suffix row the cumsum below gives, added in its order
+                heads.append(np.add.reduce(S[Ns[0]:L_eff][::-1])[None])
+            else:
+                np.cumsum(S[L_eff - 1::-1], axis=0, out=S[L_eff - 1::-1])
+                heads.append(S[np.minimum(Ns, L_eff)])
+        del M, S
+        x = self.rho * rs[None, :]
+        for head, weighted in zip(heads, kinds):
+            head += self._geom_tail(np.maximum(Ns, L_eff)[:, None], x, weighted)
+        return heads
 
 
 def power() -> WeightSequence:

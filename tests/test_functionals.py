@@ -12,9 +12,9 @@ from bohrkit import (AccuracyError, BoundedFunction, DomainError,
                      FunctionalParams, RadiusProblem, a_refinement, bohr_sum,
                      evaluate_family, moebius_minus, moebius_plus, multiply_by_z,
                      power, random_blaschke, scaled_power, schwarz_moebius)
-from bohrkit.functionals import (_CUT_TOL, ENVELOPE, FAMILIES, POINTWISE, Population, _Block,
-                                 _cutoff, _family_evaluator, bound_for)
-from bohrkit.series import MAX_BLASCHKE_DEGREE
+from bohrkit.functionals import (_CUT_TOL, ENVELOPE, FAMILIES, POINTWISE, Population, _abs_pow,
+                                 _Block, _cutoff, _family_evaluator, bound_for)
+from bohrkit.series import MAX_BLASCHKE_DEGREE, T_MAX
 from bohrkit.verify import standard_families
 
 PW = power()
@@ -590,6 +590,39 @@ class TestMissingWeights:
             evaluate_family(family, f, PW, FunctionalParams(), 0.3)
 
 
+def _drawn_weights(seed):
+    """Scaled-power weights with a drawn length, rho, C and coefficients."""
+    rng = np.random.default_rng(seed)
+    rho, C = rng.uniform(0.3, 1.0), rng.uniform(0.5, 3.0)
+    n = np.arange(rng.integers(1, 600))
+    return scaled_power(C * rho ** n * rng.uniform(size=n.size), rho=rho, C=C)
+
+
+class TestOnePointBlock:
+    """On a one-point grid a block's guard tails of both kinds come from
+    one table of terms, and its refinement tails are rows 2n + 1 of the
+    plain guard tails: each has the bits of a direct _tail2 call."""
+
+    WEIGHTS = {"power": PW, "harmonic": HARMONIC,
+               **{f"drawn{seed}": _drawn_weights(seed) for seed in range(4)}}
+    RADII = np.r_[np.linspace(0.0, 0.95, 51), 0.3172, 0.99, 0.999]
+
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_tails_equal_direct_tail2_calls(self, name):
+        w = self.WEIGHTS[name]
+        for r in self.RADII:
+            rs = np.array([r])
+            for order in (1, 2, 7, 40, T_MAX + 1):
+                blk = _Block(w, rs, order)
+                top, half = min(order, blk.cut), min(order, blk.cut // 2 + 1)
+                odd = 2 * np.arange(half, 0, -1) + 1
+                want = w._tail2(odd, rs, False)
+                assert blk.tails.shape == want.shape and np.array_equal(blk.tails, want)
+                for weighted, got in zip((False, True), blk.guard_tails):
+                    assert got.size == max(top + 2, 2 * half + 2)
+                    assert np.array_equal(got, w._tail2(np.arange(got.size), rs, weighted)[:, 0])
+
+
 def test_power_block_peak_is_its_rows_and_tails():
     # the geometric tails are built in place while the rows are alive, so
     # the block holds no second tails-sized array at its peak
@@ -651,7 +684,7 @@ class TestChunks:
             for hi in range(lo + 1, len(fs) + 1):
                 part, fresh = pop._chunk(lo, hi), Population(fs[lo:hi])
                 assert type(part) is Population and tuple(part) == tuple(fresh)
-                for name in ("order", "start", "tail_bound", "a0"):
+                for name in ("order", "start", "tail_bound", "a0", "a1"):
                     got, want = getattr(part, name), getattr(fresh, name)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
                 end = fresh.start[-1]
@@ -668,7 +701,7 @@ class TestChunks:
     def test_chunk_arrays_are_views(self):
         pop = Population(self.members())
         part = pop._chunk(3, 9)
-        for name in ("order", "mag", "tail_bound", "a0"):
+        for name in ("order", "mag", "tail_bound", "a0", "a1"):
             assert np.shares_memory(getattr(part, name), getattr(pop, name)), name
 
 
@@ -707,3 +740,18 @@ class TestKeptModuli:
         fs = _moduli_members(kind)
         want = [abs(complex(f.coeffs[0])) for f in fs]
         assert Population(fs).a0.tolist() == want
+        assert Population(fs).a1.tolist() == [abs(complex(f.coeffs[1])) for f in fs]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_abs_pow_is_each_members_scalar_pow(self, kind):
+        # the kept |a_0| and |a_1| as Python floats give numpy's scalar pow bits
+        fs = _moduli_members(kind)
+        pop = Population(fs)
+        for j in (0, 1):
+            for p in (0.5, 1.0, 1.5, 2.0):
+                want = np.array([abs(f.coeffs[j]) ** p for f in fs])
+                got = _abs_pow(pop, j, p)
+                assert got.shape == (len(fs), 1) and got.tobytes() == want.tobytes(), (j, p)
+                for lo in range(0, len(fs), 7):
+                    part = _abs_pow(pop._chunk(lo, lo + 7), j, p)
+                    assert part.tobytes() == want[lo:lo + 7].tobytes(), (j, p, lo)

@@ -371,8 +371,9 @@ class TestScanTailCache:
 
     def test_tails_are_computed_once_and_whole(self, monkeypatch):
         # the first scan of a tail kind computes each of the 16 rows' tails,
-        # the padded last row's too; later solves of either kind compute
-        # none.  Bisection tails lie strictly inside a cell, off the grid
+        # the padded last row's on its 41 distinct points; later solves of
+        # either kind compute none.  Bisection tails lie strictly inside a
+        # cell, off the grid
         w, calls = fresh(HARMONIC), []
         tail2 = wt.WeightSequence._tail2
 
@@ -382,7 +383,7 @@ class TestScanTailCache:
             return tail2(self, Ns, rs, weighted)
 
         monkeypatch.setattr(wt.WeightSequence, "_tail2", counting_tail2)
-        sizes = [SCAN_SHAPE[1]] * SCAN_SHAPE[0]
+        sizes = [SCAN_SHAPE[1]] * (SCAN_SHAPE[0] - 1) + [41]
         for family, expected in (("psi3", sizes), ("psi1", sizes), ("psi3", []), ("psi1", []),
                                  ("psi4", []), ("psi2", [])):
             calls.clear()

@@ -11,7 +11,7 @@ from bohrkit import (AccuracyError, BoundedFunction, DomainError, FunctionalPara
                      a_refinement, bohr_sum, check_lemma_D, check_lemma_coeff, check_schwarz_pick,
                      moebius_plus, power, psi_eval, scaled_power, sharpness_witness,
                      solve_radius, verify_below_radius)
-from bohrkit import verify
+from bohrkit import radii, verify
 from bohrkit import weights as wt
 from bohrkit.functionals import (ENVELOPE, FAMILIES, POINTWISE, _cutoff,
                                  _family_evaluator, bound_for, evaluate_family)
@@ -610,6 +610,13 @@ class TestSharpnessWitness:
         with pytest.raises(DomainError, match="leaves the evaluation domain"):
             sharpness_witness(pr, 0.01, cert)
 
+    @pytest.mark.parametrize("radius", [-0.5, float("nan")])
+    def test_radius_outside_the_domain(self, radius):
+        pr = prob("psi1", HARMONIC)
+        cert = dataclasses.replace(solve_radius(pr), radius=radius)
+        with pytest.raises(DomainError, match="radius outside"):
+            sharpness_witness(pr, 0.01, cert)
+
     def test_no_witness_within_the_step_limit(self, monkeypatch):
         monkeypatch.setattr(verify, "MAX_WITNESS_STEPS", 0)
         with pytest.raises(NoWitnessError, match="no witness found"):
@@ -619,6 +626,57 @@ class TestSharpnessWitness:
         w = scaled_power(np.r_[1.0, np.zeros(63)], rho=0.5, C=1.0)
         with pytest.raises(NoRootError):
             sharpness_witness(prob("psi1", w), 0.01)
+
+    # c_0 near the double range: at the root the block's weighted tail from
+    # 0 overflows, while Psi stays finite, and positive inside the bracket
+    HUGE = scaled_power([1.5e308, 1.5e308], rho=1.0, C=1.5e308)
+
+    @pytest.mark.parametrize("family", ["psi1", "psi2", "psi3", "psi4", "classical_c",
+                                        "psi5_t5", "classical_d"])
+    def test_not_falsifiable_exactly_where_psi_is_nonnegative(self, family):
+        # Psi at R + delta reads its tail from the witness's weight block, or
+        # computes it where that block overflows: psi_eval decides either way
+        for w in (PW, HARMONIC, self.HUGE) if FAMILIES[family].weighted else (None,):
+            pr = prob(family, w, m=2, p=1.0)
+            cert = solve_radius(pr)
+            for radius in (cert.radius, cert.radius - 0.03, cert.bracket_lo - 1e-15):
+                for delta in (1e-16, 1e-15, 1e-3, 0.02, 0.05):
+                    r = radius + delta
+                    if not (radius >= 0.0 and radius < r <= wt.R_EDGE):
+                        continue
+                    vacuous = float(psi_eval(pr, r)) >= 0.0
+                    try:
+                        sharpness_witness(pr, delta, dataclasses.replace(cert, radius=radius))
+                        raised = False
+                    except NotFalsifiableError:
+                        raised = True
+                    except (AccuracyError, NoWitnessError):
+                        raised = False
+                    assert raised == vacuous, (w and w.kind, radius, delta)
+
+    @pytest.mark.parametrize("family, w", [("psi3", HARMONIC), ("psi1", HARMONIC),
+                                           ("psi2", PW), ("classical_d", None)])
+    def test_warm_search_reads_psi_from_its_block(self, monkeypatch, family, w):
+        # one table of weight tails per search, and no psi_eval call
+        pr = prob(family, w, m=2, p=1.5)
+        cert = solve_radius(pr)
+        first = sharpness_witness(pr, 0.02, cert)
+        calls = []
+
+        def counting(name, real):
+            def counted(*args, **kw):
+                calls.append(name)
+                return real(*args, **kw)
+            return counted
+
+        monkeypatch.setattr(radii, "psi_eval", counting("psi_eval", radii.psi_eval))
+        monkeypatch.setattr(verify, "psi_eval", counting("psi_eval", radii.psi_eval),
+                            raising=False)
+        for name in ("_tail2", "_tails2"):
+            monkeypatch.setattr(wt.WeightSequence, name,
+                                counting(name, getattr(wt.WeightSequence, name)))
+        assert sharpness_witness(pr, 0.02, cert) == first
+        assert calls == ["_tails2"]
 
 
 class TestLemmaCoeff:

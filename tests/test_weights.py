@@ -243,6 +243,18 @@ class TestOneStartTail:
                 assert one.shape == (1, rs.size)
                 assert np.array_equal(one[0], w._tail2(np.array([N, N + 1]), rs, weighted)[0])
 
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_both_kinds_from_one_table(self, name):
+        # the plain and the weighted tails that share one table of terms
+        # have the bits of a call per kind
+        w = self.WEIGHTS[name]
+        for rs in self.grids():
+            for Ns in (np.array([1]), np.array([0, 3, 70, 5000])):
+                tails = w._tails2(Ns, rs, (False, True))
+                assert len(tails) == 2
+                for weighted, got in zip((False, True), tails):
+                    assert np.array_equal(got, w._tail2(Ns, rs, weighted))
+
 
 class TestValidation:
     def test_negative_radius_rejected(self):
