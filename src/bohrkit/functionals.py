@@ -195,7 +195,7 @@ class _Block:
     largest, the weighted tail from 0, is past the double range."""
 
     def __init__(self, w, rs, order):
-        if w is None:
+        if not isinstance(w, wt.WeightSequence):
             raise DomainError("the weighted sums need a weight sequence")
         self.w, self.rs, rmax = w, rs, float(rs.max())
         self.x = w.rho * rmax
@@ -456,7 +456,7 @@ class RadiusProblem:
 
     def __post_init__(self):
         fam = get_family(self.family)
-        if fam.weighted and self.weights is None:
+        if fam.weighted and not isinstance(self.weights, wt.WeightSequence):
             raise DomainError(f"family {self.family} needs a weight sequence")
         if not isinstance(self.params, FunctionalParams):
             raise DomainError("params must be a FunctionalParams")

@@ -53,8 +53,11 @@ def _reject_bools(*values):
     numpy would read as the number 0 or 1."""
     for x in values:
         a = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
-        if a.dtype == bool or (a.dtype == object and {bool, np.bool_} & set(map(type, a.flat))):
+        kinds = set(map(type, a.flat)) if a.dtype == object else {a.dtype.type}
+        if {bool, np.bool_} & kinds:
             raise DomainError("weight coefficients, rho and C must be numbers, not bools")
+        if np.ndarray in kinds:  # a 0-d array in a list stays an array here
+            _reject_bools(*(v for v in a.flat if type(v) is np.ndarray))
 
 
 def _as_r(r) -> np.ndarray:
@@ -87,8 +90,9 @@ def _squeeze(out: np.ndarray, n, r):
 class WeightSequence:
     """A sequence of nonnegative weight functions on [0, 1).
 
-    Construct through :func:`power`, :func:`scaled_power` or
-    :func:`from_json` rather than directly.
+    The one gate for its fields, however it is built: a bool rho, C or
+    scaled coefficient is refused, not read as 1.0 or 0.0, and scaled
+    weights keep rho, C and the coefficients as floats.
     """
 
     kind: str
@@ -99,37 +103,39 @@ class WeightSequence:
     def __post_init__(self):
         if self.kind not in (POWER, SCALED_POWER):
             raise DomainError(f"unknown weight kind {self.kind!r}")
+        _reject_bools(self.rho, self.C, self.coeffs if self.kind == SCALED_POWER else None)
         if self.kind == POWER:
             if self.coeffs is not None or (self.rho, self.C) != (1.0, 1.0):
                 raise DomainError("power weights take no coefficients, rho or C")
-        else:
-            c = np.array(self.coeffs, dtype=float)  # a copy: the caller's array may change
-            c.flags.writeable = False
-            if c.ndim != 1 or c.size < 1:
-                raise DomainError("scaled_power needs a 1-d coefficient list")
-            if c.size > MAX_COEFFS:
-                raise DomainError(f"coefficient list longer than {MAX_COEFFS}")
-            if not (np.all(np.isfinite(c)) and math.isfinite(self.rho)
-                    and math.isfinite(self.C)):
-                raise DomainError("weight coefficients, rho and C must be finite")
-            if np.any(c < 0.0):
-                raise DomainError("weight coefficients must be nonnegative")
-            if not (0.0 < self.rho <= 1.0):
-                raise DomainError("rho must lie in (0, 1]")
-            if self.C < 0.0:
-                raise DomainError("dominator constant must be nonnegative")
-            powers = self.rho ** np.arange(c.size)
-            # a relative slack of a few ulps, as a coefficient built as
-            # f*C*rho**n can round above the same product here
-            if np.any(c * (1.0 - 1e-15) > self.C * powers):
-                raise DomainError("coefficients exceed the declared dominator C*rho**n")
-            C = self.C
-            while np.any(c > C * powers):  # C rises to dominate in these products
-                C = math.nextafter(C, math.inf)
-                if C == math.inf:
-                    raise DomainError("the dominator C*rho**n overflows a double")
-            object.__setattr__(self, "coeffs", c)
-            object.__setattr__(self, "C", C)
+            return
+        try:  # a copy: the caller's array may change
+            c, rho, C = np.array(self.coeffs, dtype=float), float(self.rho), float(self.C)
+        except (TypeError, ValueError, OverflowError):  # an int too large for a double
+            raise DomainError("weight coefficients, rho and C must be numbers") from None
+        c.flags.writeable = False
+        if c.ndim != 1 or c.size < 1:
+            raise DomainError("scaled_power needs a 1-d coefficient list")
+        if c.size > MAX_COEFFS:
+            raise DomainError(f"coefficient list longer than {MAX_COEFFS}")
+        if not (np.all(np.isfinite(c)) and math.isfinite(rho) and math.isfinite(C)):
+            raise DomainError("weight coefficients, rho and C must be finite")
+        if np.any(c < 0.0):
+            raise DomainError("weight coefficients must be nonnegative")
+        if not (0.0 < rho <= 1.0):
+            raise DomainError("rho must lie in (0, 1]")
+        if C < 0.0:
+            raise DomainError("dominator constant must be nonnegative")
+        powers = rho ** np.arange(c.size)
+        # a relative slack of a few ulps, as a coefficient built as
+        # f*C*rho**n can round above the same product here
+        if np.any(c * (1.0 - 1e-15) > C * powers):
+            raise DomainError("coefficients exceed the declared dominator C*rho**n")
+        while np.any(c > C * powers):  # C rises to dominate in these products
+            C = math.nextafter(C, math.inf)
+            if C == math.inf:
+                raise DomainError("the dominator C*rho**n overflows a double")
+        for name, value in (("coeffs", c), ("rho", rho), ("C", C)):
+            object.__setattr__(self, name, value)
 
     # -- basic descriptors ------------------------------------------------
 
@@ -242,14 +248,9 @@ _POWER = WeightSequence(POWER)
 
 
 def scaled_power(coeffs, rho: float = 1.0, C: float = 1.0) -> WeightSequence:
-    """Weights c_n * r**n with declared dominator c_n <= C * rho**n; a bool
-    rho, C or coefficient is refused, not read as 1.0 or 0.0."""
-    _reject_bools(coeffs, rho, C)
-    try:
-        coeffs, rho, C = np.asarray(coeffs, dtype=float), float(rho), float(C)
-    except (TypeError, ValueError, OverflowError):  # an int too large for a double
-        raise DomainError("weight coefficients, rho and C must be numbers") from None
-    return WeightSequence(SCALED_POWER, coeffs=coeffs, rho=rho, C=C)
+    """Weights c_n * r**n with declared dominator c_n <= C * rho**n:
+    ``WeightSequence(SCALED_POWER, coeffs, rho, C)``, which checks them."""
+    return WeightSequence(SCALED_POWER, coeffs, rho, C)
 
 
 def from_json(source) -> WeightSequence:
@@ -260,8 +261,9 @@ def from_json(source) -> WeightSequence:
         {"kind": "scaled_power", "coeffs": [...], "rho": 0.9, "C": 2.0}
 
     ``{"kind": "power"}`` returns :func:`power`'s shared instance, with no
-    other field but ``"rho": 1`` or ``"C": 1``.  A file is read on every call;
-    a text among the last four read returns the same (immutable) instance.
+    other field but ``"rho": 1`` or ``"C": 1``; :class:`WeightSequence` checks
+    the fields.  A file is read on every call; a text among the last four
+    read returns the same (immutable) instance.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -280,14 +282,7 @@ def from_json(source) -> WeightSequence:
 def _from_document(obj) -> WeightSequence:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("weight JSON must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == POWER:
-        _reject_bools(obj.get("rho"), obj.get("C"))
-        WeightSequence(POWER, obj.get("coeffs"), obj.get("rho", 1.0), obj.get("C", 1.0))
-        return power()  # its fields checked, the one shared instance
-    if kind == SCALED_POWER:
-        try:
-            return scaled_power(obj["coeffs"], obj.get("rho", 1.0), obj.get("C", 1.0))
-        except KeyError as exc:
-            raise DomainError(f"weight JSON missing field {exc}") from exc
-    raise DomainError(f"unknown weight kind {kind!r}")
+    if obj["kind"] == SCALED_POWER and "coeffs" not in obj:
+        raise DomainError("weight JSON missing field 'coeffs'")
+    w = WeightSequence(obj["kind"], obj.get("coeffs"), obj.get("rho", 1.0), obj.get("C", 1.0))
+    return power() if w.kind == POWER else w  # its fields checked, the one shared instance

@@ -582,6 +582,23 @@ class TestMissingWeights:
         with pytest.raises(DomainError, match="family psi1 needs a weight sequence"):
             bound_for("psi1", None, 0.3)
 
+    @pytest.mark.parametrize("weights", [[1.0, 0.5], np.ones(3), "power"],
+                             ids=["list", "array", "str"])
+    def test_weights_of_the_wrong_type(self, weights):
+        # a list would reach solve_radius's weakref and bohr_sum's attribute reads
+        with pytest.raises(DomainError, match="family psi1 needs a weight sequence"):
+            RadiusProblem("psi1", FunctionalParams(), weights)
+        with pytest.raises(DomainError, match="family psi1 needs a weight sequence"):
+            evaluate_family("psi1", moebius_plus(0.3), weights, FunctionalParams(), 0.3)
+        for call in (lambda: bohr_sum(moebius_plus(0.3), weights, 1, 0.5),
+                     lambda: a_refinement(moebius_plus(0.3), weights, 0.5)):
+            with pytest.raises(DomainError, match="the weighted sums need a weight sequence"):
+                call()
+
+    def test_unweighted_family_ignores_weights_of_any_type(self):
+        assert RadiusProblem("psi5_t5", FunctionalParams(), [1.0, 0.5]).weights == [1.0, 0.5]
+        assert bound_for("classical_d", [1.0], 0.3) == 1.0
+
     @pytest.mark.parametrize("family", ["psi5_t5", "psi5_t6", "classical_beta", "classical_d"])
     def test_family_without_a_tail_takes_no_weights(self, family):
         f = moebius_plus(0.5)

@@ -433,6 +433,7 @@ class TestJson:
         path.write_text(json.dumps({"kind": "power", "C": 1}))
         assert from_json({"kind": "power"}) is power()
         assert from_json({"kind": "power", "rho": 1, "C": 1.0}) is power()
+        assert from_json({"kind": "power", "coeffs": None}) is power()
         assert from_json(path) is from_json(str(path)) is power()
 
     @pytest.mark.parametrize("extra", [{"rho": 0.5}, {"C": 3.0}, {"coeffs": [1.0]},
@@ -524,3 +525,92 @@ class TestJson:
             from_json(path)
         path.write_text('{"kind": "scaled_power", "coeffs": [1.0, 0.5]}')
         assert from_json(path).weight_at(1, 0.5) == 0.25
+
+
+BOOLS = "weight coefficients, rho and C must be numbers, not bools"
+NUMBERS = "weight coefficients, rho and C must be numbers"
+POWER_FIELDS = "power weights take no coefficients, rho or C"
+# (kind, fields, message): every row is refused with one message at every entry point
+MALFORMED = [
+    pytest.param("scaled_power", {"coeffs": [True, 0.5]}, BOOLS, id="bool-coeff"),
+    pytest.param("scaled_power", {"coeffs": [1.0, np.False_]}, BOOLS, id="npbool-coeff"),
+    pytest.param("scaled_power", {"coeffs": np.array(True)}, BOOLS, id="0d-coeffs"),
+    pytest.param("scaled_power", {"coeffs": [1.0, np.array(True)]}, BOOLS, id="0d-in-coeffs"),
+    pytest.param("scaled_power", {"coeffs": [1.0, 0.5], "rho": True}, BOOLS, id="bool-rho"),
+    pytest.param("scaled_power", {"coeffs": [1.0, 0.5], "rho": np.True_}, BOOLS, id="npbool-rho"),
+    pytest.param("scaled_power", {"coeffs": [1.0, 0.5], "rho": np.array(True)}, BOOLS,
+                 id="0d-rho"),
+    pytest.param("scaled_power", {"coeffs": [1.0, 0.5], "C": False}, BOOLS, id="bool-C"),
+    pytest.param("scaled_power", {"coeffs": [1.0, 0.5], "C": np.False_}, BOOLS, id="npbool-C"),
+    pytest.param("scaled_power", {"coeffs": [1.0, 0.5], "C": np.array(False)}, BOOLS, id="0d-C"),
+    pytest.param("scaled_power", {"coeffs": [1, 10 ** 400]}, NUMBERS, id="huge-coeff"),
+    pytest.param("scaled_power", {"coeffs": [1], "rho": 10 ** 400}, NUMBERS, id="huge-rho"),
+    pytest.param("scaled_power", {"coeffs": [1], "C": 10 ** 400}, NUMBERS, id="huge-C"),
+    pytest.param("scaled_power", {"coeffs": [1.0, "half"]}, NUMBERS, id="str-coeff"),
+    pytest.param("scaled_power", {"coeffs": [1.0], "rho": "half"}, NUMBERS, id="str-rho"),
+    pytest.param("power", {"rho": True}, BOOLS, id="power-bool-rho"),
+    pytest.param("power", {"C": np.True_}, BOOLS, id="power-npbool-C"),
+    pytest.param("power", {"rho": np.array(True)}, BOOLS, id="power-0d-rho"),
+    pytest.param("power", {"rho": 0.5}, POWER_FIELDS, id="power-rho"),
+    pytest.param("power", {"C": 2.0}, POWER_FIELDS, id="power-C"),
+]
+
+
+def _json_file(tmp_path, doc):
+    """doc written to a file, or None where JSON has no form for it (a numpy value)."""
+    try:
+        text = json.dumps(doc)
+    except TypeError:
+        return None
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    return path
+
+
+def _message(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    return str(info.value)
+
+
+class TestOneGate:
+    """WeightSequence checks its own fields, so scaled_power, from_json and a
+    direct construction refuse a malformed input with one message."""
+
+    @pytest.mark.parametrize("kind, fields, message", MALFORMED)
+    def test_one_message_at_every_entry_point(self, tmp_path, kind, fields, message):
+        calls = [lambda: WeightSequence(kind, **fields),
+                 lambda: from_json({"kind": kind, **fields})]
+        if kind == "scaled_power":
+            calls.append(lambda: scaled_power(**fields))
+        path = _json_file(tmp_path, {"kind": kind, **fields})
+        if path is not None:
+            calls.append(lambda: from_json(path))
+        assert [_message(call) for call in calls] == [message] * len(calls)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "scaled_power"}, "weight JSON missing field 'coeffs'"),
+        ({"kind": "scaled_power", "rho": 0.5}, "weight JSON missing field 'coeffs'"),
+        ([{"kind": "power"}], "weight JSON must be an object with a 'kind' field"),
+    ], ids=["no-coeffs", "rho-no-coeffs", "list"])
+    def test_document_shape_messages(self, tmp_path, doc, message):
+        path = _json_file(tmp_path, doc)
+        assert _message(lambda: from_json(doc)) == _message(lambda: from_json(path)) == message
+
+    @pytest.mark.parametrize("coeffs, rho, C, raised", [
+        ([1, 0.5], 1, 1, False),
+        ([1.0, 0.25, 0.125], 0.5, 1.0, False),
+        # c_5 one ulp over 0.3**5 as the gate computes it: C rises past 1.0
+        ((0.3 ** np.arange(5)).tolist() + [math.nextafter((0.3 ** np.arange(6))[5], 1.0)],
+         0.3, 1.0, True),
+    ], ids=["ints", "halving", "ulp-over"])
+    def test_three_ways_agree(self, tmp_path, coeffs, rho, C, raised):
+        doc = {"kind": "scaled_power", "coeffs": coeffs, "rho": rho, "C": C}
+        first, *others = [WeightSequence("scaled_power", coeffs, rho, C),
+                          scaled_power(coeffs, rho, C), from_json(doc),
+                          from_json(_json_file(tmp_path, doc))]
+        assert type(first.rho) is type(first.C) is float
+        assert (first.C > C) == raised
+        for w in others:
+            assert w.coeffs.tobytes() == first.coeffs.tobytes()
+            assert (w.rho, w.C) == (first.rho, first.C)
